@@ -8,7 +8,7 @@ output also writes a ``<stem>.manifest.json`` recording the exact inputs.
 
 Exit codes: 0 success (an infeasible query is still a success, the answer
 is in the output), 1 usage errors, 2 unreadable or invalid inputs, 3 search
-limits exhausted.
+limits exhausted, 4 solver failure (an LP relaxation ended numerically).
 """
 from __future__ import annotations
 
@@ -43,6 +43,7 @@ from .rewrite import (
 from .solve import (
     DEFAULT_NODE_LIMIT,
     NodeLimitExceeded,
+    SolverError,
     enumerate_pathways,
     simplex_solve,
 )
@@ -194,7 +195,6 @@ def _cmd_expand(args, argv, started) -> int:
         max_iterations=args.max_iterations,
         max_element_counts=_parse_max_elements(args.max_elements),
         right_predicates=tuple(args.filter),
-        threads=args.threads,
     )
     result = run_expansion(config, rules)
     _write_json(args.output, result.network.to_json())
@@ -270,22 +270,28 @@ def _solution_json(rank: int, solution, weights) -> dict:
     }
 
 
-def _cmd_query(args, argv, started) -> int:
+def _load_query_inputs(args):
+    """Network, barrier table, edge weights and query of a model command,
+    plus the manifest inputs they came from."""
     graph, network_text = _load_network(args.network)
     barrier_text = _read_text(args.barriers)
     table = load_barriers(barrier_text, graph)
-    thermo = Thermo(args.temperature_k)
-    weights = objective_coefficients(table, thermo, graph)
+    weights = objective_coefficients(table, Thermo(args.temperature_k), graph)
     query_text = _read_text(args.query)
     query = _decode_document(args.query, query_text, PathwayQuery.from_json, "query")
-    if args.flow_cap is not None:
-        query = dataclasses.replace(query, flow_cap=args.flow_cap)
-    model = build_model(graph, weights, query)
     inputs = {
         "network": (args.network, network_text),
         "barriers": (args.barriers, barrier_text),
         "query": (args.query, query_text),
     }
+    return graph, table, weights, query, inputs
+
+
+def _cmd_query(args, argv, started) -> int:
+    graph, table, weights, query, inputs = _load_query_inputs(args)
+    if args.flow_cap is not None:
+        query = dataclasses.replace(query, flow_cap=args.flow_cap)
+    model = build_model(graph, weights, query)
 
     if args.relax:
         lp = simplex_solve(relax(model))
@@ -361,28 +367,13 @@ def _cmd_query(args, argv, started) -> int:
 
 
 def _cmd_export_lp(args, argv, started) -> int:
-    graph, network_text = _load_network(args.network)
-    barrier_text = _read_text(args.barriers)
-    table = load_barriers(barrier_text, graph)
-    weights = objective_coefficients(table, Thermo(args.temperature_k), graph)
-    query_text = _read_text(args.query)
-    query = _decode_document(args.query, query_text, PathwayQuery.from_json, "query")
+    graph, _, weights, query, inputs = _load_query_inputs(args)
     model = build_model(graph, weights, query)
     text = export_lp_text(relax(model) if args.relax else model)
     _write_text(args.output, text)
     print(f"wrote {args.output}")
     _write_manifest(
-        "export-lp",
-        argv,
-        args.output,
-        {
-            "network": (args.network, network_text),
-            "barriers": (args.barriers, barrier_text),
-            "query": (args.query, query_text),
-        },
-        [args.output],
-        started,
-        {"relax": bool(args.relax)},
+        "export-lp", argv, args.output, inputs, [args.output], started, {"relax": bool(args.relax)}
     )
     return 0
 
@@ -430,7 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[],
         help="product filter, repeatable (no-rings-le=3, no-cumulated-doubles)",
     )
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--dot", action="store_true", help="also draw the network")
     p.add_argument("--output", required=True, help="network JSON to write")
     p.set_defaults(func=_cmd_expand)
@@ -495,6 +485,9 @@ def main(argv: list[str] | None = None) -> int:
     except NodeLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 def entrypoint() -> None:

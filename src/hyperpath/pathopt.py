@@ -162,9 +162,6 @@ class IlpModel:
     binaries: frozenset[str]
     flow_keys: dict[str, object]
     big_m: int
-    graph: Hypergraph
-    weights: WeightModel
-    query: PathwayQuery
     cuts: tuple[frozenset[int], ...] = ()
 
     def flow_from_values(self, values: dict[str, float]) -> dict:
@@ -194,12 +191,6 @@ def build_model(
     for eid in q.forbidden_edges:
         if not (0 <= eid < len(h.edges)):
             raise ValueError(f"query forbids unknown edge {eid}")
-    for cut in cuts:
-        if not cut:
-            raise ValueError("an exclusion cut needs at least one edge")
-        for eid in cut:
-            if not (0 <= eid < len(h.edges)):
-                raise ValueError(f"cut references unknown edge {eid}")
     missing = [e.id for e in h.edges if e.id not in model.coeff]
     if missing:
         raise ValueError(f"weights missing for edges {missing}")
@@ -257,9 +248,6 @@ def build_model(
     if q.total_inflow_max is not None:
         coeffs = {inflow_var(vid): 1.0 for vid in sorted(q.sources)}
         rows.append(Row("total_inflow", coeffs, "<=", float(q.total_inflow_max)))
-    for k, cut in enumerate(cuts):
-        coeffs = {indicator_var(eid): 1.0 for eid in sorted(cut)}
-        rows.append(Row(f"cut_{k}", coeffs, "<=", float(len(cut) - 1)))
 
     if q.maximize_outflow is not None:
         objective = {outflow_var(q.maximize_outflow): 1.0}
@@ -268,7 +256,7 @@ def build_model(
         objective = {flow_var(e.id): model.coeff[e.id] for e in h.edges}
         sense = "min"
 
-    return IlpModel(
+    compiled = IlpModel(
         variables=tuple(variables),
         bounds=bounds,
         rows=tuple(rows),
@@ -280,32 +268,33 @@ def build_model(
         binaries=frozenset(indicator_var(e.id) for e in h.edges),
         flow_keys=flow_keys,
         big_m=cap,
-        graph=h,
-        weights=model,
-        query=q,
-        cuts=tuple(cuts),
     )
+    for cut in cuts:
+        compiled = add_cut(compiled, cut)
+    return compiled
 
 
 def add_cut(model: IlpModel, support: "frozenset[int] | set[int] | list[int]") -> IlpModel:
-    """New model whose solutions may not use all edges of ``support`` together."""
+    """Copy of the model with one more row: its solutions may not use all
+    edges of ``support`` together."""
     cut = frozenset(int(e) for e in support)
     if not cut:
         raise ValueError("an exclusion cut needs at least one edge")
-    return build_model(model.graph, model.weights, model.query, model.cuts + (cut,))
+    edges = sorted(cut)
+    for eid in edges:
+        if indicator_var(eid) not in model.binaries:
+            raise ValueError(f"cut references unknown edge {eid}")
+    coeffs = {indicator_var(eid): 1.0 for eid in edges}
+    row = Row(f"cut_{len(model.cuts)}", coeffs, "<=", float(len(cut) - 1))
+    return replace(model, rows=model.rows + (row,), cuts=model.cuts + (cut,))
 
 
 def relax(model: IlpModel) -> LpModel:
-    """Drop integrality, indicators, linking rows and cuts; keep conservation
-    and query rows with continuous flow and exchange variables."""
-    keep_vars = tuple(
-        name for name in model.variables if not name.startswith("z_")
-    )
-    rows = tuple(
-        row
-        for row in model.rows
-        if not row.name.startswith("link_") and not row.name.startswith("cut_")
-    )
+    """Drop integrality, indicators, and every row that mentions one (linking
+    rows and cuts); keep conservation and query rows with continuous flow and
+    exchange variables."""
+    keep_vars = tuple(name for name in model.variables if name not in model.binaries)
+    rows = tuple(row for row in model.rows if model.binaries.isdisjoint(row.coeffs))
     objective = {n: c for n, c in model.objective.items() if n in set(keep_vars)}
     return LpModel(
         variables=keep_vars,
@@ -375,9 +364,3 @@ def export_lp_text(model) -> str:
         out.append(" " + " ".join(n for n in model.variables if n in set(binaries)))
     out.append("End")
     return "\n".join(out) + "\n"
-
-
-def forbid_edges(query: PathwayQuery, edges: "list[int] | tuple[int, ...]") -> PathwayQuery:
-    """Copy of the query with extra forbidden edges."""
-    merged = tuple(sorted(set(query.forbidden_edges) | {int(e) for e in edges}))
-    return replace(query, forbidden_edges=merged)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations_with_replacement
@@ -535,7 +534,6 @@ class ExpansionConfig:
     max_iterations: int = 4
     max_element_counts: dict[str, int] | None = None
     right_predicates: tuple[str, ...] = ()
-    threads: int = 1
 
 
 @dataclass
@@ -616,19 +614,9 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
                     tried.add(key)
                     tasks.append((ri, combo))
 
-        def run(task):
-            ri, combo = task
-            return _derive(directional[ri], tuple(v.graph for v in combo))
-
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                all_outcomes = list(pool.map(run, tasks))
-        else:
-            all_outcomes = [run(t) for t in tasks]
-
         before = (len(net.vertices), len(net.edges))
-        for (ri, combo), outcomes in zip(tasks, all_outcomes):
-            for products, record in outcomes:
+        for ri, combo in tasks:
+            for products, record in _derive(directional[ri], tuple(v.graph for v in combo)):
                 if not all(_admissible(p, config, predicates) for p in products):
                     continue
                 product_ids = Counter(net.add_molecule(p) for p in products)

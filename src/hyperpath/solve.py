@@ -31,11 +31,27 @@ class NodeLimitExceeded(Exception):
         super().__init__(f"branch and bound node limit reached after {nodes} nodes")
 
 
+class SolverError(RuntimeError):
+    """An LP relaxation ended in a status the search cannot act on."""
+
+
 @dataclass
 class LpSolution:
     status: str  # optimal, infeasible, unbounded or numerical
     objective: float | None = None
     values: dict[str, float] | None = None
+
+
+def _pivot(T: np.ndarray, b: np.ndarray, basis: list[int], i: int, j: int) -> None:
+    """Make column ``j`` basic in row ``i``, updating the tableau in place."""
+    pivot = T[i, j]
+    T[i] /= pivot
+    b[i] /= pivot
+    factors = T[:, j].copy()
+    factors[i] = 0.0
+    T -= np.outer(factors, T[i])
+    b -= factors * b[i]
+    basis[i] = j
 
 
 def _run_simplex(T: np.ndarray, b: np.ndarray, basis: list[int], c: np.ndarray) -> str:
@@ -55,15 +71,7 @@ def _run_simplex(T: np.ndarray, b: np.ndarray, basis: list[int], c: np.ndarray) 
         ratios = b[rows] / column[rows]
         best = float(ratios.min())
         ties = rows[ratios <= best + 1e-12]
-        i = int(min(ties, key=lambda r: basis[r]))
-        pivot = T[i, j]
-        T[i] /= pivot
-        b[i] /= pivot
-        factors = T[:, j].copy()
-        factors[i] = 0.0
-        T -= np.outer(factors, T[i])
-        b -= factors * b[i]
-        basis[i] = j
+        _pivot(T, b, basis, int(min(ties, key=lambda r: basis[r])), j)
     return "numerical"
 
 
@@ -155,15 +163,7 @@ def simplex_solve(model, bound_overrides: dict | None = None, extra_rows: tuple 
             if basis[i] >= total:
                 candidates = np.nonzero(np.abs(T[i, :total]) > 1e-9)[0]
                 if candidates.size:
-                    j = int(candidates[0])
-                    pivot = T[i, j]
-                    T[i] /= pivot
-                    b[i] /= pivot
-                    factors = T[:, j].copy()
-                    factors[i] = 0.0
-                    T -= np.outer(factors, T[i])
-                    b -= factors * b[i]
-                    basis[i] = j
+                    _pivot(T, b, basis, i, int(candidates[0]))
         keep = [i for i in range(m) if basis[i] < total]
         T = T[keep, :total]
         b = b[keep]
@@ -182,20 +182,14 @@ def simplex_solve(model, bound_overrides: dict | None = None, extra_rows: tuple 
     x = y[:n] + lo
 
     # verify the claimed optimum actually satisfies what was asked
-    for i, row in enumerate(rows):
-        value = sum(coef * x[index[var]] for var, coef in row.coeffs.items())
-        tol = 1e-6 + 1e-9 * abs(row.rhs)
-        if senses[i] == "<=" and value > row.rhs + tol:
-            return LpSolution("numerical")
-        if senses[i] == ">=" and value < row.rhs - tol:
-            return LpSolution("numerical")
-        if senses[i] == "=" and abs(value - row.rhs) > tol:
-            return LpSolution("numerical")
+    values = {name: float(x[i]) for i, name in enumerate(names)}
+    if any(_violates(row, values) for row in rows):
+        return LpSolution("numerical")
     if np.any(x < lo - 1e-6) or np.any(x > hi + 1e-6):
         return LpSolution("numerical")
 
-    objective = sum(coef * x[index[name]] for name, coef in model.objective.items())
-    return LpSolution("optimal", float(objective), {name: float(x[i]) for i, name in enumerate(names)})
+    objective = sum(coef * values[name] for name, coef in model.objective.items())
+    return LpSolution("optimal", float(objective), values)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +218,7 @@ class _Search:
             raise NodeLimitExceeded(self.nodes)
 
 
-def _violates(row: Row, values: dict[str, int]) -> bool:
+def _violates(row: Row, values: dict[str, float]) -> bool:
     total = sum(coef * values.get(var, 0) for var, coef in row.coeffs.items())
     tol = 1e-6 + 1e-9 * abs(row.rhs)
     if row.sense == "<=":
@@ -258,7 +252,7 @@ def _dfs(
         if lp.status == "infeasible":
             continue
         if lp.status != "optimal":
-            raise RuntimeError(f"relaxation came back {lp.status}")
+            raise SolverError(f"relaxation came back {lp.status}")
         prune_tol = 1e-6 + 1e-9 * abs(best_signed if best else 0.0)
         if best is not None and sign * lp.objective >= best_signed - prune_tol:
             continue
@@ -373,7 +367,7 @@ def enumerate_pathways(
     solutions: list[IlpSolution] = []
     cuts: list[frozenset] = []
     current = model
-    for _ in range(k):
+    for rank in range(1, k + 1):
         solution = branch_and_bound(current, node_limit)
         if solution.status != "optimal":
             break
@@ -382,7 +376,8 @@ def enumerate_pathways(
             break
         cut = frozenset(solution.support)
         cuts.append(cut)
-        current = add_cut(current, cut)
+        if rank < k:
+            current = add_cut(current, cut)
     return RankedPathways(solutions, tuple(cuts))
 
 

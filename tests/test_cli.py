@@ -1,5 +1,6 @@
 """End-to-end command line behavior, run in process."""
 import json
+import random
 
 import pytest
 
@@ -413,6 +414,21 @@ def test_query_node_limit_flag_and_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     manifest = json.loads((tmp_path / "solutions.manifest.json").read_text())
     assert manifest["node_limit"] == 100000
+
+
+def test_query_numerical_relaxation_exit_4(tmp_path, capsys):
+    rng = random.Random(1)
+    for _ in range(1303):
+        net, barriers_kj, query_obj = nets.random_instance(rng)
+    out = tmp_path / "solutions.json"
+    argv = ["query", "--network", write_network(tmp_path, net),
+            "--barriers", write_barriers(tmp_path, barriers_kj),
+            "--query", write_query(tmp_path, query_obj), "-k", "3", "--output", str(out)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "numerical" in err
+    assert "Traceback" not in err
 
 
 def test_query_temperature_recorded(tmp_path, capsys):

@@ -242,6 +242,16 @@ def test_add_cut_returns_new_model():
     assert len(cut.rows) == len(base.rows) + 1
     with pytest.raises(ValueError):
         add_cut(base, set())
+    with pytest.raises(ValueError):
+        add_cut(base, {55})
+
+
+def test_add_cut_matches_building_with_the_cut():
+    net, query = nets.cascade_network()
+    w = weighted(net)
+    cut = frozenset({0, 5, 7})
+    appended = add_cut(build_model(net, w, query), cut)
+    assert export_lp_text(appended) == export_lp_text(build_model(net, w, query, cuts=(cut,)))
 
 
 def test_relax_drops_integrality_machinery():

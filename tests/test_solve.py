@@ -275,6 +275,21 @@ def test_enumerate_stops_on_infeasibility():
     assert ranked.solutions[0].support == [0]
 
 
+def test_enumerate_adds_no_cut_after_the_last_rank(monkeypatch):
+    calls = []
+
+    def counting_add_cut(model, support):
+        calls.append(support)
+        return add_cut(model, support)
+
+    monkeypatch.setattr("hyperpath.solve.add_cut", counting_add_cut)
+    net, query = nets.flux_demo()
+    ranked = enumerate_pathways(build_model(net, weighted(net), query), 2)
+    assert [s.support for s in ranked.solutions] == [[0], [1]]
+    assert ranked.cuts == (frozenset({0}), frozenset({1}))
+    assert len(calls) == 1
+
+
 # -- exhaustive search -------------------------------------------------------
 
 
