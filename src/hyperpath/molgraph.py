@@ -3,8 +3,10 @@
 Molecules are undirected simple graphs whose vertices carry an element symbol
 and an integer charge and whose edges carry a bond order (single, double,
 triple, or aromatic).  Isomorphism classes are identified through a canonical
-key computed by iterative color refinement with exhaustive tie-breaking, so
-two graphs are isomorphic exactly when their keys compare equal.
+key computed by iterative color refinement with tie-breaking by cell
+branching, so two graphs are isomorphic exactly when their keys compare equal.
+Branching skips a vertex that is a twin of one already tried, because swapping
+the two is an automorphism and so leaves the smallest certificate unchanged.
 """
 from __future__ import annotations
 
@@ -114,6 +116,37 @@ def make_graph(atoms, bonds=()) -> MolecularGraph:
         lo, hi = (a, b) if a < b else (b, a)
         built_bonds.append(Bond(int(lo), int(hi), token))
     return MolecularGraph(tuple(sorted(built_atoms)), tuple(sorted(built_bonds)))
+
+
+def make_components(atoms: list, bonds: list) -> list[MolecularGraph]:
+    """Like ``make_graph``, but one graph per connected component.
+
+    Components come smallest atom id first and keep their atom ids.
+    """
+    adj: dict[int, list[int]] = {spec[0]: [] for spec in atoms}
+    for a, b, _ in bonds:
+        adj[a].append(b)
+        adj[b].append(a)
+    part_of: dict[int, int] = {}
+    n_parts = 0
+    for start in sorted(adj):
+        if start in part_of:
+            continue
+        part_of[start] = n_parts
+        stack = [start]
+        while stack:
+            for u in adj[stack.pop()]:
+                if u not in part_of:
+                    part_of[u] = n_parts
+                    stack.append(u)
+        n_parts += 1
+    part_atoms: list[list] = [[] for _ in range(n_parts)]
+    part_bonds: list[list] = [[] for _ in range(n_parts)]
+    for spec in atoms:
+        part_atoms[part_of[spec[0]]].append(spec)
+    for bond in bonds:
+        part_bonds[part_of[bond[0]]].append(bond)
+    return [make_graph(a, b) for a, b in zip(part_atoms, part_bonds)]
 
 
 def element_counts(g: MolecularGraph) -> dict[str, int]:
@@ -261,7 +294,8 @@ def _refine(colors: dict[int, int], adj: dict[int, list[tuple[int, str]]]) -> di
 
 def _certificate(g: MolecularGraph, order: list[int]) -> bytes:
     index = {aid: i for i, aid in enumerate(order)}
-    atom_part = tuple((g.atom_by_id(aid).element, g.atom_by_id(aid).charge) for aid in order)
+    label = {a.id: (a.element, a.charge) for a in g.atoms}
+    atom_part = tuple(label[aid] for aid in order)
     bond_part = tuple(
         sorted(
             (min(index[b.a], index[b.b]), max(index[b.a], index[b.b]), b.order)
@@ -285,8 +319,11 @@ def _canonical_search(g, adj, colors: dict[int, int]) -> bytes:
         order = [v for v, _ in sorted(colors.items(), key=lambda item: item[1])]
         return _certificate(g, order)
     best: bytes | None = None
-    n = len(colors)
+    tried: list[int] = []
     for v in branch_cell:
+        if any(_twins(adj, v, w) for w in tried):
+            continue
+        tried.append(v)
         child = {u: (colors[u] * 2 + (0 if u == v else 1)) for u in colors}
         # re-normalize to dense ints so refinement signatures stay small
         palette = {c: i for i, c in enumerate(sorted(set(child.values())))}
@@ -294,13 +331,29 @@ def _canonical_search(g, adj, colors: dict[int, int]) -> bytes:
         cert = _canonical_search(g, adj, child)
         if best is None or cert < best:
             best = cert
-    assert best is not None and n >= 0
+    assert best is not None
     return best
+
+
+def _twins(adj: dict[int, list[tuple[int, str]]], v: int, w: int) -> bool:
+    """True when v and w see the same neighbours by the same bond orders.
+
+    For two vertices of one cell (so of one element and charge) this means
+    that swapping them and fixing every other vertex is an automorphism.  It
+    maps the subtree that individualizes v onto the one that individualizes w,
+    leaf for leaf with equal certificates, so only one of them is searched.
+    """
+    return {(u, o) for u, o in adj[v] if u != w} == {(u, o) for u, o in adj[w] if u != v}
 
 
 @functools.lru_cache(maxsize=65536)
 def canonical_form(g: MolecularGraph) -> CanonicalForm:
-    """Canonical key via color refinement plus exhaustive cell branching."""
+    """Canonical key via color refinement plus cell branching.
+
+    Branching tries every vertex of the smallest non-singleton cell except
+    twins of a vertex already tried (see ``_twins``), whose subtrees give the
+    same certificates; the key is the smallest certificate over all leaves.
+    """
     if not g.atoms:
         return CanonicalForm(b"()")
     adj = g.adjacency()
@@ -312,22 +365,6 @@ def canonical_form(g: MolecularGraph) -> CanonicalForm:
 
 def connected_components(g: MolecularGraph) -> list[MolecularGraph]:
     """Split into connected components, each a standalone molecule."""
-    adj = g.adjacency()
-    unvisited = {a.id for a in g.atoms}
-    parts: list[MolecularGraph] = []
-    while unvisited:
-        start = min(unvisited)
-        stack = [start]
-        comp = {start}
-        unvisited.discard(start)
-        while stack:
-            v = stack.pop()
-            for u, _ in adj[v]:
-                if u in unvisited:
-                    unvisited.discard(u)
-                    comp.add(u)
-                    stack.append(u)
-        atoms = [(a.id, a.element, a.charge) for a in g.atoms if a.id in comp]
-        bonds = [(b.a, b.b, b.order) for b in g.bonds if b.a in comp]
-        parts.append(make_graph(atoms, bonds))
-    return parts
+    return make_components(
+        [(a.id, a.element, a.charge) for a in g.atoms], [(b.a, b.b, b.order) for b in g.bonds]
+    )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations_with_replacement
@@ -22,9 +23,8 @@ from .molgraph import (
     PERIODIC_TABLE,
     MolecularGraph,
     canonical_form,
-    connected_components,
     element_counts,
-    make_graph,
+    make_components,
 )
 from .netcore import Hypergraph, Vertex
 
@@ -412,12 +412,18 @@ class DerivationRecord:
 
 
 def apply_rule(
-    rule: Rule, match: Match, hosts: tuple[MolecularGraph, ...]
+    rule: Rule,
+    match: Match,
+    hosts: tuple[MolecularGraph, ...],
+    admit: Callable[[MolecularGraph], bool] | None = None,
 ) -> tuple[list[MolecularGraph], DerivationRecord]:
     """Rewrite the matched bonds, returning the product molecules.
 
     Raises RuleApplicationError when the rewrite would create a parallel
-    bond or push an atom past its valence ceiling.
+    bond or push an atom past its valence ceiling, or when ``admit`` (a
+    predicate on one product molecule) refuses a product.  ``admit`` is
+    checked before any canonical key is computed, so a caller that would
+    discard such products pays nothing for their keys.
     """
     union = _Union(hosts)
     nodes = sorted(union.elements)
@@ -453,8 +459,9 @@ def apply_rule(
                 f"rule {rule.name!r} would exceed the valence of {element} (atom {i})"
             )
 
-    result = make_graph(atoms, [(i, j, order) for (i, j), order in bonds.items()])
-    products = connected_components(result)
+    products = make_components(atoms, [(i, j, order) for (i, j), order in bonds.items()])
+    if admit is not None and not all(admit(p) for p in products):
+        raise RuleApplicationError(f"rule {rule.name!r} gives a product that is not admitted")
     record = DerivationRecord(
         rule=rule.name,
         class_binding=tuple(sorted(match.class_binding.items())),
@@ -565,13 +572,19 @@ def _admissible(graph: MolecularGraph, config: ExpansionConfig, predicates) -> b
     return all(pred(graph) for pred in predicates)
 
 
-def _derive(rule: Rule, hosts: tuple[MolecularGraph, ...]):
-    """All distinct rewrites of one host multiset under one rule."""
+def _derive(rule: Rule, hosts: tuple[MolecularGraph, ...], admit: Callable[[MolecularGraph], bool]):
+    """All distinct rewrites of one host multiset under one rule.
+
+    ``admit`` is passed to ``apply_rule``.  It must depend only on a
+    product's isomorphism class, as element caps, ring sizes and cumulated
+    doubles do; then a refused match never shares product keys with a kept
+    one, and each set of product keys keeps the same first record.
+    """
     outcomes = []
     seen: set[tuple[bytes, ...]] = set()
     for match in find_matches(rule, hosts):
         try:
-            products, record = apply_rule(rule, match, hosts)
+            products, record = apply_rule(rule, match, hosts, admit)
         except RuleApplicationError:
             continue
         if record.product_keys in seen:
@@ -592,6 +605,10 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
     next iteration.  Stops early once an iteration adds nothing.
     """
     predicates = [right_predicate(s) for s in config.right_predicates]
+
+    def admit(graph: MolecularGraph) -> bool:
+        return _admissible(graph, config, predicates)
+
     net = Hypergraph()
     for seed in config.seed_molecules:
         net.add_molecule(seed)
@@ -616,9 +633,7 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
 
         before = (len(net.vertices), len(net.edges))
         for ri, combo in tasks:
-            for products, record in _derive(directional[ri], tuple(v.graph for v in combo)):
-                if not all(_admissible(p, config, predicates) for p in products):
-                    continue
+            for products, record in _derive(directional[ri], tuple(v.graph for v in combo), admit):
                 product_ids = Counter(net.add_molecule(p) for p in products)
                 reactant_ids = Counter(v.id for v in combo)
                 eid = net.add_reaction(dict(reactant_ids), dict(product_ids))

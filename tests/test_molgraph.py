@@ -1,11 +1,15 @@
 """Molecule parsing, canonical keys, and graph utilities."""
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import molecules
 from hyperpath.molgraph import (
+    BOND_ORDERS,
     MgfError,
     MolecularGraph,
     canonical_form,
@@ -170,6 +174,22 @@ def test_canonical_key_breaks_refinement_ties():
     assert canonical_form(hexagon) != canonical_form(triangles)
 
 
+def test_canonical_key_when_a_refinement_cell_is_not_an_orbit():
+    # two triangles joined by two two-bond bridges: refinement puts the
+    # triangle tips and the bridge middles in one cell, yet no automorphism
+    # maps one onto the other, so the search must try both kinds
+    g = make_graph(
+        [(i, "C") for i in range(8)],
+        [(0, 3, 1), (0, 4, 1), (0, 5, 1), (1, 2, 1), (1, 4, 1), (1, 6, 1), (2, 6, 1),
+         (3, 5, 1), (5, 7, 1), (6, 7, 1)],
+    )
+    rng = random.Random(5)
+    for _ in range(20):
+        order = list(range(8))
+        rng.shuffle(order)
+        assert canonical_form(helpers.relabeled(g, order)) == canonical_form(g)
+
+
 def test_canonical_key_agrees_with_oracle():
     pool = [
         molecules.water(),
@@ -192,6 +212,78 @@ def test_canonical_key_agrees_with_oracle():
         for b in pool[i:]:
             same_key = canonical_form(a) == canonical_form(b)
             assert same_key == helpers.are_isomorphic(a, b)
+
+
+@st.composite
+def twin_rich_molecules(draw):
+    """Small molecules grown by copying atoms with their bonds.
+
+    Each copy is a twin of its original: unbonded, or bonded to it by any
+    order.  Copies of copies make larger twin classes.
+    """
+    atoms = []
+    bonds: dict[tuple[int, int], str] = {}
+    for i in range(draw(st.integers(1, 4))):
+        atoms.append((i, draw(st.sampled_from(("C", "N", "O"))), draw(st.integers(-1, 1))))
+        for j in range(i):
+            order = draw(st.sampled_from((None, None) + BOND_ORDERS))
+            if order:
+                bonds[(j, i)] = order
+    for _ in range(draw(st.integers(0, 4))):
+        copy = len(atoms)
+        v = draw(st.integers(0, copy - 1))
+        atoms.append((copy, atoms[v][1], atoms[v][2]))
+        for (a, b), order in list(bonds.items()):
+            if v in (a, b):
+                bonds[(b if a == v else a, copy)] = order
+        link = draw(st.sampled_from((None,) + BOND_ORDERS))
+        if link:
+            bonds[(v, copy)] = link
+    return make_graph(atoms, [(a, b, order) for (a, b), order in bonds.items()])
+
+
+def _networkx_isomorphic(a, b) -> bool:
+    def as_nx(g):
+        graph = nx.Graph()
+        for atom in g.atoms:
+            graph.add_node(atom.id, label=(atom.element, atom.charge))
+        for bond in g.bonds:
+            graph.add_edge(bond.a, bond.b, order=bond.order)
+        return graph
+
+    return nx.is_isomorphic(
+        as_nx(a),
+        as_nx(b),
+        node_match=lambda x, y: x["label"] == y["label"],
+        edge_match=lambda x, y: x["order"] == y["order"],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(twin_rich_molecules(), st.data())
+def test_canonical_key_on_twin_rich_molecules_agrees_with_networkx(g, data):
+    # twin pruning in the search must keep keys invariant under relabeling,
+    # and equal exactly when networkx finds a labelled isomorphism
+    n = len(g.atoms)
+
+    def relabel(graph):
+        return helpers.relabeled(graph, data.draw(st.permutations(range(n))))
+
+    assert canonical_form(relabel(g)) == canonical_form(g)
+
+    # a near miss: one bond re-ordered, dropped or added, often at a twin
+    bonds = {(b.a, b.b): b.order for b in g.bonds}
+    if n > 1:
+        pair = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=2))))
+        order = data.draw(st.sampled_from((None,) + BOND_ORDERS))
+        if order:
+            bonds[pair] = order
+        else:
+            bonds.pop(pair, None)
+    atoms = [(atom.id, atom.element, atom.charge) for atom in g.atoms]
+    edited = relabel(make_graph(atoms, [(a, b, order) for (a, b), order in bonds.items()]))
+    same_key = canonical_form(g) == canonical_form(edited)
+    assert same_key == _networkx_isomorphic(g, edited)
 
 
 def test_element_counts():

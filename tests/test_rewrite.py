@@ -295,6 +295,16 @@ def test_apply_rule_nitrile_addition():
     assert len(record.reactant_keys) == 2
 
 
+def test_apply_rule_refuses_a_product_before_keying_it():
+    rule = parse_rule(NITRILE_ADDITION)
+    hosts = (parse_molecule(molecules.HYDROGEN_CYANIDE_MGF), molecules.water())
+    match = find_matches(rule, hosts)[0]
+    misses = canonical_form.cache_info().misses
+    with pytest.raises(RuleApplicationError):
+        apply_rule(rule, match, hosts, admit=lambda p: False)
+    assert canonical_form.cache_info().misses == misses
+
+
 def test_apply_rule_splits_components():
     rule = parse_rule(HH_BREAK)
     h2 = make_graph([(0, "H"), (1, "H")], [(0, 1, 1)])
