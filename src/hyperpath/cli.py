@@ -3,12 +3,16 @@
 Commands: ``expand`` grows a network from seed molecules, ``annotate-check``
 verifies a hyperflow against a network, ``query`` ranks pathways for a
 query, ``export-lp`` writes the optimization model as LP text, and
-``export-dot`` draws the network.  Every command that writes a primary
-output also writes a ``<stem>.manifest.json`` recording the exact inputs.
+``export-dot`` draws the network.  A command reads and writes its files
+through a ``_Run``, which records their paths and input hashes.  When the
+command succeeds and wrote at least one file, ``main`` writes that record as
+``<stem>.manifest.json`` beside the first file written; a failed command,
+or ``annotate-check`` without ``--output``, writes no manifest.
 
 Exit codes: 0 success (an infeasible query is still a success, the answer
 is in the output), 1 usage errors, 2 unreadable or invalid inputs, 3 search
-limits exhausted, 4 solver failure (an LP relaxation ended numerically).
+limits exhausted, 4 solver failure (an LP relaxation ended numerically, or
+no optimum was found on the canonical support).
 """
 from __future__ import annotations
 
@@ -16,7 +20,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -53,23 +56,6 @@ class InputError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
-
-
-def _decode_document(path: str, text: str, decode, kind: str):
-    """Parse and decode one JSON input file, mapping any shape error to InputError."""
-    try:
-        return decode(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"{path} is not a valid {kind} document: {exc}") from None
-
-
 def _write_text(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
@@ -77,37 +63,58 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_json(path: str, data: dict) -> None:
-    _write_text(path, json.dumps(data, sort_keys=True, indent=2) + "\n")
+def _json_text(data: dict) -> str:
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+class _Run:
+    """The files one command reads and writes, and the manifest they make.
 
+    ``extra`` holds the command's own manifest keys.
+    """
 
-def _write_manifest(
-    command: str,
-    argv: list[str],
-    primary_output: str,
-    inputs: dict[str, tuple[str, str]],
-    outputs: list[str],
-    started: float,
-    extra: dict | None = None,
-) -> None:
-    manifest = {
-        "command": command,
-        "argv": list(argv),
-        "version": __version__,
-        "inputs": {
-            name: {"path": path, "sha256": _sha256(text)}
-            for name, (path, text) in sorted(inputs.items())
-        },
-        "outputs": sorted(outputs),
-        "duration_seconds": round(time.time() - started, 6),
-    }
-    if extra:
-        manifest.update(extra)
-    _write_json(str(Path(primary_output).with_suffix("")) + ".manifest.json", manifest)
+    def __init__(self):
+        self.inputs: dict[str, dict[str, str]] = {}
+        self.outputs: list[str] = []
+        self.extra: dict = {}
+
+    def read(self, name: str, path: str) -> str:
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+        self.inputs[name] = {"path": path, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        return text
+
+    def read_document(self, name: str, path: str, decode):
+        """Read and decode one JSON input, mapping any shape error to InputError."""
+        text = self.read(name, path)
+        try:
+            return decode(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path} is not valid JSON: {exc}") from None
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"{path} is not a valid {name} document: {exc}") from None
+
+    def write(self, path: str, text: str) -> None:
+        _write_text(path, text)
+        self.outputs.append(path)
+
+    def write_json(self, path: str, data: dict) -> None:
+        self.write(path, _json_text(data))
+
+    def write_manifest(self, command: str, argv: list[str], started: float) -> None:
+        manifest = {
+            "command": command,
+            "argv": argv,
+            "version": __version__,
+            "inputs": self.inputs,
+            "outputs": sorted(self.outputs),
+            "duration_seconds": round(time.time() - started, 6),
+            **self.extra,
+        }
+        path = str(Path(self.outputs[0]).with_suffix("")) + ".manifest.json"
+        _write_text(path, _json_text(manifest))
 
 
 def _parse_max_elements(spec: str | None) -> dict[str, int] | None:
@@ -126,23 +133,6 @@ def _parse_max_elements(spec: str | None) -> dict[str, int] | None:
         except ValueError:
             raise InputError(f"bad element cap value in {part!r}") from None
     return caps
-
-
-def _node_limit(args: argparse.Namespace) -> int:
-    if args.node_limit is not None:
-        return args.node_limit
-    env = os.environ.get("HYPERPATH_NODE_LIMIT")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"HYPERPATH_NODE_LIMIT must be an integer, got {env!r}") from None
-    return DEFAULT_NODE_LIMIT
-
-
-def _load_network(path: str) -> tuple[Hypergraph, str]:
-    text = _read_text(path)
-    return _decode_document(path, text, Hypergraph.from_json, "network"), text
 
 
 def _flow_from_json(data: dict) -> dict:
@@ -174,22 +164,15 @@ def _flow_to_json(flow: dict) -> dict:
 # Commands
 
 
-def _cmd_expand(args, argv, started) -> int:
+def _cmd_expand(args, run: _Run) -> int:
     for name in args.filter:
         try:
             right_predicate(name)
         except ValueError as exc:
             print(f"usage: {exc}", file=sys.stderr)
             return 1
-    seeds_text = _read_text(args.seeds)
-    seeds = parse_molecules(seeds_text)
-    inputs = {"seeds": (args.seeds, seeds_text)}
-    if args.rules:
-        rules_text = _read_text(args.rules)
-        inputs["rules"] = (args.rules, rules_text)
-        rules = parse_rules(rules_text)
-    else:
-        rules = load_default_rules()
+    seeds = parse_molecules(run.read("seeds", args.seeds))
+    rules = parse_rules(run.read("rules", args.rules)) if args.rules else load_default_rules()
     config = ExpansionConfig(
         seed_molecules=tuple(seeds),
         max_iterations=args.max_iterations,
@@ -197,8 +180,7 @@ def _cmd_expand(args, argv, started) -> int:
         right_predicates=tuple(args.filter),
     )
     result = run_expansion(config, rules)
-    _write_json(args.output, result.network.to_json())
-    outputs = [args.output]
+    run.write_json(args.output, result.network.to_json())
     for i, (n_vertices, n_edges) in enumerate(result.history, start=1):
         print(f"iteration {i}: {n_vertices} molecules, {n_edges} reactions")
     if result.reached_fixpoint:
@@ -206,40 +188,27 @@ def _cmd_expand(args, argv, started) -> int:
     print(f"wrote {args.output}")
     if args.dot:
         dot_path = str(Path(args.output).with_suffix("")) + ".dot"
-        _write_text(dot_path, result.network.to_dot())
-        outputs.append(dot_path)
+        run.write(dot_path, result.network.to_dot())
         print(f"wrote {dot_path}")
-    _write_manifest(
-        "expand",
-        argv,
-        args.output,
-        inputs,
-        outputs,
-        started,
-        {
-            "iterations_run": result.iterations_run,
-            "reached_fixpoint": result.reached_fixpoint,
-            "history": [list(h) for h in result.history],
-        },
-    )
+    run.extra = {
+        "iterations_run": result.iterations_run,
+        "reached_fixpoint": result.reached_fixpoint,
+        "history": [list(h) for h in result.history],
+    }
     return 0
 
 
-def _cmd_annotate_check(args, argv, started) -> int:
-    graph, network_text = _load_network(args.network)
-    flow_text = _read_text(args.flow)
-    flow = _decode_document(args.flow, flow_text, _flow_from_json, "flow")
+def _cmd_annotate_check(args, run: _Run) -> int:
+    graph = run.read_document("network", args.network, Hypergraph.from_json)
+    flow = run.read_document("flow", args.flow, _flow_from_json)
     violations = graph.conservation_violations(flow)
     report: dict = {
         "conserved": not violations,
         "violations": {str(v): imbalance for v, imbalance in violations.items()},
         "support": graph.support(flow),
     }
-    inputs = {"network": (args.network, network_text), "flow": (args.flow, flow_text)}
     if args.barriers:
-        barrier_text = _read_text(args.barriers)
-        inputs["barriers"] = (args.barriers, barrier_text)
-        table = load_barriers(barrier_text, graph)
+        table = load_barriers(run.read("barriers", args.barriers), graph)
         weights = objective_coefficients(table, Thermo(args.temperature_k), graph)
         report["score_j_per_mol"] = pathway_score(flow, weights)
         report["score_kj_per_mol"] = report["score_j_per_mol"] / 1000.0
@@ -252,8 +221,7 @@ def _cmd_annotate_check(args, argv, started) -> int:
     if "score_kj_per_mol" in report:
         print(f"score: {report['score_kj_per_mol']:.6f} kJ/mol")
     if args.output:
-        _write_json(args.output, report)
-        _write_manifest("annotate-check", argv, args.output, inputs, [args.output], started)
+        run.write_json(args.output, report)
     return 0
 
 
@@ -270,25 +238,17 @@ def _solution_json(rank: int, solution, weights) -> dict:
     }
 
 
-def _load_query_inputs(args):
-    """Network, barrier table, edge weights and query of a model command,
-    plus the manifest inputs they came from."""
-    graph, network_text = _load_network(args.network)
-    barrier_text = _read_text(args.barriers)
-    table = load_barriers(barrier_text, graph)
+def _load_query_inputs(args, run: _Run):
+    """Network, barrier table, edge weights and query of a model command."""
+    graph = run.read_document("network", args.network, Hypergraph.from_json)
+    table = load_barriers(run.read("barriers", args.barriers), graph)
     weights = objective_coefficients(table, Thermo(args.temperature_k), graph)
-    query_text = _read_text(args.query)
-    query = _decode_document(args.query, query_text, PathwayQuery.from_json, "query")
-    inputs = {
-        "network": (args.network, network_text),
-        "barriers": (args.barriers, barrier_text),
-        "query": (args.query, query_text),
-    }
-    return graph, table, weights, query, inputs
+    query = run.read_document("query", args.query, PathwayQuery.from_json)
+    return graph, table, weights, query
 
 
-def _cmd_query(args, argv, started) -> int:
-    graph, table, weights, query, inputs = _load_query_inputs(args)
+def _cmd_query(args, run: _Run) -> int:
+    graph, table, weights, query = _load_query_inputs(args, run)
     if args.flow_cap is not None:
         query = dataclasses.replace(query, flow_cap=args.flow_cap)
     model = build_model(graph, weights, query)
@@ -305,15 +265,15 @@ def _cmd_query(args, argv, started) -> int:
             "relaxation": True,
             **_flow_to_json(flow),
         }
-        _write_json(args.output, data)
+        run.write_json(args.output, data)
         if lp.status == "optimal":
             print(f"relaxation optimum: {lp.objective:.6f}")
         else:
             print(f"relaxation: {lp.status}")
-        _write_manifest("query", argv, args.output, inputs, [args.output], started, {"relax": True})
+        run.extra = {"relax": True}
         return 0
 
-    ranked = enumerate_pathways(model, args.rank, _node_limit(args))
+    ranked = enumerate_pathways(model, args.rank, args.node_limit)
 
     solutions = [_solution_json(i + 1, s, weights) for i, s in enumerate(ranked.solutions)]
     data = {
@@ -323,8 +283,7 @@ def _cmd_query(args, argv, started) -> int:
         "solutions": solutions,
         "cuts": [sorted(c) for c in ranked.cuts],
     }
-    _write_json(args.output, data)
-    outputs = [args.output]
+    run.write_json(args.output, data)
 
     if not solutions:
         print("no pathway satisfies the query")
@@ -337,7 +296,6 @@ def _cmd_query(args, argv, started) -> int:
     stem = str(Path(args.output).with_suffix(""))
     if args.profiles:
         for entry, solution in zip(solutions, ranked.solutions):
-            path = f"{stem}.profile-{entry['rank']}.csv"
             lines = ["step,edge_id,flow,barrier_kj_per_mol,cumulative_kj_per_mol"]
             cumulative = 0.0
             for step, eid in enumerate(solution.support, start=1):
@@ -346,55 +304,37 @@ def _cmd_query(args, argv, started) -> int:
                 lines.append(
                     f"{step},{eid},{flow},{table.barrier_kj(eid):.6f},{cumulative:.6f}"
                 )
-            _write_text(path, "\n".join(lines) + "\n")
-            outputs.append(path)
+            run.write(f"{stem}.profile-{entry['rank']}.csv", "\n".join(lines) + "\n")
     if args.dot:
-        path = f"{stem}.dot"
         flow = ranked.solutions[0].flow if ranked.solutions else {}
-        _write_text(path, graph.to_dot(flow))
-        outputs.append(path)
+        run.write(f"{stem}.dot", graph.to_dot(flow))
 
-    _write_manifest(
-        "query",
-        argv,
-        args.output,
-        inputs,
-        outputs,
-        started,
-        {"node_limit": _node_limit(args), "temperature_k": args.temperature_k},
-    )
+    run.extra = {"node_limit": args.node_limit, "temperature_k": args.temperature_k}
     return 0
 
 
-def _cmd_export_lp(args, argv, started) -> int:
-    graph, _, weights, query, inputs = _load_query_inputs(args)
+def _cmd_export_lp(args, run: _Run) -> int:
+    graph, _, weights, query = _load_query_inputs(args, run)
     model = build_model(graph, weights, query)
-    text = export_lp_text(relax(model) if args.relax else model)
-    _write_text(args.output, text)
+    run.write(args.output, export_lp_text(relax(model) if args.relax else model))
     print(f"wrote {args.output}")
-    _write_manifest(
-        "export-lp", argv, args.output, inputs, [args.output], started, {"relax": bool(args.relax)}
-    )
+    run.extra = {"relax": bool(args.relax)}
     return 0
 
 
-def _cmd_export_dot(args, argv, started) -> int:
-    graph, network_text = _load_network(args.network)
-    inputs = {"network": (args.network, network_text)}
+def _cmd_export_dot(args, run: _Run) -> int:
+    graph = run.read_document("network", args.network, Hypergraph.from_json)
     flow: dict = {}
     if args.solutions:
-        solutions_text = _read_text(args.solutions)
-        inputs["solutions"] = (args.solutions, solutions_text)
         def pick(data: dict) -> dict:
             ranked = [s for s in data.get("solutions", []) if s.get("rank") == args.rank]
             if not ranked:
                 raise InputError(f"no rank {args.rank} solution in {args.solutions}")
             return _flow_from_json(ranked[0])
 
-        flow = _decode_document(args.solutions, solutions_text, pick, "solutions")
-    _write_text(args.output, graph.to_dot(flow))
+        flow = run.read_document("solutions", args.solutions, pick)
+    run.write(args.output, graph.to_dot(flow))
     print(f"wrote {args.output}")
-    _write_manifest("export-dot", argv, args.output, inputs, [args.output], started)
     return 0
 
 
@@ -441,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature-k", type=float, default=DEFAULT_TEMPERATURE)
     p.add_argument("--flow-cap", type=int, default=None, help="override the query's per-edge cap")
     p.add_argument("--relax", action="store_true", help="solve the continuous relaxation instead")
-    p.add_argument("--node-limit", type=int, default=None)
+    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p.add_argument("--profiles", action="store_true", help="write an energy profile CSV per solution")
     p.add_argument("--dot", action="store_true", help="also draw the network with the best pathway")
     p.add_argument("--output", required=True, help="solutions JSON to write")
@@ -473,9 +413,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    run = _Run()
     started = time.time()
     try:
-        return args.func(args, argv, started)
+        code = args.func(args, run)
+        if code == 0 and run.outputs:
+            run.write_manifest(args.command, argv, started)
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,8 +63,8 @@ def load_barriers(text: str, h: Hypergraph) -> BarrierTable:
     """Parse a two-column CSV of activation barriers.
 
     The header must be exactly ``edge_id,barrier_kj_per_mol`` and every edge
-    of ``h`` must be covered exactly once.  Negative barriers are accepted
-    with a warning.
+    of ``h`` must be covered exactly once.  Barriers must be finite in J/mol;
+    negative ones are accepted with a warning.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
@@ -85,7 +85,9 @@ def load_barriers(text: str, h: Hypergraph) -> BarrierTable:
         try:
             kj = float(fields[1])
         except ValueError:
-            raise ValueError(f"line {ln}: bad barrier value {fields[1]!r}") from None
+            kj = math.nan  # reported below, with the non-finite values
+        if not math.isfinite(kj * 1000.0):
+            raise ValueError(f"line {ln}: bad barrier value {fields[1]!r}")
         if eid not in known:
             raise ValueError(f"line {ln}: edge {eid} does not exist in the network")
         if eid in barriers:

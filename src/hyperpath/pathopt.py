@@ -140,28 +140,22 @@ def outflow_var(vertex_id: int) -> str:
 
 
 @dataclass(frozen=True)
-class LpModel:
-    """Continuous relaxation: same rows and objective, no integrality."""
-
-    variables: tuple[str, ...]
-    bounds: dict[str, tuple[float, float]]
-    rows: tuple[Row, ...]
-    objective: dict[str, float]
-    sense: str
-    flow_keys: dict[str, object] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class IlpModel:
+    """Variables, bounds, rows and objective of a pathway model.
+
+    ``integers`` and ``binaries`` name the integral variables; both are
+    empty in a continuous relaxation.  ``flow_keys`` maps each flow and
+    exchange variable to its hyperflow key.
+    """
+
     variables: tuple[str, ...]
     bounds: dict[str, tuple[float, float]]
     rows: tuple[Row, ...]
     objective: dict[str, float]
     sense: str  # "min" or "max"
-    integers: frozenset[str]
-    binaries: frozenset[str]
-    flow_keys: dict[str, object]
-    big_m: int
+    integers: frozenset[str] = frozenset()
+    binaries: frozenset[str] = frozenset()
+    flow_keys: dict[str, object] = field(default_factory=dict)
     cuts: tuple[frozenset[int], ...] = ()
 
     def flow_from_values(self, values: dict[str, float]) -> dict:
@@ -267,7 +261,6 @@ def build_model(
         ),
         binaries=frozenset(indicator_var(e.id) for e in h.edges),
         flow_keys=flow_keys,
-        big_m=cap,
     )
     for cut in cuts:
         compiled = add_cut(compiled, cut)
@@ -289,14 +282,14 @@ def add_cut(model: IlpModel, support: "frozenset[int] | set[int] | list[int]") -
     return replace(model, rows=model.rows + (row,), cuts=model.cuts + (cut,))
 
 
-def relax(model: IlpModel) -> LpModel:
+def relax(model: IlpModel) -> IlpModel:
     """Drop integrality, indicators, and every row that mentions one (linking
     rows and cuts); keep conservation and query rows with continuous flow and
     exchange variables."""
     keep_vars = tuple(name for name in model.variables if name not in model.binaries)
     rows = tuple(row for row in model.rows if model.binaries.isdisjoint(row.coeffs))
     objective = {n: c for n, c in model.objective.items() if n in set(keep_vars)}
-    return LpModel(
+    return IlpModel(
         variables=keep_vars,
         bounds={n: (float(model.bounds[n][0]), float(model.bounds[n][1])) for n in keep_vars},
         rows=rows,
@@ -333,7 +326,7 @@ def _terms(coeffs: dict[str, float], variables: tuple[str, ...]) -> str:
     return " ".join(parts)
 
 
-def export_lp_text(model) -> str:
+def export_lp_text(model: IlpModel) -> str:
     """Serialize a model in LP text format with a stable layout.
 
     The layout is deterministic, so exporting the same model twice yields
@@ -354,13 +347,11 @@ def export_lp_text(model) -> str:
             out.append(f" {name} >= {_fmt(lo)}")
         else:
             out.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
-    integers = sorted(getattr(model, "integers", frozenset()))
-    if integers:
+    if model.integers:
         out.append("Generals")
-        out.append(" " + " ".join(n for n in model.variables if n in set(integers)))
-    binaries = sorted(getattr(model, "binaries", frozenset()))
-    if binaries:
+        out.append(" " + " ".join(n for n in model.variables if n in model.integers))
+    if model.binaries:
         out.append("Binaries")
-        out.append(" " + " ".join(n for n in model.variables if n in set(binaries)))
+        out.append(" " + " ".join(n for n in model.variables if n in model.binaries))
     out.append("End")
     return "\n".join(out) + "\n"

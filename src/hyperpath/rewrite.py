@@ -287,39 +287,36 @@ def load_default_rules() -> list[Rule]:
 Node = tuple[int, int]  # (copy index, atom id) in a disjoint union of hosts
 
 
+class _Union:
+    """Disjoint union of host molecules.
+
+    Its atoms are numbered 0..n-1 in (copy index, atom id) order: ``nodes[i]``
+    is the handle of atom i, ``atoms[i]`` is ``(i, element, charge)``, and
+    ``bonds`` maps each pair ``(i, j)`` with ``i < j`` to its bond order.
+    """
+
+    def __init__(self, hosts: tuple[MolecularGraph, ...]):
+        self.nodes: list[Node] = []
+        self.atoms: list[tuple[int, str, int]] = []
+        self.index: dict[Node, int] = {}
+        self.bonds: dict[tuple[int, int], str] = {}
+        for copy, host in enumerate(hosts):
+            for atom in sorted(host.atoms, key=lambda a: a.id):
+                i = len(self.nodes)
+                self.index[(copy, atom.id)] = i
+                self.nodes.append((copy, atom.id))
+                self.atoms.append((i, atom.element, atom.charge))
+            for bond in host.bonds:
+                i, j = self.index[(copy, bond.a)], self.index[(copy, bond.b)]
+                self.bonds[(i, j) if i < j else (j, i)] = bond.order
+
+
 @dataclass
 class Match:
     assignment: dict[int, Node]
     class_binding: dict[str, str]
-
-
-class _Union:
-    """Disjoint union of host molecules with copy-indexed atom handles."""
-
-    def __init__(self, hosts: tuple[MolecularGraph, ...]):
-        self.hosts = hosts
-        self.elements: dict[Node, str] = {}
-        self.charges: dict[Node, int] = {}
-        self.adjacency: dict[Node, list[tuple[Node, str]]] = {}
-        self.bond_order: dict[tuple[Node, Node], str] = {}
-        for copy, host in enumerate(hosts):
-            for atom in host.atoms:
-                node = (copy, atom.id)
-                self.elements[node] = atom.element
-                self.charges[node] = atom.charge
-                self.adjacency[node] = []
-            for bond in host.bonds:
-                u, v = (copy, bond.a), (copy, bond.b)
-                self.adjacency[u].append((v, bond.order))
-                self.adjacency[v].append((u, bond.order))
-                self.bond_order[self._pair(u, v)] = bond.order
-
-    @staticmethod
-    def _pair(u: Node, v: Node) -> tuple[Node, Node]:
-        return (u, v) if u < v else (v, u)
-
-    def order_between(self, u: Node, v: Node) -> str | None:
-        return self.bond_order.get(self._pair(u, v))
+    #: the host table the match was found in, which ``apply_rule`` rewrites
+    table: _Union = field(repr=False, compare=False)
 
 
 def _pattern_order(rule: Rule, union: _Union) -> list[int]:
@@ -328,7 +325,7 @@ def _pattern_order(rule: Rule, union: _Union) -> list[int]:
     candidates = {}
     for atom in rule.left.atoms:
         allowed = set(rule.allowed_elements(atom.label))
-        candidates[atom.id] = sum(1 for el in union.elements.values() if el in allowed)
+        candidates[atom.id] = sum(1 for _, el, _ in union.atoms if el in allowed)
     adj = rule.left.adjacency()
     remaining = {a.id for a in rule.left.atoms}
     order: list[int] = []
@@ -358,15 +355,15 @@ def find_matches(rule: Rule, hosts: tuple[MolecularGraph, ...]) -> list[Match]:
     adj = rule.left.adjacency()
     atom_label = {a.id: a.label for a in rule.left.atoms}
     matches: list[Match] = []
-    assignment: dict[int, Node] = {}
-    used: set[Node] = set()
+    assignment: dict[int, int] = {}
+    used: set[int] = set()
     binding: dict[str, str] = {}
 
     def extend(depth: int):
         if depth == len(order):
-            copies_hit = {node[0] for node in assignment.values()}
-            if len(copies_hit) == len(hosts):
-                matches.append(Match(dict(assignment), dict(binding)))
+            placed = {pid: union.nodes[i] for pid, i in assignment.items()}
+            if len({node[0] for node in placed.values()}) == len(hosts):
+                matches.append(Match(placed, dict(binding), union))
             return
         pid = order[depth]
         label = atom_label[pid]
@@ -375,27 +372,27 @@ def find_matches(rule: Rule, hosts: tuple[MolecularGraph, ...]) -> list[Match]:
             allowed = (binding[label],)
         else:
             allowed = rule.allowed_elements(label)
-        placed_neighbors = [(u, o) for u, o in adj[pid] if u in assignment]
-        for node in sorted(union.elements):
-            if node in used or union.elements[node] not in allowed:
+        placed_neighbors = [(assignment[u], o) for u, o in adj[pid] if u in assignment]
+        for i, element, _ in union.atoms:
+            if i in used or element not in allowed:
                 continue
             ok = True
-            for other, want in placed_neighbors:
-                if union.order_between(node, assignment[other]) != want:
+            for j, want in placed_neighbors:
+                if union.bonds.get((i, j) if i < j else (j, i)) != want:
                     ok = False
                     break
             if not ok:
                 continue
-            assignment[pid] = node
-            used.add(node)
+            assignment[pid] = i
+            used.add(i)
             fresh_binding = is_class and label not in binding
             if fresh_binding:
-                binding[label] = union.elements[node]
+                binding[label] = element
             extend(depth + 1)
             if fresh_binding:
                 del binding[label]
             del assignment[pid]
-            used.discard(node)
+            used.discard(i)
 
     extend(0)
     return matches
@@ -419,23 +416,19 @@ def apply_rule(
 ) -> tuple[list[MolecularGraph], DerivationRecord]:
     """Rewrite the matched bonds, returning the product molecules.
 
-    Raises RuleApplicationError when the rewrite would create a parallel
-    bond or push an atom past its valence ceiling, or when ``admit`` (a
-    predicate on one product molecule) refuses a product.  ``admit`` is
-    checked before any canonical key is computed, so a caller that would
-    discard such products pays nothing for their keys.
+    ``match`` comes from ``find_matches(rule, hosts)`` and carries the host
+    table it rewrites.  Raises RuleApplicationError when the rewrite would
+    create a parallel bond or push an atom past its valence ceiling, or when
+    ``admit`` (a predicate on one product molecule) refuses a product.
+    ``admit`` is checked before any canonical key is computed, so a caller
+    that would discard such products pays nothing for their keys.
     """
-    union = _Union(hosts)
-    nodes = sorted(union.elements)
-    index = {node: i for i, node in enumerate(nodes)}
-    atoms = [(index[n], union.elements[n], union.charges[n]) for n in nodes]
-    bonds: dict[tuple[int, int], str] = {}
-    for (u, v), order in union.bond_order.items():
-        i, j = index[u], index[v]
-        bonds[(min(i, j), max(i, j))] = order
+    union = match.table
+    atoms = union.atoms
+    bonds = dict(union.bonds)
 
     def edge(p: int, q: int) -> tuple[int, int]:
-        i, j = index[match.assignment[p]], index[match.assignment[q]]
+        i, j = union.index[match.assignment[p]], union.index[match.assignment[q]]
         return (min(i, j), max(i, j))
 
     for b in rule.left.bonds:

@@ -3,7 +3,10 @@
 ``simplex_solve`` is a dense two-phase tableau simplex with Bland's rule.
 ``branch_and_bound`` wraps it in a depth-first search over integer bounds,
 then canonicalizes the optimum to the lexicographically smallest optimal
-support so repeated runs and enumeration are deterministic.
+support so repeated runs and enumeration are deterministic.  It raises
+``SolverError`` when an LP relaxation ends numerically or when the
+canonical support admits no optimum, rather than report a support it
+could not confirm.
 ``enumerate_pathways`` peels off structurally distinct optima with indicator
 cuts, and ``brute_force`` is an independent exhaustive oracle for small
 models.
@@ -32,7 +35,8 @@ class NodeLimitExceeded(Exception):
 
 
 class SolverError(RuntimeError):
-    """An LP relaxation ended in a status the search cannot act on."""
+    """The search cannot confirm an optimum: an LP relaxation ended in a
+    status it cannot act on, or the canonical support admits no optimum."""
 
 
 @dataclass
@@ -315,7 +319,9 @@ def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> I
 
     Among all optima the reported one uses the lexicographically smallest
     edge support: edges are admitted in ascending id order only when some
-    optimum needs them given the decisions so far.
+    optimum needs them given the decisions so far.  Raises SolverError when
+    an LP relaxation ends numerically, or when no optimum is found on the
+    support chosen this way (the feasibility tolerances disagree).
     """
     search = _Search(node_limit)
     int_vars = [n for n in model.variables if n in model.integers or n in model.binaries]
@@ -346,8 +352,7 @@ def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> I
     final_bounds = _support_bounds(model, chosen, free_above=None)
     final = _dfs(model, int_vars, final_bounds, (pin,), search)
     if final is None:
-        # tolerance corner: fall back to the raw optimum rather than fail
-        return _finish(model, raw_objective, raw[1], search.nodes)
+        raise SolverError("no optimum has the canonical support that was found")
     return _finish(model, final[0], final[1], search.nodes)
 
 

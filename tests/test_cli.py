@@ -395,7 +395,7 @@ def test_query_flow_cap_override(tmp_path, capsys):
     assert tight_best["objective_j_per_mol"] == pytest.approx(tight_best["score_j_per_mol"])
 
 
-def test_query_node_limit_flag_and_env(tmp_path, capsys, monkeypatch):
+def test_query_node_limit_flag(tmp_path, capsys):
     net, query_obj = nets.cascade_network()
     network = write_network(tmp_path, net)
     barriers = write_barriers(tmp_path, nets.uniform_barriers(net))
@@ -405,12 +405,7 @@ def test_query_node_limit_flag_and_env(tmp_path, capsys, monkeypatch):
             "--output", str(out)]
     assert main(base + ["--node-limit", "1"]) == 3
     assert "error:" in capsys.readouterr().err
-    monkeypatch.setenv("HYPERPATH_NODE_LIMIT", "1")
-    assert main(base) == 3
-    monkeypatch.setenv("HYPERPATH_NODE_LIMIT", "zz")
-    assert main(base) == 2
-    monkeypatch.setenv("HYPERPATH_NODE_LIMIT", "100000")
-    assert main(base) == 0
+    assert main(base + ["--node-limit", "100000"]) == 0
     capsys.readouterr()
     manifest = json.loads((tmp_path / "solutions.manifest.json").read_text())
     assert manifest["node_limit"] == 100000
@@ -604,3 +599,102 @@ def test_query_file_accepts_pair_ranges(tmp_path, capsys):
                  "--query", str(query), "--output", str(out)]) == 0
     capsys.readouterr()
     assert json.loads(out.read_text())["status"] == "ok"
+
+
+def test_query_non_finite_barrier_exit_2(tmp_path, capsys):
+    net, query_obj = nets.cascade_network()
+    barriers = write_barriers(tmp_path, {**nets.uniform_barriers(net), 0: "nan"})
+    out = tmp_path / "solutions.json"
+    assert main(
+        ["query", "--network", write_network(tmp_path, net), "--barriers", barriers,
+         "--query", write_query(tmp_path, query_obj), "--output", str(out)]
+    ) == 2
+    assert "line 2: bad barrier value" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("bad input", 2), ("node limit", 3), ("numerical", 4), ("no output", 0)],
+)
+def test_no_manifest_unless_a_command_succeeds_and_writes(tmp_path, capsys, case, code):
+    if case == "numerical":
+        rng = random.Random(1)
+        for _ in range(1303):
+            net, barriers_kj, query_obj = nets.random_instance(rng)
+    else:
+        net, query_obj = nets.cascade_network()
+        barriers_kj = nets.uniform_barriers(net)
+    network = write_network(tmp_path, net)
+    flow = tmp_path / "flow.json"
+    flow.write_text(json.dumps({"flow": {"0": 1}}))
+    files = ["--network", network, "--barriers", write_barriers(tmp_path, barriers_kj),
+             "--query", write_query(tmp_path, query_obj)]
+    argv = {
+        "bad input": ["export-dot", "--network", network, "--solutions", network,
+                      "--output", str(tmp_path / "drawn.dot")],
+        "node limit": ["query", *files, "--node-limit", "1",
+                       "--output", str(tmp_path / "solutions.json")],
+        "numerical": ["query", *files, "-k", "3", "--output", str(tmp_path / "solutions.json")],
+        "no output": ["annotate-check", "--network", network, "--flow", str(flow)],
+    }[case]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == code
+    capsys.readouterr()
+    assert sorted(tmp_path.iterdir()) == before
+
+
+MANIFEST_KEYS = {"command", "argv", "version", "inputs", "outputs", "duration_seconds"}
+
+
+@pytest.mark.parametrize(
+    "argv, stem, extra_keys, input_names",
+    [
+        (["expand", "--seeds", "seeds.mgf", "--max-iterations", "1", "--dot",
+          "--output", "net.json"],
+         "net", {"iterations_run", "reached_fixpoint", "history"}, {"seeds"}),
+        (["annotate-check", "--network", "network.json", "--flow", "flow.json",
+          "--barriers", "barriers.csv", "--output", "report.json"],
+         "report", set(), {"network", "flow", "barriers"}),
+        (["query", "--network", "network.json", "--barriers", "barriers.csv",
+          "--query", "query.json", "-k", "3", "--profiles", "--dot", "--output", "solutions.json"],
+         "solutions", {"node_limit", "temperature_k"}, {"network", "barriers", "query"}),
+        (["query", "--network", "network.json", "--barriers", "barriers.csv",
+          "--query", "query.json", "--relax", "--output", "relaxed.json"],
+         "relaxed", {"relax"}, {"network", "barriers", "query"}),
+        (["export-lp", "--network", "network.json", "--barriers", "barriers.csv",
+          "--query", "query.json", "--output", "model.lp"],
+         "model", {"relax"}, {"network", "barriers", "query"}),
+        (["export-lp", "--network", "network.json", "--barriers", "barriers.csv",
+          "--query", "query.json", "--relax", "--output", "model.lp"],
+         "model", {"relax"}, {"network", "barriers", "query"}),
+        (["export-dot", "--network", "network.json", "--solutions", "given.json",
+          "--output", "drawn.dot"],
+         "drawn", set(), {"network", "solutions"}),
+    ],
+    ids=["expand", "annotate-check", "query", "query-relax", "export-lp", "export-lp-relax",
+         "export-dot"],
+)
+def test_manifest_keys_and_outputs(
+    tmp_path, capsys, monkeypatch, argv, stem, extra_keys, input_names
+):
+    monkeypatch.chdir(tmp_path)
+    flux_setup(tmp_path)
+    seeds = molecules.WATER_MGF + "---\n" + molecules.GLYCOLONITRILE_MGF
+    (tmp_path / "seeds.mgf").write_text(seeds)
+    flow = {"flow": {"0": 1}, "inflow": {"0": 2}, "outflow": {"3": 1}}
+    (tmp_path / "flow.json").write_text(json.dumps(flow))
+    (tmp_path / "given.json").write_text(json.dumps({"solutions": [{"rank": 1, **flow}]}))
+    before = {p.name for p in tmp_path.iterdir()}
+    assert main(argv) == 0
+    capsys.readouterr()
+    written = {p.name for p in tmp_path.iterdir()} - before
+    manifest_name = f"{stem}.manifest.json"
+    assert manifest_name in written
+    manifest = json.loads((tmp_path / manifest_name).read_text())
+    assert set(manifest) == MANIFEST_KEYS | extra_keys
+    assert manifest["command"] == argv[0]
+    assert manifest["argv"] == argv
+    assert set(manifest["inputs"]) == input_names
+    assert manifest["outputs"] == sorted(written - {manifest_name})

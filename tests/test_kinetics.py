@@ -124,6 +124,9 @@ def test_load_barriers_rejects_wrong_header():
         ("0,20,extra", "line 2"),
         ("zz,20", "bad edge id"),
         ("0,zz", "bad barrier value"),
+        ("0,nan", "line 2: bad barrier value"),
+        ("0,inf", "line 2: bad barrier value"),
+        ("0,1e400", "line 2: bad barrier value"),
         ("9,20", "does not exist"),
     ],
 )

@@ -118,7 +118,6 @@ def test_build_model_variable_layout():
     assert model.bounds["z_2"] == (0, 1)
     assert model.bounds["in_1"] == (0, 3)
     assert model.bounds["out_3"] == (1, 10)
-    assert model.big_m == 3
     assert model.integers == frozenset({"f_0", "f_1", "f_2", "in_0", "in_1", "in_2", "out_3"})
     assert model.binaries == frozenset({"z_0", "z_1", "z_2"})
     assert model.flow_keys["f_1"] == 1

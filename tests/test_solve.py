@@ -7,9 +7,11 @@ import pytest
 import helpers
 import nets
 from hyperpath.kinetics import BarrierTable, Thermo, objective_coefficients
-from hyperpath.pathopt import LpModel, PathwayQuery, Row, add_cut, build_model, relax
+from hyperpath.pathopt import IlpModel, PathwayQuery, Row, add_cut, build_model, relax
+from hyperpath import solve
 from hyperpath.solve import (
     NodeLimitExceeded,
+    SolverError,
     branch_and_bound,
     brute_force,
     enumerate_pathways,
@@ -23,7 +25,7 @@ def weighted(net, kj=20.0):
 
 
 def lp(variables, bounds, rows, objective, sense):
-    return LpModel(
+    return IlpModel(
         variables=tuple(variables),
         bounds=bounds,
         rows=tuple(rows),
@@ -218,6 +220,21 @@ def test_bnb_node_limit():
     model = build_model(net, weighted(net), query)
     with pytest.raises(NodeLimitExceeded):
         branch_and_bound(model, node_limit=1)
+
+
+def test_bnb_raises_when_the_canonical_support_has_no_optimum(monkeypatch):
+    net, query = nets.flux_demo()
+    model = build_model(net, weighted(net), query)
+    real_dfs = solve._dfs
+
+    def final_search_fails(model, int_vars, overrides, extra_rows, search, first_feasible=False):
+        found = real_dfs(model, int_vars, overrides, extra_rows, search, first_feasible)
+        # the last search is the only pinned one that wants the optimum
+        return None if extra_rows and not first_feasible else found
+
+    monkeypatch.setattr(solve, "_dfs", final_search_fails)
+    with pytest.raises(SolverError, match="canonical support"):
+        branch_and_bound(model)
 
 
 # -- enumeration -------------------------------------------------------------
