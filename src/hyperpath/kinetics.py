@@ -19,6 +19,10 @@ PLANCK = 6.62607015e-34  # J*s
 DEFAULT_TEMPERATURE = 298.15  # K
 
 CSV_HEADER = "edge_id,barrier_kj_per_mol"
+#: largest barrier magnitude ``load_barriers`` accepts, in kJ/mol; far above
+#: any chemical barrier, and small enough that the solver's tolerances
+#: (relative to the whole objective) still tell pathways apart
+MAX_BARRIER_KJ = 1e4
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,9 @@ def load_barriers(text: str, h: Hypergraph) -> BarrierTable:
     """Parse a two-column CSV of activation barriers.
 
     The header must be exactly ``edge_id,barrier_kj_per_mol`` and every edge
-    of ``h`` must be covered exactly once.  Barriers must be finite in J/mol;
-    negative ones are accepted with a warning.
+    of ``h`` must be covered exactly once.  Barriers must lie within
+    ``MAX_BARRIER_KJ`` (1e4 kJ/mol) in magnitude; negative ones are accepted
+    with a warning.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
@@ -85,8 +90,8 @@ def load_barriers(text: str, h: Hypergraph) -> BarrierTable:
         try:
             kj = float(fields[1])
         except ValueError:
-            kj = math.nan  # reported below, with the non-finite values
-        if not math.isfinite(kj * 1000.0):
+            kj = math.nan  # reported below, with the out-of-range values
+        if not abs(kj) <= MAX_BARRIER_KJ:  # also catches nan
             raise ValueError(f"line {ln}: bad barrier value {fields[1]!r}")
         if eid not in known:
             raise ValueError(f"line {ln}: edge {eid} does not exist in the network")

@@ -1,24 +1,29 @@
 """Exact solvers for the pathway models.
 
 ``simplex_solve`` is a dense two-phase tableau simplex with Bland's rule.
-``branch_and_bound`` wraps it in a depth-first search over integer bounds,
-then canonicalizes the optimum to the lexicographically smallest optimal
-support so repeated runs and enumeration are deterministic.  It raises
-``SolverError`` when an LP relaxation ends numerically or when the
-canonical support admits no optimum, rather than report a support it
-could not confirm.
-``enumerate_pathways`` peels off structurally distinct optima with indicator
-cuts, and ``brute_force`` is an independent exhaustive oracle for small
-models.
+``branch_and_bound`` searches in flow space: it drops the use indicators and
+their linking rows, keeps the flows and exchange variables integral, and
+wraps the simplex in a depth-first search over their bounds.  A cut ("not
+every edge of S") is not a row there: an integral leaf that uses every edge
+of S becomes partition branches, one per edge of S (Lawler's k-best
+partition).  The optimum is then canonicalized to the lexicographically
+smallest optimal support, so repeated runs and enumeration are
+deterministic, and reported on the full model with each indicator set to
+whether its edge carries flow.  It raises ``SolverError`` when an LP
+relaxation ends numerically or when the canonical support admits no optimum,
+rather than report a support it could not confirm.
+``enumerate_pathways`` peels off structurally distinct optima, each found
+support becoming a cut of the next search, and ``brute_force`` is an
+independent exhaustive oracle over the full indicator model for small models.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pathopt import IlpModel, Row, add_cut
+from .pathopt import IlpModel, Row, add_cut, flow_var, indicator_var, relax
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-10
@@ -232,9 +237,24 @@ def _violates(row: Row, values: dict[str, float]) -> bool:
     return abs(total - row.rhs) > tol
 
 
+def _cut_children(model, bounds: dict, cut: frozenset) -> list[dict]:
+    """Lawler's partition of the solutions within ``bounds`` that do not use
+    every edge of ``cut``: with the edges in id order, child i leaves edge i
+    unused and uses every edge before it.  A child is left out when a pin
+    already forces its unused edge to carry flow."""
+    children = []
+    used = dict(bounds)
+    for eid in sorted(cut):
+        name = flow_var(eid)
+        lo, hi = used.get(name, model.bounds[name])
+        if lo <= 0:
+            children.append({**used, name: (0, 0)})
+        used[name] = (max(lo, 1), hi)
+    return children
+
+
 def _dfs(
     model,
-    int_vars: list[str],
     overrides: dict,
     extra_rows: tuple,
     search: _Search,
@@ -243,9 +263,13 @@ def _dfs(
     """Depth-first bound search; returns (objective_int, values) or None.
 
     Branches on the most fractional integer variable (ties to the earliest
-    model variable), exploring the floor side first.
+    model variable), exploring the floor side first.  An integral leaf that
+    uses every edge of one of ``model.cuts`` (edge-id sets) is not accepted;
+    it is replaced by that cut's partition children, first child explored
+    first.
     """
     sign = 1.0 if model.sense == "min" else -1.0
+    int_vars = [n for n in model.variables if n in model.integers]
     best_signed = math.inf
     best: tuple[float, dict[str, int]] | None = None
     stack = [dict(overrides)]
@@ -271,6 +295,12 @@ def _dfs(
             snapped = {name: int(round(v)) for name, v in lp.values.items()}
             if any(_violates(row, snapped) for row in list(model.rows) + list(extra_rows)):
                 continue
+            broken = next(
+                (cut for cut in model.cuts if all(snapped[flow_var(eid)] >= 1 for eid in cut)), None
+            )
+            if broken is not None:
+                stack.extend(reversed(_cut_children(model, bounds, broken)))
+                continue
             exact = float(
                 sum(coef * snapped.get(name, 0) for name, coef in model.objective.items())
             )
@@ -291,41 +321,49 @@ def _dfs(
     return best
 
 
-def _edge_ids(model: IlpModel) -> list[int]:
-    return sorted(int(name[2:]) for name in model.binaries)
-
-
-def _support_bounds(model: IlpModel, chosen: set[int], free_above: int | None) -> dict:
-    """Pin indicators: 1 on chosen edges, 0 elsewhere up to ``free_above``."""
+def _support_bounds(model, edges: list[int], chosen: set[int], free_above: int | None) -> dict:
+    """Pin flows to a support: at least 1 on chosen edges, 0 on the others up
+    to ``free_above``."""
     bounds = {}
-    for eid in _edge_ids(model):
-        name = f"z_{eid}"
+    for eid in edges:
+        name = flow_var(eid)
         if eid in chosen:
-            bounds[name] = (1, 1)
+            lo, hi = model.bounds[name]
+            bounds[name] = (max(lo, 1), hi)
         elif free_above is None or eid <= free_above:
             bounds[name] = (0, 0)
     return bounds
 
 
 def _finish(model: IlpModel, exact: float, values: dict[str, int], nodes: int) -> IlpSolution:
+    """A solution of the full model: an edge's indicator is 1 exactly when
+    the edge carries flow."""
     flow = model.flow_from_values(values)
-    indicator = {int(name[2:]): int(values.get(name, 0)) for name in model.binaries}
-    support = sorted(eid for eid, used in indicator.items() if used)
+    indicator = {key: int(value >= 1) for key, value in flow.items() if isinstance(key, int)}
+    used = {indicator_var(eid): z for eid, z in indicator.items()}
+    values = {name: used[name] if name in used else values[name] for name in model.variables}
+    support = sorted(eid for eid, z in indicator.items() if z)
     return IlpSolution("optimal", exact, values, flow, indicator, support, nodes)
 
 
 def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> IlpSolution:
-    """Solve to optimality, then canonicalize the support.
+    """Solve to optimality in flow space, then canonicalize the support.
 
-    Among all optima the reported one uses the lexicographically smallest
-    edge support: edges are admitted in ascending id order only when some
-    optimum needs them given the decisions so far.  Raises SolverError when
-    an LP relaxation ends numerically, or when no optimum is found on the
-    support chosen this way (the feasibility tolerances disagree).
+    The search runs on the model without indicators, linking rows and cut
+    rows, with its flows and exchange variables integral.  Indicator pins
+    become flow bounds (z = 0 is f = 0, z = 1 is f >= 1), and each cut of
+    ``model.cuts`` becomes partition branches at any integral leaf that uses
+    all of its edges.  Among all optima the reported one uses the
+    lexicographically smallest edge support: edges are admitted in
+    ascending id order only when some optimum needs them given the
+    decisions so far.  Raises SolverError when an LP relaxation ends
+    numerically, or when no optimum is found on the support chosen this
+    way (the feasibility tolerances disagree).
     """
     search = _Search(node_limit)
-    int_vars = [n for n in model.variables if n in model.integers or n in model.binaries]
-    raw = _dfs(model, int_vars, {}, (), search)
+    flows = replace(relax(model), integers=model.integers, cuts=model.cuts)
+    edges = sorted(key for key in model.flow_keys.values() if isinstance(key, int))
+    raw = _dfs(flows, {}, (), search)
     if raw is None:
         return IlpSolution("infeasible", nodes=search.nodes)
     raw_objective = raw[0]
@@ -338,19 +376,19 @@ def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> I
 
     chosen: set[int] = set()
     tested: tuple[int, ...] | None = None
-    for eid in _edge_ids(model):
+    for eid in edges:
         signature = tuple(sorted(chosen))
         if signature != tested:
             tested = signature
-            exact_bounds = _support_bounds(model, chosen, free_above=None)
-            if _dfs(model, int_vars, exact_bounds, (pin,), search, first_feasible=True):
+            exact_bounds = _support_bounds(flows, edges, chosen, free_above=None)
+            if _dfs(flows, exact_bounds, (pin,), search, first_feasible=True):
                 break
-        with_edge = _support_bounds(model, chosen | {eid}, free_above=eid)
-        if _dfs(model, int_vars, with_edge, (pin,), search, first_feasible=True):
+        with_edge = _support_bounds(flows, edges, chosen | {eid}, free_above=eid)
+        if _dfs(flows, with_edge, (pin,), search, first_feasible=True):
             chosen.add(eid)
 
-    final_bounds = _support_bounds(model, chosen, free_above=None)
-    final = _dfs(model, int_vars, final_bounds, (pin,), search)
+    final_bounds = _support_bounds(flows, edges, chosen, free_above=None)
+    final = _dfs(flows, final_bounds, (pin,), search)
     if final is None:
         raise SolverError("no optimum has the canonical support that was found")
     return _finish(model, final[0], final[1], search.nodes)
@@ -366,7 +404,11 @@ def enumerate_pathways(
     model: IlpModel, k: int, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> RankedPathways:
     """Best pathway first, then repeatedly forbid the found support and
-    re-solve, yielding up to ``k`` structurally distinct solutions."""
+    re-solve, yielding up to ``k`` structurally distinct solutions.
+
+    Each found support is added to the model as a cut (``add_cut``).
+    ``branch_and_bound`` does not solve the cuts as rows: in its flow-space
+    search they become partition branches."""
     if k < 1:
         raise ValueError("need k >= 1 pathways")
     solutions: list[IlpSolution] = []

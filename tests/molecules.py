@@ -38,6 +38,27 @@ bond 1 5 1
 bond 3 6 1
 """
 
+GLYCOLIC_ACID_MGF = """\
+# 2-hydroxyacetic acid
+atom 0 O
+atom 1 C
+atom 2 C
+atom 3 O
+atom 4 O
+atom 5 H
+atom 6 H
+atom 7 H
+atom 8 H
+bond 0 1 1
+bond 1 2 1
+bond 2 3 2
+bond 2 4 1
+bond 0 5 1
+bond 1 6 1
+bond 1 7 1
+bond 4 8 1
+"""
+
 HYDROGEN_CYANIDE_MGF = """\
 atom 0 C
 atom 1 N

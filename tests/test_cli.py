@@ -614,6 +614,20 @@ def test_query_non_finite_barrier_exit_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
+def test_query_out_of_range_barrier_exit_2(tmp_path, capsys):
+    # at 1e12 kJ/mol the solver's objective-relative tolerances hide every
+    # other edge's cost, and the query used to exit 0 with a non-optimal pathway
+    net, query_obj = nets.cascade_network()
+    barriers = write_barriers(tmp_path, {**nets.uniform_barriers(net), 0: 1e12})
+    out = tmp_path / "solutions.json"
+    assert main(
+        ["query", "--network", write_network(tmp_path, net), "--barriers", barriers,
+         "--query", write_query(tmp_path, query_obj), "--output", str(out)]
+    ) == 2
+    assert "line 2: bad barrier value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "case, code",
     [("bad input", 2), ("node limit", 3), ("numerical", 4), ("no output", 0)],

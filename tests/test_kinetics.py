@@ -70,6 +70,15 @@ def test_reaction_probability_matches_direct_formula():
         assert reaction_probability(eid, table, t) == pytest.approx(expected, rel=1e-12)
 
 
+def test_load_barriers_accepts_the_documented_range():
+    net, _ = nets.flux_demo()
+    text = CSV_HEADER + "\n0,10000\n1,-10000\n2,0\n"
+    with pytest.warns(UserWarning):
+        table = load_barriers(text, net)
+    assert table.barrier_kj(0) == 10000.0
+    assert table.barrier_kj(1) == -10000.0
+
+
 def test_reaction_probabilities_sum_to_one():
     rng = random.Random(5)
     for _ in range(20):
@@ -127,6 +136,8 @@ def test_load_barriers_rejects_wrong_header():
         ("0,nan", "line 2: bad barrier value"),
         ("0,inf", "line 2: bad barrier value"),
         ("0,1e400", "line 2: bad barrier value"),
+        ("0,1e12", "line 2: bad barrier value"),
+        ("0,-10000.5", "line 2: bad barrier value"),
         ("9,20", "does not exist"),
     ],
 )

@@ -1,14 +1,29 @@
 """Simplex, branch and bound, pathway enumeration, and exhaustive search."""
+import itertools
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import helpers
+import molecules
 import nets
-from hyperpath.kinetics import BarrierTable, Thermo, objective_coefficients
-from hyperpath.pathopt import IlpModel, PathwayQuery, Row, add_cut, build_model, relax
+from hyperpath.kinetics import MAX_BARRIER_KJ, BarrierTable, Thermo, objective_coefficients
+from hyperpath.molgraph import parse_molecules
+from hyperpath.pathopt import (
+    IlpModel,
+    PathwayQuery,
+    Row,
+    add_cut,
+    build_model,
+    flow_var,
+    indicator_var,
+    relax,
+)
 from hyperpath import solve
+from hyperpath.rewrite import ExpansionConfig, load_default_rules, run_expansion
 from hyperpath.solve import (
     NodeLimitExceeded,
     SolverError,
@@ -227,8 +242,8 @@ def test_bnb_raises_when_the_canonical_support_has_no_optimum(monkeypatch):
     model = build_model(net, weighted(net), query)
     real_dfs = solve._dfs
 
-    def final_search_fails(model, int_vars, overrides, extra_rows, search, first_feasible=False):
-        found = real_dfs(model, int_vars, overrides, extra_rows, search, first_feasible)
+    def final_search_fails(model, overrides, extra_rows, search, first_feasible=False):
+        found = real_dfs(model, overrides, extra_rows, search, first_feasible)
         # the last search is the only pinned one that wants the optimum
         return None if extra_rows and not first_feasible else found
 
@@ -374,3 +389,213 @@ def test_bnb_matches_brute_force_on_random_instances():
     # random queries are often infeasible; both solvers must still agree,
     # and enough must be solvable for the comparison to carry weight
     assert agreements >= 5
+
+
+# -- flow-space search against the indicator model ----------------------------
+
+
+def edge_ids(model):
+    return sorted(key for key in model.flow_keys.values() if isinstance(key, int))
+
+
+def pinned_to_support(model, support):
+    """The full model with every indicator fixed: 1 on ``support``, 0 elsewhere."""
+    bounds = dict(model.bounds)
+    for eid in edge_ids(model):
+        f, z = flow_var(eid), indicator_var(eid)
+        if eid in support:
+            bounds[f], bounds[z] = (max(bounds[f][0], 1), bounds[f][1]), (1, 1)
+        else:
+            bounds[f], bounds[z] = (0, 0), (0, 0)
+    return replace(model, bounds=bounds)
+
+
+def oracle_optimal_supports(model):
+    """(optimum, every optimal support) of the full indicator model, by
+    ``brute_force`` on each support in turn; (None, []) when infeasible.
+
+    Optimal means within the tolerance of the solver's objective pin: the
+    canonical support is the smallest one among those near-ties.
+    """
+    found = {}
+    edges = [eid for eid in edge_ids(model) if model.bounds[flow_var(eid)][1] >= 1]
+    for size in range(len(edges) + 1):
+        for support in itertools.combinations(edges, size):
+            out = brute_force(pinned_to_support(model, support))
+            if out.status == "optimal":
+                assert out.support == list(support)
+                found[support] = out.objective
+    if not found:
+        return None, []
+    sign = 1.0 if model.sense == "min" else -1.0
+    best = min(found.values(), key=lambda v: sign * v)
+    tol = 1e-6 + 1e-9 * abs(best)
+    return best, [list(s) for s, v in found.items() if abs(v - best) <= tol]
+
+
+def check_canonical_optimum(model):
+    """Branch and bound finds the oracle's optimum, reports the smallest
+    optimal support in lexicographic order, and breaks no cut."""
+    fast = branch_and_bound(model)
+    best, supports = oracle_optimal_supports(model)
+    if best is None:
+        assert fast.status == "infeasible"
+        return None
+    assert fast.status == "optimal"
+    assert abs(fast.objective - best) <= 1e-6 + 1e-9 * abs(best)
+    assert fast.support == min(supports)
+    assert not any(cut <= set(fast.support) for cut in model.cuts)
+    indicator_consistent(fast, cap=max(model.bounds[flow_var(e)][1] for e in edge_ids(model)))
+    return fast
+
+
+def test_flow_space_search_matches_the_oracle_with_cuts_on_random_instances():
+    rng = random.Random(303)
+    with_cuts = 0
+    for _ in range(40):
+        net, barriers, query = nets.random_instance(rng)
+        table = BarrierTable.from_kj(barriers)
+        model = build_model(net, objective_coefficients(table, Thermo(), net), query)
+        found = check_canonical_optimum(model)
+        while found and found.support and len(model.cuts) < 3:
+            # the found support, or a part of it, so that the cut binds and the
+            # next search must branch on it
+            cut = rng.sample(found.support, rng.randint(1, len(found.support)))
+            model = add_cut(model, cut)
+            found = check_canonical_optimum(model)
+            with_cuts += 1
+    assert with_cuts >= 20
+
+
+def test_flow_space_search_matches_the_oracle_on_the_fixtures():
+    net, query = nets.flux_demo()
+    model = build_model(net, weighted(net), query)
+    for cut in ({0}, {1}, {2}):
+        model = add_cut(model, cut)
+        found = check_canonical_optimum(model)
+    assert found is None  # every route is cut
+
+    # the cascade at flow cap 1 on the 10 edges its three best routes use
+    net, query = nets.cascade_network()
+    query = replace(query, forbidden_edges=(9, 10, 11, 12, 14, 15, 16, 17, 18, 19), flow_cap=1)
+    model = build_model(net, weighted(net), query)
+    supports = []
+    for cut in ({0, 5, 7, 8}, {2, 6}, {1, 13}):
+        model = add_cut(model, cut)
+        found = check_canonical_optimum(model)
+        supports.append(found and found.support)
+    assert supports == [[0, 2, 6, 7, 8], [0, 1, 6, 7, 8, 13], None]
+
+
+def test_cut_children_partition_what_the_cut_leaves():
+    # every flow within the parent's bounds that leaves some edge of the cut
+    # unused lies in exactly one child; one that uses every edge lies in none
+    net, query = nets.cascade_network()
+    flows = relax(build_model(net, weighted(net), query))
+    cut = (0, 5, 7, 8)
+    for parent in ({}, {flow_var(7): (0, 2)}, {flow_var(5): (1, 3)}):
+        children = solve._cut_children(flows, parent, frozenset(cut))
+        for point in itertools.product(range(3), repeat=len(cut)):
+            values = {flow_var(eid): v for eid, v in zip(cut, point)}
+
+            def within(bounds):
+                return all(
+                    lo <= v <= hi
+                    for name, v in values.items()
+                    for lo, hi in [bounds.get(name, flows.bounds[name])]
+                )
+
+            expected = int(within(parent) and 0 in point)
+            assert sum(within(child) for child in children) == expected, (parent, point)
+
+
+@pytest.mark.parametrize("kj", [MAX_BARRIER_KJ, -MAX_BARRIER_KJ])
+def test_flow_space_search_at_the_largest_barrier_load_barriers_accepts(kj):
+    # at the bound of load_barriers, the solver's objective-relative
+    # tolerances must still tell the cascade's routes apart (at 1e10 kJ/mol
+    # on edge 0 they no longer do)
+    net, query = nets.cascade_network()
+    table = BarrierTable.from_kj({**nets.uniform_barriers(net), 0: kj})
+    costs = objective_coefficients(table, Thermo(), net)
+    capped = replace(query, forbidden_edges=(9, 10, 11, 12, 14, 15, 16, 17, 18, 19), flow_cap=1)
+    model = build_model(net, costs, capped)
+    supports = [check_canonical_optimum(model).support]
+    for cut in ({0, 5, 7, 8}, {2, 6}, {1, 13}):
+        model = add_cut(model, cut)
+        found = check_canonical_optimum(model)
+        supports.append(found and found.support)
+    assert supports == [[0, 5, 7, 8], [0, 2, 6, 7, 8], [0, 1, 6, 7, 8, 13], None]
+
+    full = build_model(net, costs, query)
+    out = branch_and_bound(full)
+    assert out.support == [0, 5, 7, 8]
+    reference = highs_optimum(full)
+    assert abs(out.objective - reference) <= 1e-6 + 1e-9 * abs(reference)
+
+
+def highs_optimum(model):
+    """Objective of the full ILP at the optimum scipy's HiGHS finds, or None."""
+    optimize = pytest.importorskip("scipy.optimize")
+    index = {name: i for i, name in enumerate(model.variables)}
+    A = np.zeros((len(model.rows), len(index)))
+    lb = np.full(len(model.rows), -np.inf)
+    ub = np.full(len(model.rows), np.inf)
+    for i, row in enumerate(model.rows):
+        for name, coef in row.coeffs.items():
+            A[i, index[name]] = coef
+        if row.sense in ("<=", "="):
+            ub[i] = row.rhs
+        if row.sense in (">=", "="):
+            lb[i] = row.rhs
+    sign = 1.0 if model.sense == "min" else -1.0
+    c = np.zeros(len(index))
+    for name, coef in model.objective.items():
+        c[index[name]] = sign * coef / 1000.0  # kJ/mol keeps HiGHS well scaled
+    res = optimize.milp(
+        c,
+        constraints=optimize.LinearConstraint(A, lb, ub),
+        integrality=np.ones(len(index)),
+        bounds=optimize.Bounds(*zip(*(model.bounds[name] for name in model.variables))),
+        options={"mip_rel_gap": 0.0},
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    values = {name: int(round(res.x[i])) for name, i in index.items()}
+    assert helpers.max_row_violation(model, values) <= 1e-9
+    return sum(coef * values[name] for name, coef in model.objective.items())
+
+
+def test_paper_scale_glycolic_acid_at_cap_10_fits_its_node_budget():
+    # the 41/116 closure of water and glycolonitrile (acceptance criterion 8),
+    # with barriers drawn uniformly in 0-100 kJ/mol in edge order
+    water, glyco, ammonia, glycolic = parse_molecules(
+        "---\n".join([molecules.WATER_MGF, molecules.GLYCOLONITRILE_MGF,
+                      molecules.AMMONIA_MGF, molecules.GLYCOLIC_ACID_MGF])
+    )
+    config = ExpansionConfig(
+        (water, glyco),
+        max_iterations=11,
+        max_element_counts={"C": 2, "N": 4, "O": 4},
+        right_predicates=("no-rings-le=3", "no-cumulated-doubles"),
+    )
+    net = run_expansion(config, load_default_rules()).network
+    assert (len(net.vertices), len(net.edges)) == (41, 116)
+    rng = random.Random(1)
+    table = BarrierTable.from_kj({e.id: rng.uniform(0.0, 100.0) for e in net.edges})
+    vid = {name: net.find_vertex(g).id for name, g in
+           [("water", water), ("glyco", glyco), ("ammonia", ammonia), ("glycolic", glycolic)]}
+    query = PathwayQuery(
+        sources={vid["water"]: (0, 10), vid["glyco"]: (0, 10)},
+        targets={vid["glycolic"]: (1, 1)},
+        allowed_byproducts={vid["ammonia"]: 10},
+        flow_cap=10,
+    )
+    model = build_model(net, objective_coefficients(table, Thermo(), net), query)
+    # searching on the indicators ran out of these 45 nodes
+    out = branch_and_bound(model, node_limit=45)
+    assert out.status == "optimal" and out.nodes <= 45
+    assert net.conservation_violations(out.flow) == {}
+    indicator_consistent(out, cap=10)
+    reference = highs_optimum(model)
+    assert abs(out.objective - reference) <= 1e-6 + 1e-9 * abs(reference)
