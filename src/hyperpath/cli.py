@@ -342,6 +342,25 @@ def _cmd_export_dot(args, run: _Run) -> int:
 # Parser
 
 
+def _checked(cast, ok, rule: str):
+    """An argparse type: ``cast`` the text, then require ``ok(value)``, so
+    that a value out of range is a usage error."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, not {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names the type in its messages
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "at least 1")
+_ITERATIONS = _checked(int, lambda v: v >= 0, "at least 0")
+_KELVIN = _checked(float, lambda v: v > 0, "above 0")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperpath",
@@ -353,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="grow a network from seed molecules")
     p.add_argument("--seeds", required=True, help="molecule file ('---' separates molecules)")
     p.add_argument("--rules", help="rule file (default: the built-in rule set)")
-    p.add_argument("--max-iterations", type=int, default=4)
+    p.add_argument("--max-iterations", type=_ITERATIONS, default=4)
     p.add_argument("--max-elements", help="per-product element ceilings, e.g. C=2,N=4,O=4")
     p.add_argument(
         "--filter",
@@ -369,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--flow", required=True, help="flow JSON with flow/inflow/outflow blocks")
     p.add_argument("--barriers", help="barrier CSV; adds a pathway score to the report")
-    p.add_argument("--temperature-k", type=float, default=DEFAULT_TEMPERATURE)
+    p.add_argument("--temperature-k", type=_KELVIN, default=DEFAULT_TEMPERATURE)
     p.add_argument("--output", help="optional report JSON")
     p.set_defaults(func=_cmd_annotate_check)
 
@@ -377,11 +396,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--barriers", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("-k", "--rank", type=int, default=1, help="how many pathways to enumerate")
-    p.add_argument("--temperature-k", type=float, default=DEFAULT_TEMPERATURE)
-    p.add_argument("--flow-cap", type=int, default=None, help="override the query's per-edge cap")
+    p.add_argument("-k", "--rank", type=_COUNT, default=1, help="how many pathways to enumerate")
+    p.add_argument("--temperature-k", type=_KELVIN, default=DEFAULT_TEMPERATURE)
+    p.add_argument("--flow-cap", type=_COUNT, default=None, help="override the query's per-edge cap")
     p.add_argument("--relax", action="store_true", help="solve the continuous relaxation instead")
-    p.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
+    p.add_argument("--node-limit", type=_COUNT, default=DEFAULT_NODE_LIMIT)
     p.add_argument("--profiles", action="store_true", help="write an energy profile CSV per solution")
     p.add_argument("--dot", action="store_true", help="also draw the network with the best pathway")
     p.add_argument("--output", required=True, help="solutions JSON to write")
@@ -391,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     p.add_argument("--barriers", required=True)
     p.add_argument("--query", required=True)
-    p.add_argument("--temperature-k", type=float, default=DEFAULT_TEMPERATURE)
+    p.add_argument("--temperature-k", type=_KELVIN, default=DEFAULT_TEMPERATURE)
     p.add_argument("--relax", action="store_true", help="export the continuous relaxation")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_export_lp)
@@ -399,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-dot", help="draw a network, optionally with a solved pathway")
     p.add_argument("--network", required=True)
     p.add_argument("--solutions", help="solutions JSON from the query command")
-    p.add_argument("--rank", type=int, default=1)
+    p.add_argument("--rank", type=_COUNT, default=1)
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_export_dot)
 

@@ -169,32 +169,31 @@ class Hypergraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "Hypergraph":
-        vertices = []
+        """Inverse of to_json.  Molecules and reactions go in through
+        ``add_molecule`` and ``add_reaction``, so a file gets the checks an
+        expansion gets: ids out of order, a repeated molecule or reaction, a
+        multiplicity below 1 or a ``reverse_of`` other than the derived one
+        raises ValueError."""
+        graph = cls()
         for row in data["vertices"]:
-            graph = parse_molecule(row["mgf"])
-            key = canonical_form(graph).key
-            if key.hex() != row["key"]:
+            vid = graph.add_molecule(parse_molecule(row["mgf"]))
+            if graph.vertices[vid].key.hex() != row["key"]:
                 raise ValueError(f"vertex {row['id']} key does not match its molecule")
-            if row["id"] != len(vertices):
-                raise ValueError("vertex ids must be contiguous from 0")
-            vertices.append(Vertex(row["id"], key, graph))
-        edges = []
-        for row in data["edges"]:
-            if row["id"] != len(edges):
-                raise ValueError("edge ids must be contiguous from 0")
-            edges.append(
-                Hyperedge(
-                    row["id"],
-                    {int(v): int(m) for v, m in row["reactants"].items()},
-                    {int(v): int(m) for v, m in row["products"].items()},
-                    row.get("reverse_of"),
-                )
-            )
-        graph = cls(vertices, edges)
-        for edge in edges:
-            for vid in list(edge.reactants) + list(edge.products):
-                if not (0 <= vid < len(vertices)):
-                    raise ValueError(f"edge {edge.id} references unknown vertex {vid}")
+            if vid != row["id"]:
+                raise ValueError(f"vertex {row['id']} is vertex {vid}: out of order or repeated")
+        rows = data["edges"]
+        for row in rows:
+            reactants = {int(v): int(m) for v, m in row["reactants"].items()}
+            products = {int(v): int(m) for v, m in row["products"].items()}
+            try:
+                eid = graph.add_reaction(reactants, products)
+            except ValueError as exc:
+                raise ValueError(f"edge {row['id']}: {exc}") from None
+            if eid != row["id"]:
+                raise ValueError(f"edge {row['id']} is edge {eid}: out of order or repeated")
+        for row, edge in zip(rows, graph.edges):
+            if row.get("reverse_of") != edge.reverse_of:
+                raise ValueError(f"edge {edge.id}: reverse_of is not the derived {edge.reverse_of}")
         return graph
 
     # -- visualization -------------------------------------------------------

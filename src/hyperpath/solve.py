@@ -1,31 +1,30 @@
 """Exact solvers for the pathway models.
 
-``simplex_solve`` is a dense two-phase tableau simplex with Bland's rule.
-``branch_and_bound`` searches in flow space: it drops the use indicators and
-their linking rows, keeps the flows and exchange variables integral, and
-wraps the simplex in a depth-first search over their bounds.  A cut ("not
-every edge of S") is not a row there: an integral leaf that uses every edge
-of S becomes partition branches, one per edge of S (Lawler's k-best
-partition).  The optimum is then canonicalized to the lexicographically
-smallest optimal support, so repeated runs and enumeration are
-deterministic, and reported on the full model with each indicator set to
-whether its edge carries flow.  It raises ``SolverError`` when an LP
-relaxation ends numerically or when the canonical support admits no optimum,
-rather than report a support it could not confirm.
-``enumerate_pathways`` peels off structurally distinct optima, each found
-support becoming a cut of the next search, and ``brute_force`` is an
-independent exhaustive oracle over the full indicator model for small models.
+``simplex_solve`` is a dense two-phase tableau simplex with Bland's rule over
+a model compiled to arrays.  ``branch_and_bound`` searches in flow space: it
+drops the use indicators and their linking rows, keeps the flows and exchange
+variables integral, and compiles that model once, so its depth-first search
+nodes differ only in their bounds.  A cut ("not every edge of S") is not a
+row there: an integral leaf that uses every edge of S becomes partition
+branches, one per edge of S (Lawler's k-best partition).  The optimum is then
+canonicalized, under an objective cutoff, to the lexicographically smallest
+optimal support, so runs and enumeration are deterministic, and reported on
+the full model with each indicator set to whether its edge carries flow.  It
+raises ``SolverError`` when an LP relaxation ends numerically or when the
+canonical support admits no optimum, rather than report a support it could
+not confirm.  ``enumerate_pathways`` peels off structurally distinct optima,
+each found support becoming a cut of the next search, and ``brute_force`` is
+an independent exhaustive oracle over the full indicator model.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pathopt import IlpModel, Row, add_cut, flow_var, indicator_var, relax
+from .pathopt import IlpModel, Row, add_cut, indicator_var, relax
 
-FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-10
 INTEGRALITY_TOL = 1e-6
 DEFAULT_NODE_LIMIT = 10_000_000
@@ -48,7 +47,59 @@ class SolverError(RuntimeError):
 class LpSolution:
     status: str  # optimal, infeasible, unbounded or numerical
     objective: float | None = None
-    values: dict[str, float] | None = None
+    values: dict[str, float] | np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class _Program:
+    """A model as arrays: rows ``A x`` against ``rhs`` with each sense as its
+    slack's coefficient (+1 for <=, -1 for >=, 0 for =), bounds ``lo, hi``,
+    objective (column, coefficient) terms in model order, integral columns,
+    (edge id, flow column) pairs in id order and cuts as flow columns."""
+
+    names: tuple[str, ...]
+    A: np.ndarray
+    slack: np.ndarray
+    rhs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    objective: tuple[tuple[int, float], ...]
+    sign: float
+    integral: np.ndarray
+    edges: tuple[tuple[int, int], ...]
+    cuts: tuple[np.ndarray, ...]
+
+
+def _compile(model: IlpModel, integers=frozenset(), cuts=()) -> _Program:
+    """``model`` as arrays, with ``integers`` integral and the edge-id sets ``cuts``."""
+    names = model.variables
+    index = {name: j for j, name in enumerate(names)}
+    A = np.zeros((len(model.rows), len(names)))
+    for i, row in enumerate(model.rows):
+        for var, coef in row.coeffs.items():
+            A[i, index[var]] += coef
+    edges = sorted((key, index[n]) for n, key in model.flow_keys.items() if isinstance(key, int))
+    column = dict(edges)
+    return _Program(
+        names,
+        A,
+        np.array([float((row.sense == "<=") - (row.sense == ">=")) for row in model.rows]),
+        np.array([float(row.rhs) for row in model.rows]),
+        np.array([float(model.bounds[name][0]) for name in names]),
+        np.array([float(model.bounds[name][1]) for name in names]),
+        tuple((index[name], coef) for name, coef in model.objective.items()),
+        1.0 if model.sense == "min" else -1.0,
+        np.array([j for j, name in enumerate(names) if name in integers], dtype=int),
+        tuple(edges),
+        tuple(np.array([column[eid] for eid in sorted(cut)]) for cut in cuts),
+    )
+
+
+def _violated(program: _Program, x: np.ndarray) -> bool:
+    """Whether ``x`` breaks a row by more than 1e-6 + 1e-9·|rhs|."""
+    excess = program.A @ x - program.rhs
+    tol = 1e-6 + 1e-9 * np.abs(program.rhs)
+    return bool((np.where(program.slack, program.slack * excess, np.abs(excess)) > tol).any())
 
 
 def _pivot(T: np.ndarray, b: np.ndarray, basis: list[int], i: int, j: int) -> None:
@@ -65,16 +116,16 @@ def _pivot(T: np.ndarray, b: np.ndarray, basis: list[int], i: int, j: int) -> No
 
 def _run_simplex(T: np.ndarray, b: np.ndarray, basis: list[int], c: np.ndarray) -> str:
     """Minimize c over the tableau in place; Bland's rule in both choices."""
-    scale = max(1.0, float(np.max(np.abs(c)))) if c.size else 1.0
+    scale = max(1.0, float(np.abs(c).max())) if c.size else 1.0
     enter_tol = 1e-9 * scale
     for _ in range(200000):
         reduced = c - c[basis] @ T
-        negative = np.nonzero(reduced < -enter_tol)[0]
+        negative = (reduced < -enter_tol).nonzero()[0]
         if negative.size == 0:
             return "optimal"
         j = int(negative[0])
         column = T[:, j]
-        rows = np.nonzero(column > PIVOT_TOL)[0]
+        rows = (column > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
         ratios = b[rows] / column[rows]
@@ -84,83 +135,45 @@ def _run_simplex(T: np.ndarray, b: np.ndarray, basis: list[int], c: np.ndarray) 
     return "numerical"
 
 
-def simplex_solve(model, bound_overrides: dict | None = None, extra_rows: tuple = ()) -> LpSolution:
+def simplex_solve(model: IlpModel | _Program, bounds: tuple | None = None) -> LpSolution:
     """Solve the continuous relaxation of a model.
 
-    ``bound_overrides`` replaces individual variable bounds and
-    ``extra_rows`` appends constraint rows, both without touching the model.
+    ``model`` is an ``IlpModel``, compiled on entry, whose values come back
+    by name, or a compiled ``_Program``, whose values come back as an array
+    in column order and whose bounds ``bounds = (lo, hi)`` may replace.
     """
-    names = list(model.variables)
-    index = {n: i for i, n in enumerate(names)}
-    n = len(names)
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for i, name in enumerate(names):
-        l, h = model.bounds[name]
-        if bound_overrides and name in bound_overrides:
-            l, h = bound_overrides[name]
-        lo[i], hi[i] = float(l), float(h)
-    if np.any(lo > hi + 1e-12):
+    named = isinstance(model, IlpModel)
+    program = _compile(model) if named else model
+    lo, hi = (program.lo, program.hi) if bounds is None else bounds
+    if (lo > hi + 1e-12).any():
         return LpSolution("infeasible")
 
-    rows = list(model.rows) + list(extra_rows)
-    m0 = len(rows)
-    A = np.zeros((m0, n))
-    rhs = np.empty(m0)
-    senses: list[str] = []
-    for i, row in enumerate(rows):
-        for var, coef in row.coeffs.items():
-            A[i, index[var]] += coef
-        rhs[i] = row.rhs
-        senses.append(row.sense)
-
     # shift to y = x - lo >= 0; finite widths become explicit upper rows
-    rhs = rhs - A @ lo
+    n, m0 = lo.size, program.rhs.size
     width = hi - lo
-    finite = [j for j in range(n) if math.isfinite(width[j])]
-    upper = np.zeros((len(finite), n))
-    for k, j in enumerate(finite):
-        upper[k, j] = 1.0
-    A = np.vstack([A, upper]) if finite else A
-    rhs = np.concatenate([rhs, width[finite]])
-    senses.extend("<=" for _ in finite)
-    m = len(senses)
+    finite = np.isfinite(width).nonzero()[0]
+    slack = np.concatenate([program.slack, np.ones(finite.size)])
+    b = np.concatenate([program.rhs - program.A @ lo, width[finite]])
+    flip = b < 0
+    b[flip] *= -1.0
+    # a row starts on its slack if the slack's coefficient is still +1, else on an artificial
+    basic = np.where(flip, -slack, slack) > 0
+    has_slack, needs_artificial = slack.nonzero()[0], (~basic).nonzero()[0]
+    m, total = slack.size, n + has_slack.size
+    slack_cols = n + np.arange(has_slack.size)
+    artificial_cols = total + np.arange(needs_artificial.size)
+    T = np.zeros((m, total + needs_artificial.size))
+    T[:m0, :n] = program.A
+    T[m0 + np.arange(finite.size), finite] = 1.0
+    T[has_slack, slack_cols] = slack[has_slack]
+    T[flip] *= -1.0
+    T[needs_artificial, artificial_cols] = 1.0
+    basis = np.empty(m, dtype=int)
+    basis[has_slack] = slack_cols
+    basis[needs_artificial] = artificial_cols
+    basis = basis.tolist()
 
-    slack_count = sum(1 for s in senses if s != "=")
-    total = n + slack_count
-    T = np.zeros((m, total))
-    T[:, :n] = A
-    slack_at = [-1] * m
-    col = n
-    for i, sense in enumerate(senses):
-        if sense == "<=":
-            T[i, col] = 1.0
-            slack_at[i] = col
-            col += 1
-        elif sense == ">=":
-            T[i, col] = -1.0
-            slack_at[i] = col
-            col += 1
-    b = rhs.copy()
-    for i in range(m):
-        if b[i] < 0:
-            T[i] *= -1.0
-            b[i] *= -1.0
-
-    basis = [-1] * m
-    needs_artificial = []
-    for i in range(m):
-        if slack_at[i] >= 0 and T[i, slack_at[i]] > 0:
-            basis[i] = slack_at[i]
-        else:
-            needs_artificial.append(i)
-
-    if needs_artificial:
-        art = np.zeros((m, len(needs_artificial)))
-        for k, i in enumerate(needs_artificial):
-            art[i, k] = 1.0
-            basis[i] = total + k
-        T = np.hstack([T, art])
+    if needs_artificial.size:
         phase1 = np.zeros(T.shape[1])
         phase1[total:] = 1.0
         status = _run_simplex(T, b, basis, phase1)
@@ -170,7 +183,7 @@ def simplex_solve(model, bound_overrides: dict | None = None, extra_rows: tuple 
             return LpSolution("infeasible")
         for i in range(m):
             if basis[i] >= total:
-                candidates = np.nonzero(np.abs(T[i, :total]) > 1e-9)[0]
+                candidates = (np.abs(T[i, :total]) > 1e-9).nonzero()[0]
                 if candidates.size:
                     _pivot(T, b, basis, i, int(candidates[0]))
         keep = [i for i in range(m) if basis[i] < total]
@@ -179,9 +192,8 @@ def simplex_solve(model, bound_overrides: dict | None = None, extra_rows: tuple 
         basis = [basis[i] for i in keep]
 
     cost = np.zeros(T.shape[1])
-    sign = 1.0 if model.sense == "min" else -1.0
-    for name, coef in model.objective.items():
-        cost[index[name]] += sign * coef
+    for j, coef in program.objective:
+        cost[j] += program.sign * coef
     status = _run_simplex(T, b, basis, cost)
     if status != "optimal":
         return LpSolution(status)
@@ -191,14 +203,12 @@ def simplex_solve(model, bound_overrides: dict | None = None, extra_rows: tuple 
     x = y[:n] + lo
 
     # verify the claimed optimum actually satisfies what was asked
-    values = {name: float(x[i]) for i, name in enumerate(names)}
-    if any(_violates(row, values) for row in rows):
-        return LpSolution("numerical")
-    if np.any(x < lo - 1e-6) or np.any(x > hi + 1e-6):
+    if _violated(program, x) or (x < lo - 1e-6).any() or (x > hi + 1e-6).any():
         return LpSolution("numerical")
 
-    objective = sum(coef * values[name] for name, coef in model.objective.items())
-    return LpSolution("optimal", float(objective), values)
+    xs = x.tolist()
+    objective = float(sum(coef * xs[j] for j, coef in program.objective))
+    return LpSolution("optimal", objective, dict(zip(program.names, xs)) if named else x)
 
 
 # ---------------------------------------------------------------------------
@@ -227,112 +237,90 @@ class _Search:
             raise NodeLimitExceeded(self.nodes)
 
 
-def _violates(row: Row, values: dict[str, float]) -> bool:
-    total = sum(coef * values.get(var, 0) for var, coef in row.coeffs.items())
-    tol = 1e-6 + 1e-9 * abs(row.rhs)
-    if row.sense == "<=":
-        return total > row.rhs + tol
-    if row.sense == ">=":
-        return total < row.rhs - tol
-    return abs(total - row.rhs) > tol
-
-
-def _cut_children(model, bounds: dict, cut: frozenset) -> list[dict]:
-    """Lawler's partition of the solutions within ``bounds`` that do not use
-    every edge of ``cut``: with the edges in id order, child i leaves edge i
-    unused and uses every edge before it.  A child is left out when a pin
-    already forces its unused edge to carry flow."""
+def _cut_children(lo: np.ndarray, hi: np.ndarray, cut: np.ndarray) -> list[tuple]:
+    """Lawler's partition of the solutions within ``(lo, hi)`` that do not
+    use every edge of ``cut`` (flow columns in edge-id order): child i leaves
+    edge i unused and uses every edge before it.  A child is left out when a
+    pin already forces its unused edge to carry flow."""
     children = []
-    used = dict(bounds)
-    for eid in sorted(cut):
-        name = flow_var(eid)
-        lo, hi = used.get(name, model.bounds[name])
-        if lo <= 0:
-            children.append({**used, name: (0, 0)})
-        used[name] = (max(lo, 1), hi)
+    used = lo.copy()
+    for j in cut:
+        if used[j] <= 0:
+            child_lo, child_hi = used.copy(), hi.copy()
+            child_lo[j] = child_hi[j] = 0.0
+            children.append((child_lo, child_hi))
+        used[j] = max(used[j], 1.0)
     return children
 
 
-def _dfs(
-    model,
-    overrides: dict,
-    extra_rows: tuple,
-    search: _Search,
-    first_feasible: bool = False,
-):
-    """Depth-first bound search; returns (objective_int, values) or None.
+def _dfs(program: _Program, root: tuple, search: _Search, cutoff=math.inf, first_feasible=False):
+    """Depth-first search from the bounds ``root = (lo, hi)``; returns
+    (objective, values as an array in column order) or None.
 
-    Branches on the most fractional integer variable (ties to the earliest
-    model variable), exploring the floor side first.  An integral leaf that
-    uses every edge of one of ``model.cuts`` (edge-id sets) is not accepted;
-    it is replaced by that cut's partition children, first child explored
-    first.
+    Branches on the most fractional integral column (ties to the earliest),
+    floor side first.  An integral leaf that uses every edge of one of
+    ``program.cuts`` is replaced by that cut's partition children, first child
+    explored first.  A leaf whose signed objective exceeds ``cutoff`` is not
+    accepted, and a node is pruned once its LP bound exceeds it by more than
+    the slack the simplex's pricing tolerance leaves in that bound.
     """
-    sign = 1.0 if model.sense == "min" else -1.0
-    int_vars = [n for n in model.variables if n in model.integers]
+    sign = program.sign
+    price_tol = 1e-9 * max([1.0] + [abs(coef) for _, coef in program.objective])
     best_signed = math.inf
-    best: tuple[float, dict[str, int]] | None = None
-    stack = [dict(overrides)]
+    best: tuple[float, np.ndarray] | None = None
+    stack = [root]
     while stack:
-        bounds = stack.pop()
+        lo, hi = stack.pop()
         search.tick()
-        lp = simplex_solve(model, bounds, extra_rows)
+        lp = simplex_solve(program, (lo, hi))
         if lp.status == "infeasible":
             continue
         if lp.status != "optimal":
             raise SolverError(f"relaxation came back {lp.status}")
+        width = hi - lo
+        if sign * lp.objective - price_tol * width[np.isfinite(width)].sum() > cutoff:
+            continue
         prune_tol = 1e-6 + 1e-9 * abs(best_signed if best else 0.0)
         if best is not None and sign * lp.objective >= best_signed - prune_tol:
             continue
-        branch_name = None
-        worst = INTEGRALITY_TOL
-        for name in int_vars:
-            frac = abs(lp.values[name] - round(lp.values[name]))
-            if frac > worst:
-                worst = frac
-                branch_name = name
-        if branch_name is None:
-            snapped = {name: int(round(v)) for name, v in lp.values.items()}
-            if any(_violates(row, snapped) for row in list(model.rows) + list(extra_rows)):
+        x = lp.values
+        integral = x[program.integral]
+        frac = np.abs(integral - integral.round())
+        if frac.size == 0 or frac.max() <= INTEGRALITY_TOL:
+            snapped = x.round()
+            if _violated(program, snapped):
                 continue
-            broken = next(
-                (cut for cut in model.cuts if all(snapped[flow_var(eid)] >= 1 for eid in cut)), None
-            )
+            values = snapped.tolist()
+            exact = float(sum(coef * values[j] for j, coef in program.objective))
+            if sign * exact > cutoff:
+                continue
+            broken = next((cut for cut in program.cuts if (snapped[cut] >= 1).all()), None)
             if broken is not None:
-                stack.extend(reversed(_cut_children(model, bounds, broken)))
+                stack.extend(reversed(_cut_children(lo, hi, broken)))
                 continue
-            exact = float(
-                sum(coef * snapped.get(name, 0) for name, coef in model.objective.items())
-            )
             if sign * exact < best_signed - 1e-12 or best is None:
                 best_signed = sign * exact
                 best = (exact, snapped)
                 if first_feasible:
                     return best
             continue
-        value = lp.values[branch_name]
-        lo, hi = bounds.get(branch_name, model.bounds[branch_name])
-        ceil_side = dict(bounds)
-        ceil_side[branch_name] = (math.ceil(value), hi)
-        floor_side = dict(bounds)
-        floor_side[branch_name] = (lo, math.floor(value))
-        stack.append(ceil_side)
-        stack.append(floor_side)
+        j = program.integral[int(np.argmax(frac))]
+        ceil_lo, floor_hi = lo.copy(), hi.copy()
+        ceil_lo[j], floor_hi[j] = math.ceil(x[j]), math.floor(x[j])
+        stack += [(ceil_lo, hi), (lo, floor_hi)]
     return best
 
 
-def _support_bounds(model, edges: list[int], chosen: set[int], free_above: int | None) -> dict:
+def _support_bounds(program: _Program, chosen: set[int], free_above: int | None) -> tuple:
     """Pin flows to a support: at least 1 on chosen edges, 0 on the others up
     to ``free_above``."""
-    bounds = {}
-    for eid in edges:
-        name = flow_var(eid)
+    lo, hi = program.lo.copy(), program.hi.copy()
+    for eid, j in program.edges:
         if eid in chosen:
-            lo, hi = model.bounds[name]
-            bounds[name] = (max(lo, 1), hi)
+            lo[j] = max(lo[j], 1.0)
         elif free_above is None or eid <= free_above:
-            bounds[name] = (0, 0)
-    return bounds
+            lo[j] = hi[j] = 0.0
+    return lo, hi
 
 
 def _finish(model: IlpModel, exact: float, values: dict[str, int], nodes: int) -> IlpSolution:
@@ -349,49 +337,41 @@ def _finish(model: IlpModel, exact: float, values: dict[str, int], nodes: int) -
 def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> IlpSolution:
     """Solve to optimality in flow space, then canonicalize the support.
 
-    The search runs on the model without indicators, linking rows and cut
-    rows, with its flows and exchange variables integral.  Indicator pins
-    become flow bounds (z = 0 is f = 0, z = 1 is f >= 1), and each cut of
-    ``model.cuts`` becomes partition branches at any integral leaf that uses
-    all of its edges.  Among all optima the reported one uses the
-    lexicographically smallest edge support: edges are admitted in
-    ascending id order only when some optimum needs them given the
-    decisions so far.  Raises SolverError when an LP relaxation ends
-    numerically, or when no optimum is found on the support chosen this
-    way (the feasibility tolerances disagree).
+    The model without indicators, linking rows and cut rows is compiled
+    once, with its flows and exchange variables integral; search nodes
+    differ only in their bounds.  Indicator pins become flow bounds (z = 0
+    is f = 0, z = 1 is f >= 1), and each cut of ``model.cuts`` becomes
+    partition branches at any integral leaf that uses all of its edges.
+    Among all optima, within 1e-6 + 1e-9·|objective| of the first search's
+    (a cutoff the later searches apply), the reported one uses the
+    lexicographically smallest edge support: edges are admitted in id order
+    only when some optimum needs them given the decisions so far.  Raises
+    SolverError when an LP relaxation ends numerically, or when no optimum
+    is found on the support chosen this way.
     """
     search = _Search(node_limit)
-    flows = replace(relax(model), integers=model.integers, cuts=model.cuts)
-    edges = sorted(key for key in model.flow_keys.values() if isinstance(key, int))
-    raw = _dfs(flows, {}, (), search)
+    program = _compile(relax(model), model.integers, model.cuts)
+    raw = _dfs(program, (program.lo, program.hi), search)
     if raw is None:
         return IlpSolution("infeasible", nodes=search.nodes)
-    raw_objective = raw[0]
-
-    eps = 1e-6 + 1e-9 * abs(raw_objective)
-    if model.sense == "min":
-        pin = Row("objective_pin", dict(model.objective), "<=", raw_objective + eps)
-    else:
-        pin = Row("objective_pin", dict(model.objective), ">=", raw_objective - eps)
+    cutoff = program.sign * raw[0] + 1e-6 + 1e-9 * abs(raw[0])
 
     chosen: set[int] = set()
     tested: tuple[int, ...] | None = None
-    for eid in edges:
+    for eid, _ in program.edges:
         signature = tuple(sorted(chosen))
         if signature != tested:
             tested = signature
-            exact_bounds = _support_bounds(flows, edges, chosen, free_above=None)
-            if _dfs(flows, exact_bounds, (pin,), search, first_feasible=True):
+            if _dfs(program, _support_bounds(program, chosen, None), search, cutoff, True):
                 break
-        with_edge = _support_bounds(flows, edges, chosen | {eid}, free_above=eid)
-        if _dfs(flows, with_edge, (pin,), search, first_feasible=True):
+        if _dfs(program, _support_bounds(program, chosen | {eid}, eid), search, cutoff, True):
             chosen.add(eid)
 
-    final_bounds = _support_bounds(flows, edges, chosen, free_above=None)
-    final = _dfs(flows, final_bounds, (pin,), search)
+    final = _dfs(program, _support_bounds(program, chosen, None), search, cutoff)
     if final is None:
         raise SolverError("no optimum has the canonical support that was found")
-    return _finish(model, final[0], final[1], search.nodes)
+    values = dict(zip(program.names, map(int, final[1].tolist())))
+    return _finish(model, final[0], values, search.nodes)
 
 
 @dataclass
@@ -426,6 +406,7 @@ def enumerate_pathways(
         if rank < k:
             current = add_cut(current, cut)
     return RankedPathways(solutions, tuple(cuts))
+
 
 
 # ---------------------------------------------------------------------------

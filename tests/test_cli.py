@@ -1,13 +1,13 @@
 """End-to-end command line behavior, run in process."""
 import json
-import random
+from pathlib import Path
 
 import pytest
 
 import helpers
 import molecules
 import nets
-from hyperpath import __version__
+from hyperpath import __version__, solve
 from hyperpath.cli import main
 from hyperpath.kinetics import BarrierTable, Thermo, objective_coefficients, pathway_score
 from hyperpath.netcore import Hypergraph
@@ -411,19 +411,56 @@ def test_query_node_limit_flag(tmp_path, capsys):
     assert manifest["node_limit"] == 100000
 
 
-def test_query_numerical_relaxation_exit_4(tmp_path, capsys):
-    rng = random.Random(1)
-    for _ in range(1303):
-        net, barriers_kj, query_obj = nets.random_instance(rng)
+def simplex_ends_numerically(monkeypatch):
+    monkeypatch.setattr(solve, "_run_simplex", lambda T, b, basis, c: "numerical")
+
+
+def test_query_numerical_relaxation_exit_4(tmp_path, capsys, monkeypatch):
+    simplex_ends_numerically(monkeypatch)
+    net, network, barriers, query = flux_setup(tmp_path)
     out = tmp_path / "solutions.json"
-    argv = ["query", "--network", write_network(tmp_path, net),
-            "--barriers", write_barriers(tmp_path, barriers_kj),
-            "--query", write_query(tmp_path, query_obj), "-k", "3", "--output", str(out)]
+    argv = ["query", "--network", network, "--barriers", barriers, "--query", query,
+            "-k", "3", "--output", str(out)]
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "numerical" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("query", "-k", "0"),
+        ("query", "--node-limit", "0"),
+        ("query", "--flow-cap", "0"),
+        ("query", "--temperature-k", "0"),
+        ("query", "--temperature-k", "nan"),
+        ("annotate-check", "--temperature-k", "-5"),
+        ("export-lp", "--temperature-k", "-1e-3"),
+        ("export-dot", "--rank", "0"),
+        ("expand", "--max-iterations", "-1"),
+    ],
+)
+def test_out_of_range_numeric_flag_is_usage_error(tmp_path, capsys, command, flag, value):
+    net, network, barriers, query = flux_setup(tmp_path)
+    seeds = tmp_path / "seeds.mgf"
+    seeds.write_text(molecules.WATER_MGF)
+    flow = tmp_path / "flow.json"
+    flow.write_text(json.dumps({"flow": {"0": 1}}))
+    out = tmp_path / "out.txt"
+    inputs = {
+        "query": ["--network", network, "--barriers", barriers, "--query", query],
+        "annotate-check": ["--network", network, "--flow", str(flow), "--barriers", barriers],
+        "export-lp": ["--network", network, "--barriers", barriers, "--query", query],
+        "export-dot": ["--network", network],
+        "expand": ["--seeds", str(seeds)],
+    }[command]
+    assert main([command, *inputs, flag, value, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert flag in err
+    assert not out.exists()
 
 
 def test_query_temperature_recorded(tmp_path, capsys):
@@ -534,7 +571,7 @@ def test_manifest_records_input_hashes(tmp_path, capsys):
     ) == 0
     capsys.readouterr()
     manifest = json.loads((tmp_path / "solutions.manifest.json").read_text())
-    expected = hashlib.sha256(open(barriers).read().encode()).hexdigest()
+    expected = hashlib.sha256(Path(barriers).read_text().encode()).hexdigest()
     assert manifest["inputs"]["barriers"]["sha256"] == expected
     assert manifest["inputs"]["barriers"]["path"] == barriers
     assert manifest["argv"][0] == "query"
@@ -557,6 +594,24 @@ def test_corrupt_network_json_exit_2(tmp_path, capsys):
     flow.write_text("{}")
     assert main(["annotate-check", "--network", str(bad), "--flow", str(flow)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("reactants", {"0": -2}), ("reverse_of", 999)])
+def test_query_malformed_edge_exit_2(tmp_path, capsys, field, value):
+    net, query = nets.flux_demo()
+    data = net.to_json()
+    data["edges"][0][field] = value
+    network = tmp_path / "network.json"
+    network.write_text(json.dumps(data))
+    out = tmp_path / "solutions.json"
+    argv = ["query", "--network", str(network),
+            "--barriers", write_barriers(tmp_path, nets.uniform_barriers(net)),
+            "--query", write_query(tmp_path, query), "--output", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "not a valid network document: edge 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_wrong_shape_documents_exit_2(tmp_path, capsys):
@@ -632,18 +687,17 @@ def test_query_out_of_range_barrier_exit_2(tmp_path, capsys):
     "case, code",
     [("bad input", 2), ("node limit", 3), ("numerical", 4), ("no output", 0)],
 )
-def test_no_manifest_unless_a_command_succeeds_and_writes(tmp_path, capsys, case, code):
+def test_no_manifest_unless_a_command_succeeds_and_writes(
+    tmp_path, capsys, monkeypatch, case, code
+):
     if case == "numerical":
-        rng = random.Random(1)
-        for _ in range(1303):
-            net, barriers_kj, query_obj = nets.random_instance(rng)
-    else:
-        net, query_obj = nets.cascade_network()
-        barriers_kj = nets.uniform_barriers(net)
+        simplex_ends_numerically(monkeypatch)
+    net, query_obj = nets.cascade_network()
     network = write_network(tmp_path, net)
+    barriers = write_barriers(tmp_path, nets.uniform_barriers(net))
     flow = tmp_path / "flow.json"
     flow.write_text(json.dumps({"flow": {"0": 1}}))
-    files = ["--network", network, "--barriers", write_barriers(tmp_path, barriers_kj),
+    files = ["--network", network, "--barriers", barriers,
              "--query", write_query(tmp_path, query_obj)]
     argv = {
         "bad input": ["export-dot", "--network", network, "--solutions", network,

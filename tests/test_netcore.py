@@ -174,6 +174,34 @@ def test_json_rejects_dangling_edge_reference():
         Hypergraph.from_json(data)
 
 
+def test_json_rejects_a_repeated_molecule():
+    net = Hypergraph()
+    net.add_molecule(molecules.water())
+    data = net.to_json()
+    data["vertices"].append({**data["vertices"][0], "id": 1})
+    with pytest.raises(ValueError, match="vertex 1 is vertex 0"):
+        Hypergraph.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda edges: edges[2]["reactants"].update({"1": -2}), "edge 2: .* must be positive"),
+        (lambda edges: edges.append({**edges[2], "id": 3}), "edge 3 is edge 2"),
+        (lambda edges: edges[2].update(reverse_of=999), "is not the derived None"),
+        (lambda edges: edges[1].update(reverse_of=None), "is not the derived 0"),
+    ],
+    ids=["negative-multiplicity", "repeated-reaction", "unknown-reverse", "missing-reverse"],
+)
+def test_json_rejects_malformed_edges(tamper, message):
+    net = nets.placeholder_net(3, [({0: 1}, {1: 1}), ({1: 1}, {0: 1}), ({1: 1}, {2: 1})])
+    data = net.to_json()
+    assert Hypergraph.from_json(data).to_json() == data
+    tamper(data["edges"])
+    with pytest.raises(ValueError, match=message):
+        Hypergraph.from_json(data)
+
+
 def test_dot_output_structure():
     net, _ = nets.flux_demo()
     text = net.to_dot()

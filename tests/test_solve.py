@@ -127,9 +127,9 @@ def test_simplex_bound_overrides_and_extra_rows():
         "max",
     )
     assert simplex_solve(m).objective == pytest.approx(11.0)
-    pinned = simplex_solve(m, bound_overrides={"y": (0.0, 1.0)})
+    pinned = simplex_solve(replace(m, bounds={**m.bounds, "y": (0.0, 1.0)}))
     assert pinned.objective == pytest.approx(7.0)
-    constrained = simplex_solve(m, extra_rows=(Row("pin", {"x": 1.0}, ">=", 4.0),))
+    constrained = simplex_solve(replace(m, rows=m.rows + (Row("pin", {"x": 1.0}, ">=", 4.0),)))
     assert constrained.objective == pytest.approx(8.0)
     assert constrained.values["x"] == pytest.approx(4.0)
 
@@ -242,10 +242,10 @@ def test_bnb_raises_when_the_canonical_support_has_no_optimum(monkeypatch):
     model = build_model(net, weighted(net), query)
     real_dfs = solve._dfs
 
-    def final_search_fails(model, overrides, extra_rows, search, first_feasible=False):
-        found = real_dfs(model, overrides, extra_rows, search, first_feasible)
-        # the last search is the only pinned one that wants the optimum
-        return None if extra_rows and not first_feasible else found
+    def final_search_fails(program, root, search, cutoff=math.inf, first_feasible=False):
+        found = real_dfs(program, root, search, cutoff, first_feasible)
+        # the last search is the only cut-off one that wants the optimum
+        return None if cutoff < math.inf and not first_feasible else found
 
     monkeypatch.setattr(solve, "_dfs", final_search_fails)
     with pytest.raises(SolverError, match="canonical support"):
@@ -487,26 +487,57 @@ def test_flow_space_search_matches_the_oracle_on_the_fixtures():
     assert supports == [[0, 2, 6, 7, 8], [0, 1, 6, 7, 8, 13], None]
 
 
+@pytest.mark.parametrize(
+    "stream, draw, k",
+    [
+        # an objective-pin row in the LP made these end numerically
+        (1, 1302, 3),
+        (4, 637, 3),
+        (4, 917, 3),
+        (9, 730, 3),
+        (13, 427, 3),
+        (202, 105, 1),
+        # the cutoff must allow for the simplex's optimality tolerance ...
+        (3, 902, 3),
+        (8, 630, 3),
+        # ... and no more than that
+        (1, 1107, 3),
+    ],
+)
+def test_canonical_optimum_rank_by_rank_on_hard_draws(stream, draw, k):
+    rng = random.Random(stream)
+    for _ in range(draw + 1):
+        net, barriers, query = nets.random_instance(rng)
+    table = BarrierTable.from_kj(barriers)
+    model = build_model(net, objective_coefficients(table, Thermo(), net), query)
+    for _ in range(k):
+        found = check_canonical_optimum(model)
+        if not found or not found.support:
+            break
+        model = add_cut(model, found.support)
+
+
 def test_cut_children_partition_what_the_cut_leaves():
     # every flow within the parent's bounds that leaves some edge of the cut
     # unused lies in exactly one child; one that uses every edge lies in none
     net, query = nets.cascade_network()
     flows = relax(build_model(net, weighted(net), query))
+    program = solve._compile(flows)
     cut = (0, 5, 7, 8)
-    for parent in ({}, {flow_var(7): (0, 2)}, {flow_var(5): (1, 3)}):
-        children = solve._cut_children(flows, parent, frozenset(cut))
+    columns = np.array([flows.variables.index(flow_var(eid)) for eid in cut])
+    for pins in ({}, {7: (0, 2)}, {5: (1, 3)}):
+        lo, hi = program.lo.copy(), program.hi.copy()
+        for eid, (pin_lo, pin_hi) in pins.items():
+            j = flows.variables.index(flow_var(eid))
+            lo[j], hi[j] = pin_lo, pin_hi
+        children = solve._cut_children(lo, hi, columns)
         for point in itertools.product(range(3), repeat=len(cut)):
-            values = {flow_var(eid): v for eid, v in zip(cut, point)}
 
-            def within(bounds):
-                return all(
-                    lo <= v <= hi
-                    for name, v in values.items()
-                    for lo, hi in [bounds.get(name, flows.bounds[name])]
-                )
+            def within(low, high):
+                return all(low[j] <= v <= high[j] for j, v in zip(columns, point))
 
-            expected = int(within(parent) and 0 in point)
-            assert sum(within(child) for child in children) == expected, (parent, point)
+            expected = int(within(lo, hi) and 0 in point)
+            assert sum(within(*child) for child in children) == expected, (pins, point)
 
 
 @pytest.mark.parametrize("kj", [MAX_BARRIER_KJ, -MAX_BARRIER_KJ])
