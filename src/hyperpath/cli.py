@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -27,12 +28,13 @@ from pathlib import Path
 from . import __version__
 from .kinetics import (
     DEFAULT_TEMPERATURE,
+    GAS_CONSTANT,
     Thermo,
     load_barriers,
     objective_coefficients,
     pathway_score,
 )
-from .molgraph import MgfError, parse_molecules
+from .molgraph import PERIODIC_TABLE, MgfError, parse_molecules
 from .netcore import Hypergraph
 from .pathopt import PathwayQuery, build_model, export_lp_text, relax
 from .rewrite import (
@@ -93,7 +95,7 @@ class _Run:
             return decode(json.loads(text))
         except json.JSONDecodeError as exc:
             raise InputError(f"{path} is not valid JSON: {exc}") from None
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InputError(f"{path} is not a valid {name} document: {exc}") from None
 
     def write(self, path: str, text: str) -> None:
@@ -118,6 +120,8 @@ class _Run:
 
 
 def _parse_max_elements(spec: str | None) -> dict[str, int] | None:
+    """Element ceilings like ``C=2,N=4``: each names a known element once,
+    with a count of at least 0."""
     if not spec:
         return None
     caps: dict[str, int] = {}
@@ -125,13 +129,10 @@ def _parse_max_elements(spec: str | None) -> dict[str, int] | None:
         part = part.strip()
         if not part:
             continue
-        if "=" not in part:
-            raise InputError(f"bad element cap {part!r}, expected like C=2")
-        element, _, value = part.partition("=")
-        try:
-            caps[element.strip()] = int(value)
-        except ValueError:
-            raise InputError(f"bad element cap value in {part!r}") from None
+        element, _, value = (text.strip() for text in part.partition("="))
+        if element not in PERIODIC_TABLE or element in caps or not value.isdecimal():
+            raise InputError(f"bad element cap {part!r}, expected a known element once, like C=2")
+        caps[element] = int(value)
     return caps
 
 
@@ -358,7 +359,7 @@ def _checked(cast, ok, rule: str):
 
 _COUNT = _checked(int, lambda v: v >= 1, "at least 1")
 _ITERATIONS = _checked(int, lambda v: v >= 0, "at least 0")
-_KELVIN = _checked(float, lambda v: v > 0, "above 0")
+_KELVIN = _checked(float, lambda v: 0 < v * GAS_CONSTANT < math.inf, "above 0 with R*T finite")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -439,10 +440,7 @@ def main(argv: list[str] | None = None) -> int:
         if code == 0 and run.outputs:
             run.write_manifest(args.command, argv, started)
         return code
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MgfError, RuleError, ValueError) as exc:
+    except (InputError, MgfError, RuleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NodeLimitExceeded as exc:

@@ -35,10 +35,10 @@ class Thermo:
     h: float = PLANCK
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("temperature must be positive")
         if self.R <= 0 or self.k_b <= 0 or self.h <= 0:
             raise ValueError("physical constants must be positive")
+        if not 0 < self.rt < math.inf:
+            raise ValueError("temperature must be positive, with R*T finite")
 
     @property
     def rt(self) -> float:

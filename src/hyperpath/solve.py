@@ -12,18 +12,18 @@ optimal support, so runs and enumeration are deterministic, and reported on
 the full model with each indicator set to whether its edge carries flow.  It
 raises ``SolverError`` when an LP relaxation ends numerically or when the
 canonical support admits no optimum, rather than report a support it could
-not confirm.  ``enumerate_pathways`` peels off structurally distinct optima,
-each found support becoming a cut of the next search, and ``brute_force`` is
-an independent exhaustive oracle over the full indicator model.
+not confirm.  ``enumerate_pathways`` compiles once and peels off structurally
+distinct optima, each rank appending its support to the program's cuts, and
+``brute_force`` is an independent exhaustive oracle over the full indicator model.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pathopt import IlpModel, Row, add_cut, indicator_var, relax
+from .pathopt import IlpModel, Row, indicator_var, relax
 
 PIVOT_TOL = 1e-10
 INTEGRALITY_TOL = 1e-6
@@ -345,29 +345,32 @@ def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> I
     Among all optima, within 1e-6 + 1e-9·|objective| of the first search's
     (a cutoff the later searches apply), the reported one uses the
     lexicographically smallest edge support: edges are admitted in id order
-    only when some optimum needs them given the decisions so far.  Raises
-    SolverError when an LP relaxation ends numerically, or when no optimum
-    is found on the support chosen this way.
+    only when some optimum needs them given the decisions so far, and the
+    first optimum found on exactly the admitted edges, searched for before
+    the first admission and after each, is the answer.  Raises SolverError
+    when an LP relaxation ends numerically, or when no optimum is found on
+    the support chosen this way.  ``enumerate_pathways`` compiles once and
+    runs this search on that program for every rank.
     """
+    return _optimum(model, _compile(relax(model), model.integers, model.cuts), node_limit)
+
+
+def _optimum(model: IlpModel, program: _Program, node_limit: int) -> IlpSolution:
+    """``branch_and_bound`` of ``model`` on its compiled flow-space ``program``."""
     search = _Search(node_limit)
-    program = _compile(relax(model), model.integers, model.cuts)
     raw = _dfs(program, (program.lo, program.hi), search)
     if raw is None:
         return IlpSolution("infeasible", nodes=search.nodes)
     cutoff = program.sign * raw[0] + 1e-6 + 1e-9 * abs(raw[0])
 
     chosen: set[int] = set()
-    tested: tuple[int, ...] | None = None
+    final = _dfs(program, _support_bounds(program, chosen, None), search, cutoff)
     for eid, _ in program.edges:
-        signature = tuple(sorted(chosen))
-        if signature != tested:
-            tested = signature
-            if _dfs(program, _support_bounds(program, chosen, None), search, cutoff, True):
-                break
+        if final is not None:
+            break
         if _dfs(program, _support_bounds(program, chosen | {eid}, eid), search, cutoff, True):
             chosen.add(eid)
-
-    final = _dfs(program, _support_bounds(program, chosen, None), search, cutoff)
+            final = _dfs(program, _support_bounds(program, chosen, None), search, cutoff)
     if final is None:
         raise SolverError("no optimum has the canonical support that was found")
     values = dict(zip(program.names, map(int, final[1].tolist())))
@@ -386,27 +389,24 @@ def enumerate_pathways(
     """Best pathway first, then repeatedly forbid the found support and
     re-solve, yielding up to ``k`` structurally distinct solutions.
 
-    Each found support is added to the model as a cut (``add_cut``).
-    ``branch_and_bound`` does not solve the cuts as rows: in its flow-space
-    search they become partition branches."""
+    The flow-space program is compiled once, as in ``branch_and_bound``, and
+    each found support is appended to its cuts, which the search turns into
+    partition branches; no model is rebuilt between ranks."""
     if k < 1:
         raise ValueError("need k >= 1 pathways")
+    program = _compile(relax(model), model.integers, model.cuts)
+    column = dict(program.edges)
     solutions: list[IlpSolution] = []
-    cuts: list[frozenset] = []
-    current = model
-    for rank in range(1, k + 1):
-        solution = branch_and_bound(current, node_limit)
+    for _ in range(k):
+        solution = _optimum(model, program, node_limit)
         if solution.status != "optimal":
             break
         solutions.append(solution)
         if not solution.support:
             break
-        cut = frozenset(solution.support)
-        cuts.append(cut)
-        if rank < k:
-            current = add_cut(current, cut)
-    return RankedPathways(solutions, tuple(cuts))
-
+        cut = np.array([column[eid] for eid in solution.support])
+        program = replace(program, cuts=program.cuts + (cut,))
+    return RankedPathways(solutions, tuple(frozenset(s.support) for s in solutions if s.support))
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,8 @@ def test_query_numerical_relaxation_exit_4(tmp_path, capsys, monkeypatch):
         ("query", "--flow-cap", "0"),
         ("query", "--temperature-k", "0"),
         ("query", "--temperature-k", "nan"),
+        ("query", "--temperature-k", "inf"),
+        ("query", "--temperature-k", "1e308"),
         ("annotate-check", "--temperature-k", "-5"),
         ("export-lp", "--temperature-k", "-1e-3"),
         ("export-dot", "--rank", "0"),
@@ -640,6 +642,46 @@ def test_wrong_shape_documents_exit_2(tmp_path, capsys):
     assert main(["export-dot", "--network", network, "--solutions", str(bad_solutions),
                  "--output", str(tmp_path / "x.dot")]) == 2
     assert "not a valid solutions document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document", ["flow cap", "source range", "multiplicity"])
+def test_overflowing_json_number_exit_2(tmp_path, capsys, document):
+    # json reads 1e400 as float infinity, which int() cannot convert
+    net, query = nets.flux_demo()
+    net_data, query_data = net.to_json(), query.to_json()
+    if document == "flow cap":
+        query_data["flow_cap"] = "BIG"
+    elif document == "source range":
+        query_data["sources"]["0"] = {"min": 0, "max": "BIG"}
+    else:
+        reactants = net_data["edges"][0]["reactants"]
+        reactants[next(iter(reactants))] = "BIG"
+    network, query_file = tmp_path / "network.json", tmp_path / "query.json"
+    network.write_text(json.dumps(net_data).replace('"BIG"', "1e400"))
+    query_file.write_text(json.dumps(query_data).replace('"BIG"', "1e400"))
+    out = tmp_path / "solutions.json"
+    assert main(["query", "--network", str(network),
+                 "--barriers", write_barriers(tmp_path, nets.uniform_barriers(net)),
+                 "--query", str(query_file), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.manifest.json"))
+
+
+@pytest.mark.parametrize("caps", ["c=2,N=4,O=4", "C=2,C=9", "C=-1"])
+def test_expand_rejects_bad_element_caps(tmp_path, capsys, caps):
+    # a lower-case symbol, a repeated element and a negative cap used to pass
+    seeds = tmp_path / "seeds.mgf"
+    seeds.write_text(molecules.WATER_MGF)
+    out = tmp_path / "network.json"
+    assert main(["expand", "--seeds", str(seeds), "--max-elements", caps,
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_query_file_accepts_pair_ranges(tmp_path, capsys):

@@ -42,6 +42,13 @@ def test_thermo_validation():
         Thermo().T = 300
 
 
+@pytest.mark.parametrize("T", [math.inf, 1e308, math.nan])
+def test_thermo_rejects_a_temperature_without_finite_rt(T):
+    # at 1e308 K, T is finite but R*T overflows to inf
+    with pytest.raises(ValueError, match="finite"):
+        Thermo(T=T)
+
+
 def test_rate_constant_prefactor():
     # k at zero barrier is k_b*T/h, about 6.212e12 per second at 298.15 K
     assert rate_constant(0.0) == pytest.approx(6.2124e12, rel=1e-4)

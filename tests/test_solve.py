@@ -244,7 +244,8 @@ def test_bnb_raises_when_the_canonical_support_has_no_optimum(monkeypatch):
 
     def final_search_fails(program, root, search, cutoff=math.inf, first_feasible=False):
         found = real_dfs(program, root, search, cutoff, first_feasible)
-        # the last search is the only cut-off one that wants the optimum
+        # every full search under the cutoff looks for the answer on the
+        # support chosen so far; when all of them fail, none is left
         return None if cutoff < math.inf and not first_feasible else found
 
     monkeypatch.setattr(solve, "_dfs", final_search_fails)
@@ -307,14 +308,15 @@ def test_enumerate_stops_on_infeasibility():
     assert ranked.solutions[0].support == [0]
 
 
-def test_enumerate_adds_no_cut_after_the_last_rank(monkeypatch):
+def test_enumerate_compiles_once_for_all_ranks(monkeypatch):
     calls = []
+    real_compile = solve._compile
 
-    def counting_add_cut(model, support):
-        calls.append(support)
-        return add_cut(model, support)
+    def counting_compile(*args):
+        calls.append(args)
+        return real_compile(*args)
 
-    monkeypatch.setattr("hyperpath.solve.add_cut", counting_add_cut)
+    monkeypatch.setattr(solve, "_compile", counting_compile)
     net, query = nets.flux_demo()
     ranked = enumerate_pathways(build_model(net, weighted(net), query), 2)
     assert [s.support for s in ranked.solutions] == [[0], [1]]
@@ -510,11 +512,20 @@ def test_canonical_optimum_rank_by_rank_on_hard_draws(stream, draw, k):
         net, barriers, query = nets.random_instance(rng)
     table = BarrierTable.from_kj(barriers)
     model = build_model(net, objective_coefficients(table, Thermo(), net), query)
+    ranked = enumerate_pathways(model, k)
+    by_rank = []
     for _ in range(k):
         found = check_canonical_optimum(model)
-        if not found or not found.support:
+        if not found:
+            break
+        by_rank.append(found)
+        if not found.support:
             break
         model = add_cut(model, found.support)
+    # one compiled program with appended cuts answers as a rebuild per rank does
+    assert [(s.objective, s.support, s.flow) for s in ranked.solutions] == [
+        (s.objective, s.support, s.flow) for s in by_rank
+    ]
 
 
 def test_cut_children_partition_what_the_cut_leaves():
