@@ -11,8 +11,9 @@ or ``annotate-check`` without ``--output``, writes no manifest.
 
 Exit codes: 0 success (an infeasible query is still a success, the answer
 is in the output), 1 usage errors, 2 unreadable or invalid inputs, 3 search
-limits exhausted, 4 solver failure (an LP relaxation ended numerically, or
-no optimum was found on the canonical support).
+limits exhausted, 4 solver failure (an LP relaxation ended numerically or
+ran into the simplex's iteration limit, or no optimum was found on the
+canonical support).
 """
 from __future__ import annotations
 
@@ -256,6 +257,8 @@ def _cmd_query(args, run: _Run) -> int:
 
     if args.relax:
         lp = simplex_solve(relax(model))
+        if lp.status == "numerical":
+            raise SolverError("relaxation came back numerical")
         flow = {}
         if lp.status == "optimal":
             flow = {key: lp.values.get(name, 0.0) for name, key in model.flow_keys.items()}

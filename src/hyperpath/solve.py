@@ -1,18 +1,24 @@
 """Exact solvers for the pathway models.
 
-``simplex_solve`` is a dense two-phase tableau simplex with Bland's rule over
-a model compiled to arrays.  ``branch_and_bound`` searches in flow space: it
-drops the use indicators and their linking rows, keeps the flows and exchange
-variables integral, and compiles that model once, so its depth-first search
-nodes differ only in their bounds.  A cut ("not every edge of S") is not a
-row there: an integral leaf that uses every edge of S becomes partition
-branches, one per edge of S (Lawler's k-best partition).  The optimum is then
-canonicalized, under an objective cutoff, to the lexicographically smallest
-optimal support, so runs and enumeration are deterministic, and reported on
-the full model with each indicator set to whether its edge carries flow.  It
-raises ``SolverError`` when an LP relaxation ends numerically or when the
-canonical support admits no optimum, rather than report a support it could
-not confirm.  ``enumerate_pathways`` compiles once and peels off structurally
+``simplex_solve`` is a dense-tableau bounded-variable simplex over a model
+compiled to arrays: the tableau holds only the model's rows, each with a
+logical column, and a nonbasic column sits at its lower or upper bound.  A
+solve starts from the all-logical basis, or warm from an earlier solve's
+final basis whose bounds contain its own; a dual simplex restores the
+bounds, and a primal simplex finishes, both with Bland's rule.
+``branch_and_bound`` searches in flow space: it drops the use indicators and
+their linking rows, keeps the flows and exchange variables integral, and
+compiles that model once, so its depth-first search nodes differ only in
+their bounds, and each node re-solves from its parent's basis.  A cut ("not
+every edge of S") is not a row there: an integral leaf that uses every edge
+of S becomes partition branches, one per edge of S (Lawler's k-best
+partition).  The optimum is then canonicalized, under an objective cutoff,
+to the lexicographically smallest optimal support, so runs and enumeration
+are deterministic, and reported on the full model with each indicator set to
+whether its edge carries flow.  It raises ``SolverError`` when an LP
+relaxation ends numerically or when the canonical support admits no optimum,
+rather than report a support it could not confirm.  ``enumerate_pathways``
+compiles once, solves the root LP cold once, and peels off structurally
 distinct optima, each rank appending its support to the program's cuts, and
 ``brute_force`` is an independent exhaustive oracle over the full indicator model.
 """
@@ -27,6 +33,8 @@ from .pathopt import IlpModel, Row, indicator_var, relax
 
 PIVOT_TOL = 1e-10
 INTEGRALITY_TOL = 1e-6
+FEASIBILITY_TOL = 1e-9  # how far a basic value may pass its bound
+MAX_PIVOTS = 200_000  # iterations of either simplex loop within one solve
 DEFAULT_NODE_LIMIT = 10_000_000
 
 
@@ -43,28 +51,51 @@ class SolverError(RuntimeError):
     status it cannot act on, or the canonical support admits no optimum."""
 
 
+class IterationLimit(SolverError):
+    """A simplex loop ran ``MAX_PIVOTS`` iterations without finishing."""
+
+    def __init__(self):
+        super().__init__(f"simplex reached its iteration limit of {MAX_PIVOTS} iterations")
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """A solve's final tableau ``B⁻¹[A I]`` with the reduced costs as its last
+    row, the basic column of each row, and which columns sit at their upper
+    bound when nonbasic."""
+
+    T: np.ndarray
+    basic: np.ndarray
+    upper: np.ndarray
+
+
 @dataclass
 class LpSolution:
     status: str  # optimal, infeasible, unbounded or numerical
     objective: float | None = None
     values: dict[str, float] | np.ndarray | None = None
+    basis: _Basis | None = None  # the optimal basis, to warm-start tighter bounds from
 
 
 @dataclass(frozen=True)
 class _Program:
-    """A model as arrays: rows ``A x`` against ``rhs`` with each sense as its
-    slack's coefficient (+1 for <=, -1 for >=, 0 for =), bounds ``lo, hi``,
-    objective (column, coefficient) terms in model order, integral columns,
-    (edge id, flow column) pairs in id order and cuts as flow columns."""
+    """A model as arrays: rows ``A x`` against ``rhs``, each row's logical
+    ``rhs - A x`` bounded by ``row_lo, row_hi`` (0 and inf for <=, -inf and 0
+    for >=, 0 and 0 for =), bounds ``lo, hi``, objective (column,
+    coefficient) terms in model order, the simplex's pricing tolerance,
+    integral columns, (edge id, flow column) pairs in id order and cuts as
+    flow columns."""
 
     names: tuple[str, ...]
     A: np.ndarray
-    slack: np.ndarray
     rhs: np.ndarray
+    row_lo: np.ndarray
+    row_hi: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     objective: tuple[tuple[int, float], ...]
     sign: float
+    price_tol: float
     integral: np.ndarray
     edges: tuple[tuple[int, int], ...]
     cuts: tuple[np.ndarray, ...]
@@ -83,12 +114,14 @@ def _compile(model: IlpModel, integers=frozenset(), cuts=()) -> _Program:
     return _Program(
         names,
         A,
-        np.array([float((row.sense == "<=") - (row.sense == ">=")) for row in model.rows]),
         np.array([float(row.rhs) for row in model.rows]),
+        np.array([-math.inf if row.sense == ">=" else 0.0 for row in model.rows]),
+        np.array([math.inf if row.sense == "<=" else 0.0 for row in model.rows]),
         np.array([float(model.bounds[name][0]) for name in names]),
         np.array([float(model.bounds[name][1]) for name in names]),
         tuple((index[name], coef) for name, coef in model.objective.items()),
         1.0 if model.sense == "min" else -1.0,
+        1e-9 * max([1.0] + [abs(coef) for coef in model.objective.values()]),
         np.array([j for j, name in enumerate(names) if name in integers], dtype=int),
         tuple(edges),
         tuple(np.array([column[eid] for eid in sorted(cut)]) for cut in cuts),
@@ -97,50 +130,111 @@ def _compile(model: IlpModel, integers=frozenset(), cuts=()) -> _Program:
 
 def _violated(program: _Program, x: np.ndarray) -> bool:
     """Whether ``x`` breaks a row by more than 1e-6 + 1e-9·|rhs|."""
-    excess = program.A @ x - program.rhs
+    logical = program.rhs - program.A @ x
     tol = 1e-6 + 1e-9 * np.abs(program.rhs)
-    return bool((np.where(program.slack, program.slack * excess, np.abs(excess)) > tol).any())
+    return bool(((logical < program.row_lo - tol) | (logical > program.row_hi + tol)).any())
 
 
-def _pivot(T: np.ndarray, b: np.ndarray, basis: list[int], i: int, j: int) -> None:
+def _pivot(T: np.ndarray, basic: np.ndarray, i: int, j: int) -> None:
     """Make column ``j`` basic in row ``i``, updating the tableau in place."""
-    pivot = T[i, j]
-    T[i] /= pivot
-    b[i] /= pivot
+    T[i] /= T[i, j]
     factors = T[:, j].copy()
     factors[i] = 0.0
     T -= np.outer(factors, T[i])
-    b -= factors * b[i]
-    basis[i] = j
+    basic[i] = j
 
 
-def _run_simplex(T: np.ndarray, b: np.ndarray, basis: list[int], c: np.ndarray) -> str:
-    """Minimize c over the tableau in place; Bland's rule in both choices."""
-    scale = max(1.0, float(np.abs(c).max())) if c.size else 1.0
-    enter_tol = 1e-9 * scale
-    for _ in range(200000):
-        reduced = c - c[basis] @ T
-        negative = (reduced < -enter_tol).nonzero()[0]
-        if negative.size == 0:
+def _dual(T: np.ndarray, x: np.ndarray, basic: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> str:
+    """Dual simplex in place from a dual feasible basis until every basic
+    value is within its bounds; Bland's rule: the out-of-bounds basic with
+    the smallest column index leaves, the smallest index among ratio ties
+    enters."""
+    m = basic.size
+    cost = T[m]
+    for _ in range(MAX_PIVOTS):
+        xb = x[basic]
+        out = ((xb < lo[basic] - FEASIBILITY_TOL) | (xb > hi[basic] + FEASIBILITY_TOL)).nonzero()[0]
+        if out.size == 0:
             return "optimal"
-        j = int(negative[0])
-        column = T[:, j]
-        rows = (column > PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
+        r = int(out[np.argmin(basic[out])])
+        q = basic[r]
+        rise = x[q] < lo[q]
+        bound = lo[q] if rise else hi[q]
+        # moving column j by s changes the leaving value by -T[r, j]·s
+        alpha = -T[r] if rise else T[r]
+        movable = ((alpha > PIVOT_TOL) & (x < hi)) | ((alpha < -PIVOT_TOL) & (x > lo))
+        entering = movable.nonzero()[0]
+        if entering.size == 0:
+            return "infeasible"
+        ratios = np.abs(cost[entering] / alpha[entering])
+        j = int(entering[(ratios <= ratios.min() + 1e-12).argmax()])
+        step = (x[q] - bound) / T[r, j]
+        x[basic] -= step * T[:m, j]
+        x[j] += step
+        x[q] = bound
+        _pivot(T, basic, r, j)
+    raise IterationLimit()
+
+
+def _primal(T: np.ndarray, x: np.ndarray, basic: np.ndarray, lo, hi, tol: float) -> str:
+    """Primal simplex in place from a primal feasible basis; Bland's rule:
+    the smallest improving column enters, and it either moves to its other
+    bound or the smallest basic column among ratio ties leaves."""
+    m = basic.size
+    cost = T[m]
+    for _ in range(MAX_PIVOTS):
+        improving = ((cost < -tol) & (x < hi)) | ((cost > tol) & (x > lo))
+        entering = improving.nonzero()[0]
+        if entering.size == 0:
+            return "optimal"
+        j = int(entering[0])
+        up = cost[j] < 0
+        # moving column j by t in its improving direction lowers the basic values by fall·t
+        fall = T[:m, j] if up else -T[:m, j]
+        xb = x[basic]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(
+                fall > PIVOT_TOL,
+                (xb - lo[basic]) / fall,
+                np.where(fall < -PIVOT_TOL, (xb - hi[basic]) / fall, np.inf),
+            )
+        room = np.maximum(room, 0.0)
+        reach = min(float(room.min(initial=np.inf)), hi[j] - lo[j])
+        if reach == np.inf:
             return "unbounded"
-        ratios = b[rows] / column[rows]
-        best = float(ratios.min())
-        ties = rows[ratios <= best + 1e-12]
-        _pivot(T, b, basis, int(min(ties, key=lambda r: basis[r])), j)
-    return "numerical"
+        x[basic] -= reach * fall
+        if hi[j] - lo[j] <= reach:
+            x[j] = hi[j] if up else lo[j]
+            continue
+        ties = (room <= reach + 1e-12).nonzero()[0]
+        r = int(ties[np.argmin(basic[ties])])
+        q = basic[r]
+        x[j] += reach if up else -reach
+        x[q] = lo[q] if fall[r] > 0 else hi[q]
+        _pivot(T, basic, r, j)
+    raise IterationLimit()
 
 
-def simplex_solve(model: IlpModel | _Program, bounds: tuple | None = None) -> LpSolution:
+def simplex_solve(
+    model: IlpModel | _Program, bounds: tuple | None = None, *, start: _Basis | None = None
+) -> LpSolution:
     """Solve the continuous relaxation of a model.
 
     ``model`` is an ``IlpModel``, compiled on entry, whose values come back
     by name, or a compiled ``_Program``, whose values come back as an array
     in column order and whose bounds ``bounds = (lo, hi)`` may replace.
+
+    Bounds stay out of the tableau, which has one row per model row.  Cold,
+    the solve starts from the all-logical basis with each nonbasic column at
+    the bound its cost favours; a column whose cost favours an infinite bound
+    is priced at zero until the dual simplex ends.  Warm, it starts from
+    ``start``, the basis of a solve of the same program whose bounds contain
+    these: each nonbasic column moves to the same side of its new bounds, so
+    the basis stays dual feasible.  The dual simplex then restores the
+    basics' bounds, and the primal simplex prices out what is left.  The
+    answer is checked against every row and bound; a solve that fails that
+    check ends ``numerical``.  Raises ``IterationLimit`` when either loop
+    runs ``MAX_PIVOTS`` iterations.
     """
     named = isinstance(model, IlpModel)
     program = _compile(model) if named else model
@@ -148,67 +242,49 @@ def simplex_solve(model: IlpModel | _Program, bounds: tuple | None = None) -> Lp
     if (lo > hi + 1e-12).any():
         return LpSolution("infeasible")
 
-    # shift to y = x - lo >= 0; finite widths become explicit upper rows
-    n, m0 = lo.size, program.rhs.size
-    width = hi - lo
-    finite = np.isfinite(width).nonzero()[0]
-    slack = np.concatenate([program.slack, np.ones(finite.size)])
-    b = np.concatenate([program.rhs - program.A @ lo, width[finite]])
-    flip = b < 0
-    b[flip] *= -1.0
-    # a row starts on its slack if the slack's coefficient is still +1, else on an artificial
-    basic = np.where(flip, -slack, slack) > 0
-    has_slack, needs_artificial = slack.nonzero()[0], (~basic).nonzero()[0]
-    m, total = slack.size, n + has_slack.size
-    slack_cols = n + np.arange(has_slack.size)
-    artificial_cols = total + np.arange(needs_artificial.size)
-    T = np.zeros((m, total + needs_artificial.size))
-    T[:m0, :n] = program.A
-    T[m0 + np.arange(finite.size), finite] = 1.0
-    T[has_slack, slack_cols] = slack[has_slack]
-    T[flip] *= -1.0
-    T[needs_artificial, artificial_cols] = 1.0
-    basis = np.empty(m, dtype=int)
-    basis[has_slack] = slack_cols
-    basis[needs_artificial] = artificial_cols
-    basis = basis.tolist()
+    m, n = program.A.shape
+    full_lo = np.concatenate([lo, program.row_lo])
+    full_hi = np.concatenate([hi, program.row_hi])
+    true_cost = None
+    if start is None:
+        T = np.zeros((m + 1, n + m))
+        T[:m, :n] = program.A
+        T[:m, n:] = np.eye(m)
+        cost = T[m]
+        for j, coef in program.objective:
+            cost[j] += program.sign * coef
+        upper = np.isfinite(full_hi) & ((cost < 0) | np.isneginf(full_lo))
+        unplaced = ((cost < 0) & np.isposinf(full_hi)) | ((cost > 0) & np.isneginf(full_lo))
+        if unplaced.any():
+            true_cost = cost.copy()
+            cost[unplaced] = 0.0
+        basic = np.arange(n, n + m)
+    else:
+        T, basic, upper = start.T.copy(), start.basic.copy(), start.upper
+    x = np.where(upper, full_hi, full_lo)
+    x[~np.isfinite(x)] = 0.0  # a free nonbasic column sits at zero
+    x[basic] = 0.0
+    x[basic] = T[:m, n:] @ (program.rhs - program.A @ x[:n] - x[n:])
 
-    if needs_artificial.size:
-        phase1 = np.zeros(T.shape[1])
-        phase1[total:] = 1.0
-        status = _run_simplex(T, b, basis, phase1)
-        if status != "optimal":
-            return LpSolution("numerical")
-        if phase1[basis] @ b > 1e-7:
-            return LpSolution("infeasible")
-        for i in range(m):
-            if basis[i] >= total:
-                candidates = (np.abs(T[i, :total]) > 1e-9).nonzero()[0]
-                if candidates.size:
-                    _pivot(T, b, basis, i, int(candidates[0]))
-        keep = [i for i in range(m) if basis[i] < total]
-        T = T[keep, :total]
-        b = b[keep]
-        basis = [basis[i] for i in keep]
-
-    cost = np.zeros(T.shape[1])
-    for j, coef in program.objective:
-        cost[j] += program.sign * coef
-    status = _run_simplex(T, b, basis, cost)
+    status = _dual(T, x, basic, full_lo, full_hi)
+    if status == "optimal":
+        if true_cost is not None:
+            T[m] = true_cost - true_cost[basic] @ T[:m]
+        status = _primal(T, x, basic, full_lo, full_hi, program.price_tol)
     if status != "optimal":
         return LpSolution(status)
 
-    y = np.zeros(T.shape[1])
-    y[basis] = b
-    x = y[:n] + lo
-
     # verify the claimed optimum actually satisfies what was asked
-    if _violated(program, x) or (x < lo - 1e-6).any() or (x > hi + 1e-6).any():
+    values = x[:n]
+    if _violated(program, values) or (values < lo - 1e-6).any() or (values > hi + 1e-6).any():
         return LpSolution("numerical")
 
-    xs = x.tolist()
+    xs = values.tolist()
     objective = float(sum(coef * xs[j] for j, coef in program.objective))
-    return LpSolution("optimal", objective, dict(zip(program.names, xs)) if named else x)
+    basis = _Basis(T, basic, x >= full_hi)
+    return LpSolution(
+        "optimal", objective, dict(zip(program.names, xs)) if named else values, basis
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -253,32 +329,42 @@ def _cut_children(lo: np.ndarray, hi: np.ndarray, cut: np.ndarray) -> list[tuple
     return children
 
 
-def _dfs(program: _Program, root: tuple, search: _Search, cutoff=math.inf, first_feasible=False):
-    """Depth-first search from the bounds ``root = (lo, hi)``; returns
-    (objective, values as an array in column order) or None.
+def _dfs(
+    program: _Program,
+    root: LpSolution,
+    search: _Search,
+    bounds: tuple | None = None,
+    cutoff=math.inf,
+    first_feasible=False,
+):
+    """Depth-first search from the program's bounds, whose LP solution is
+    ``root``, or from the tighter ``bounds = (lo, hi)``; returns (objective,
+    values as an array in column order) or None.
 
-    Branches on the most fractional integral column (ties to the earliest),
-    floor side first.  An integral leaf that uses every edge of one of
-    ``program.cuts`` is replaced by that cut's partition children, first child
-    explored first.  A leaf whose signed objective exceeds ``cutoff`` is not
-    accepted, and a node is pruned once its LP bound exceeds it by more than
-    the slack the simplex's pricing tolerance leaves in that bound.
+    Every node but the program's own solves its LP warm from its parent's
+    basis (the root's, for the node at ``bounds``).  Branches on the most
+    fractional integral column (ties to the earliest), floor side first.  An
+    integral leaf that uses every edge of one of ``program.cuts`` is replaced
+    by that cut's partition children, first child explored first.  A leaf
+    whose signed objective exceeds ``cutoff`` is not accepted, and a node is
+    pruned once its LP bound exceeds it by more than the slack the simplex's
+    pricing tolerance leaves in that bound.
     """
     sign = program.sign
-    price_tol = 1e-9 * max([1.0] + [abs(coef) for _, coef in program.objective])
     best_signed = math.inf
     best: tuple[float, np.ndarray] | None = None
-    stack = [root]
+    # a node is (lo, hi, the basis its LP starts from); the program's own has none
+    stack = [(program.lo, program.hi, None) if bounds is None else (*bounds, root.basis)]
     while stack:
-        lo, hi = stack.pop()
+        lo, hi, parent = stack.pop()
         search.tick()
-        lp = simplex_solve(program, (lo, hi))
+        lp = root if parent is None else simplex_solve(program, (lo, hi), start=parent)
         if lp.status == "infeasible":
             continue
         if lp.status != "optimal":
             raise SolverError(f"relaxation came back {lp.status}")
         width = hi - lo
-        if sign * lp.objective - price_tol * width[np.isfinite(width)].sum() > cutoff:
+        if sign * lp.objective - program.price_tol * width[np.isfinite(width)].sum() > cutoff:
             continue
         prune_tol = 1e-6 + 1e-9 * abs(best_signed if best else 0.0)
         if best is not None and sign * lp.objective >= best_signed - prune_tol:
@@ -296,7 +382,8 @@ def _dfs(program: _Program, root: tuple, search: _Search, cutoff=math.inf, first
                 continue
             broken = next((cut for cut in program.cuts if (snapped[cut] >= 1).all()), None)
             if broken is not None:
-                stack.extend(reversed(_cut_children(lo, hi, broken)))
+                children = _cut_children(lo, hi, broken)
+                stack.extend((*child, lp.basis) for child in reversed(children))
                 continue
             if sign * exact < best_signed - 1e-12 or best is None:
                 best_signed = sign * exact
@@ -307,7 +394,7 @@ def _dfs(program: _Program, root: tuple, search: _Search, cutoff=math.inf, first
         j = program.integral[int(np.argmax(frac))]
         ceil_lo, floor_hi = lo.copy(), hi.copy()
         ceil_lo[j], floor_hi[j] = math.ceil(x[j]), math.floor(x[j])
-        stack += [(ceil_lo, hi), (lo, floor_hi)]
+        stack += [(ceil_lo, hi, lp.basis), (lo, floor_hi, lp.basis)]
     return best
 
 
@@ -339,7 +426,8 @@ def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> I
 
     The model without indicators, linking rows and cut rows is compiled
     once, with its flows and exchange variables integral; search nodes
-    differ only in their bounds.  Indicator pins become flow bounds (z = 0
+    differ only in their bounds, and each node re-solves its LP from its
+    parent's basis.  Indicator pins become flow bounds (z = 0
     is f = 0, z = 1 is f >= 1), and each cut of ``model.cuts`` becomes
     partition branches at any integral leaf that uses all of its edges.
     Among all optima, within 1e-6 + 1e-9·|objective| of the first search's
@@ -349,28 +437,31 @@ def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> I
     first optimum found on exactly the admitted edges, searched for before
     the first admission and after each, is the answer.  Raises SolverError
     when an LP relaxation ends numerically, or when no optimum is found on
-    the support chosen this way.  ``enumerate_pathways`` compiles once and
-    runs this search on that program for every rank.
+    the support chosen this way.  ``enumerate_pathways`` compiles once,
+    solves the root LP once, and runs this search on them for every rank.
     """
-    return _optimum(model, _compile(relax(model), model.integers, model.cuts), node_limit)
+    program = _compile(relax(model), model.integers, model.cuts)
+    return _optimum(model, program, node_limit, simplex_solve(program))
 
 
-def _optimum(model: IlpModel, program: _Program, node_limit: int) -> IlpSolution:
-    """``branch_and_bound`` of ``model`` on its compiled flow-space ``program``."""
+def _optimum(model: IlpModel, program: _Program, node_limit: int, root: LpSolution) -> IlpSolution:
+    """``branch_and_bound`` of ``model`` on its compiled flow-space
+    ``program``, whose LP solution at its own bounds is ``root``; every
+    search starts from it."""
     search = _Search(node_limit)
-    raw = _dfs(program, (program.lo, program.hi), search)
+    raw = _dfs(program, root, search)
     if raw is None:
         return IlpSolution("infeasible", nodes=search.nodes)
     cutoff = program.sign * raw[0] + 1e-6 + 1e-9 * abs(raw[0])
 
     chosen: set[int] = set()
-    final = _dfs(program, _support_bounds(program, chosen, None), search, cutoff)
+    final = _dfs(program, root, search, _support_bounds(program, chosen, None), cutoff)
     for eid, _ in program.edges:
         if final is not None:
             break
-        if _dfs(program, _support_bounds(program, chosen | {eid}, eid), search, cutoff, True):
+        if _dfs(program, root, search, _support_bounds(program, chosen | {eid}, eid), cutoff, True):
             chosen.add(eid)
-            final = _dfs(program, _support_bounds(program, chosen, None), search, cutoff)
+            final = _dfs(program, root, search, _support_bounds(program, chosen, None), cutoff)
     if final is None:
         raise SolverError("no optimum has the canonical support that was found")
     values = dict(zip(program.names, map(int, final[1].tolist())))
@@ -391,14 +482,17 @@ def enumerate_pathways(
 
     The flow-space program is compiled once, as in ``branch_and_bound``, and
     each found support is appended to its cuts, which the search turns into
-    partition branches; no model is rebuilt between ranks."""
+    partition branches; no model is rebuilt between ranks.  Cuts are not LP
+    rows, so the root LP is the same for every rank: it is solved cold once,
+    and every search of every rank starts from its basis."""
     if k < 1:
         raise ValueError("need k >= 1 pathways")
     program = _compile(relax(model), model.integers, model.cuts)
+    root = simplex_solve(program)
     column = dict(program.edges)
     solutions: list[IlpSolution] = []
     for _ in range(k):
-        solution = _optimum(model, program, node_limit)
+        solution = _optimum(model, program, node_limit, root)
         if solution.status != "optimal":
             break
         solutions.append(solution)

@@ -1,4 +1,5 @@
 """End-to-end command line behavior, run in process."""
+import itertools
 import json
 from pathlib import Path
 
@@ -336,9 +337,11 @@ def test_query_relaxation(tmp_path, capsys):
     assert data["relaxation"] is True
     assert data["status"] == "optimal"
     assert data["objective_j_per_mol"] == pytest.approx(1.5, abs=1e-9)
-    assert data["inflow"] == {"0": 3.0}
+    # each route alone is an optimal vertex; the dual simplex from the
+    # all-logical basis ends on the last one
+    assert data["inflow"] == {"2": 3.0}
     assert data["outflow"] == {"3": 1.5}
-    assert data["flow"] == {"0": 1.5}
+    assert data["flow"] == {"2": 1.5}
     manifest = json.loads((tmp_path / "relaxed.manifest.json").read_text())
     assert manifest["relax"] is True
 
@@ -411,21 +414,66 @@ def test_query_node_limit_flag(tmp_path, capsys):
     assert manifest["node_limit"] == 100000
 
 
-def simplex_ends_numerically(monkeypatch):
-    monkeypatch.setattr(solve, "_run_simplex", lambda T, b, basis, c: "numerical")
+def simplex_ends_numerically(monkeypatch, after=0):
+    """The dual simplex loop, which every LP solve runs first, ends
+    ``numerical`` from its call number ``after`` (0-based) on."""
+    real, calls = solve._dual, itertools.count()
+
+    def dual(*args, **kwargs):
+        return real(*args, **kwargs) if next(calls) < after else "numerical"
+
+    monkeypatch.setattr(solve, "_dual", dual)
 
 
-def test_query_numerical_relaxation_exit_4(tmp_path, capsys, monkeypatch):
-    simplex_ends_numerically(monkeypatch)
+def check_query_numerical_exit_4(tmp_path, capsys, monkeypatch, after):
+    simplex_ends_numerically(monkeypatch, after)
     net, network, barriers, query = flux_setup(tmp_path)
     out = tmp_path / "solutions.json"
     argv = ["query", "--network", network, "--barriers", barriers, "--query", query,
             "-k", "3", "--output", str(out)]
+    before = sorted(tmp_path.iterdir())
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "numerical" in err
     assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_query_numerical_relaxation_exit_4(tmp_path, capsys, monkeypatch):
+    check_query_numerical_exit_4(tmp_path, capsys, monkeypatch, after=0)
+
+
+def test_query_numerical_warm_solve_exit_4(tmp_path, capsys, monkeypatch):
+    # an enumeration solves its root LP cold once, and every later solve
+    # starts warm from a basis of the search
+    check_query_numerical_exit_4(tmp_path, capsys, monkeypatch, after=1)
+
+
+def test_query_relax_numerical_exit_4(tmp_path, capsys, monkeypatch):
+    simplex_ends_numerically(monkeypatch)
+    net, network, barriers, query = flux_setup(tmp_path)
+    argv = ["query", "--network", network, "--barriers", barriers, "--query", query,
+            "--relax", "--output", str(tmp_path / "relaxed.json")]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "numerical" in captured.err
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("relax", [False, True], ids=["search", "relax"])
+def test_query_iteration_limit_exit_4(tmp_path, capsys, monkeypatch, relax):
+    monkeypatch.setattr(solve, "MAX_PIVOTS", 1)
+    net, network, barriers, query = flux_setup(tmp_path)
+    argv = ["query", "--network", network, "--barriers", barriers, "--query", query,
+            "--output", str(tmp_path / "solutions.json")] + (["--relax"] if relax else [])
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "iteration limit of 1 " in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize(

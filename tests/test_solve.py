@@ -1,4 +1,5 @@
 """Simplex, branch and bound, pathway enumeration, and exhaustive search."""
+import inspect
 import itertools
 import math
 import random
@@ -25,6 +26,7 @@ from hyperpath.pathopt import (
 from hyperpath import solve
 from hyperpath.rewrite import ExpansionConfig, load_default_rules, run_expansion
 from hyperpath.solve import (
+    IterationLimit,
     NodeLimitExceeded,
     SolverError,
     branch_and_bound,
@@ -141,6 +143,78 @@ def test_simplex_flux_demo_relaxation():
     assert out.objective == pytest.approx(1.5, abs=1e-9)
 
 
+def test_simplex_free_columns_and_both_row_senses():
+    # a free column whose cost favours an infinite bound is priced out of the
+    # dual simplex and brought back by the primal one
+    m = lp(
+        ["x", "y"],
+        {"x": (-math.inf, math.inf), "y": (0.0, 4.0)},
+        [Row("a", {"x": 1.0, "y": 1.0}, ">=", 3.0), Row("b", {"x": 1.0, "y": -1.0}, "<=", 1.0)],
+        {"x": 1.0, "y": 2.0},
+        "min",
+    )
+    out = simplex_solve(m)
+    assert out.status == "optimal"
+    assert out.objective == pytest.approx(4.0)
+    assert out.values == {"x": pytest.approx(2.0), "y": pytest.approx(1.0)}
+    m = replace(m, objective={"x": 1.0}, sense="max")
+    assert simplex_solve(m).objective == pytest.approx(5.0)
+    m = replace(m, bounds={**m.bounds, "y": (0.0, math.inf)})
+    assert simplex_solve(m).status == "unbounded"
+
+
+def test_simplex_matches_highs_on_random_lps():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(7)
+    statuses = set()
+    for _ in range(300):
+        n, rows = rng.randint(1, 5), rng.randint(0, 4)
+        names = [f"x{j}" for j in range(n)]
+        bounds = {}
+        for name in names:
+            low = rng.choice([0.0, -2.0, -math.inf, 1.0])
+            bounds[name] = (low, rng.choice([math.inf, max(low, 0.0) + rng.randint(0, 4)]))
+        model_rows = []
+        for i in range(rows):
+            coeffs = {v: float(rng.randint(-3, 3)) for v in rng.sample(names, rng.randint(1, n))}
+            sense = rng.choice(["<=", ">=", "="])
+            model_rows.append(Row(f"r{i}", coeffs, sense, float(rng.randint(-4, 6))))
+        objective = {v: float(rng.randint(-3, 3)) for v in names}
+        model = lp(names, bounds, model_rows, objective, rng.choice(["min", "max"]))
+        out = simplex_solve(model)
+        sign = 1.0 if model.sense == "min" else -1.0
+        A = np.array([[row.coeffs.get(v, 0.0) for v in names] for row in model_rows])
+        A = A.reshape(rows, n)
+        senses = [row.sense for row in model.rows]
+        rhs = np.array([row.rhs for row in model.rows])
+        ub_rows = [i for i, sense in enumerate(senses) if sense != "="]
+        flip = np.array([1.0 if senses[i] == "<=" else -1.0 for i in ub_rows])
+        eq_rows = [i for i, sense in enumerate(senses) if sense == "="]
+        ref = optimize.linprog(
+            [sign * model.objective[v] for v in names],
+            A_ub=(A[ub_rows] * flip[:, None]) if ub_rows else None,
+            b_ub=(rhs[ub_rows] * flip) if ub_rows else None,
+            A_eq=A[eq_rows] if eq_rows else None,
+            b_eq=rhs[eq_rows] if eq_rows else None,
+            bounds=[bounds[v] for v in names],
+        )
+        expected = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        assert out.status == expected, (model, ref.message)
+        statuses.add(out.status)
+        if expected == "optimal":
+            assert sign * out.objective == pytest.approx(ref.fun, abs=1e-7)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+def test_simplex_iteration_limit_is_a_typed_solver_error(monkeypatch):
+    net, query = nets.flux_demo()
+    model = relax(build_model(net, weighted(net), query))
+    monkeypatch.setattr(solve, "MAX_PIVOTS", 1)
+    with pytest.raises(IterationLimit, match="iteration limit of 1 ") as raised:
+        simplex_solve(model)
+    assert isinstance(raised.value, SolverError)
+
+
 def test_relaxation_bounds_integer_optimum():
     net, query = nets.cascade_network()
     model = build_model(net, weighted(net), query)
@@ -242,10 +316,13 @@ def test_bnb_raises_when_the_canonical_support_has_no_optimum(monkeypatch):
     model = build_model(net, weighted(net), query)
     real_dfs = solve._dfs
 
-    def final_search_fails(program, root, search, cutoff=math.inf, first_feasible=False):
-        found = real_dfs(program, root, search, cutoff, first_feasible)
+    def final_search_fails(*args, **kwargs):
+        call = inspect.signature(real_dfs).bind(*args, **kwargs)
+        call.apply_defaults()
+        found = real_dfs(*args, **kwargs)
         # every full search under the cutoff looks for the answer on the
         # support chosen so far; when all of them fail, none is left
+        cutoff, first_feasible = call.arguments["cutoff"], call.arguments["first_feasible"]
         return None if cutoff < math.inf and not first_feasible else found
 
     monkeypatch.setattr(solve, "_dfs", final_search_fails)
@@ -528,6 +605,89 @@ def test_canonical_optimum_rank_by_rank_on_hard_draws(stream, draw, k):
     ]
 
 
+def tightened_box(program, rng, lo, hi):
+    """``(lo, hi)`` tightened once the way the search tightens a box: a floor
+    or ceil split, support pins, or one Lawler child of a random cut."""
+    lo, hi = lo.copy(), hi.copy()
+    move = rng.choice(["split", "pins", "cut"])
+    if move == "split" and program.integral.size:
+        j = int(rng.choice(program.integral))
+        if hi[j] > lo[j]:
+            point = rng.randint(int(lo[j]), int(hi[j]) - 1)
+            if rng.random() < 0.5:
+                hi[j] = point
+            else:
+                lo[j] = point + 1
+    elif move == "pins" and program.edges:
+        edges = [eid for eid, _ in program.edges]
+        chosen = set(rng.sample(edges, rng.randint(0, len(edges))))
+        pin_lo, pin_hi = solve._support_bounds(program, chosen, rng.choice([None] + edges))
+        lo, hi = np.maximum(lo, pin_lo), np.minimum(hi, pin_hi)
+    elif move == "cut" and program.edges:
+        cut = rng.sample(program.edges, rng.randint(1, len(program.edges)))
+        children = solve._cut_children(lo, hi, np.array(sorted(j for _, j in cut)))
+        if children:
+            lo, hi = rng.choice(children)
+    return lo, hi
+
+
+def assert_warm_agrees_with_cold(program, lo, hi, start):
+    warm = simplex_solve(program, (lo, hi), start=start)
+    cold = simplex_solve(program, (lo, hi))
+    assert warm.status == cold.status
+    if cold.status == "optimal":
+        assert abs(warm.objective - cold.objective) <= 1e-6 + 1e-9 * abs(cold.objective)
+        assert not solve._violated(program, warm.values)
+        assert (warm.values >= lo - 1e-6).all() and (warm.values <= hi + 1e-6).all()
+    return warm
+
+
+def test_warm_solves_agree_with_cold_solves_of_the_same_box():
+    rng = random.Random(404)
+    models = []
+    for _ in range(150):
+        net, barriers, query = nets.random_instance(rng)
+        table = BarrierTable.from_kj(barriers)
+        models.append(build_model(net, objective_coefficients(table, Thermo(), net), query))
+    net, query = nets.cascade_network()
+    models += [build_model(net, weighted(net), replace(query, flow_cap=cap)) for cap in (1, 3, 10)]
+    warm_optimal = 0
+    for model in models:
+        program = solve._compile(relax(model), model.integers)
+        root = simplex_solve(program)
+        if root.status != "optimal":
+            continue
+        for _ in range(4):
+            # a chain of tightenings, each solved warm from the root's basis
+            # and from its parent's, as the search does
+            lo, hi, parent = program.lo, program.hi, root
+            for _ in range(rng.randint(1, 6)):
+                lo, hi = tightened_box(program, rng, lo, hi)
+                assert_warm_agrees_with_cold(program, lo, hi, root.basis)
+                found = assert_warm_agrees_with_cold(program, lo, hi, parent.basis)
+                if found.status != "optimal":
+                    break
+                parent = found
+                warm_optimal += 1
+    assert warm_optimal >= 200
+
+
+def test_enumeration_solves_one_cold_lp(monkeypatch):
+    starts = []
+    real_solve = solve.simplex_solve
+
+    def recording_solve(*args, **kwargs):
+        starts.append(kwargs.get("start"))
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solve, "simplex_solve", recording_solve)
+    net, query = nets.cascade_network()
+    ranked = enumerate_pathways(build_model(net, weighted(net), query), 10)
+    assert len(ranked.solutions) == 3
+    assert starts[0] is None
+    assert len(starts) > 1 and all(start is not None for start in starts[1:])
+
+
 def test_cut_children_partition_what_the_cut_leaves():
     # every flow within the parent's bounds that leaves some edge of the cut
     # unused lies in exactly one child; one that uses every edge lies in none
@@ -634,6 +794,10 @@ def test_paper_scale_glycolic_acid_at_cap_10_fits_its_node_budget():
         flow_cap=10,
     )
     model = build_model(net, objective_coefficients(table, Thermo(), net), query)
+    # bounds stay out of the tableau: one row per conservation row, one for
+    # the reduced costs, and one logical column per row
+    root = simplex_solve(solve._compile(relax(model), model.integers))
+    assert root.basis.T.shape == (41 + 1, len(relax(model).variables) + 41)
     # searching on the indicators ran out of these 45 nodes
     out = branch_and_bound(model, node_limit=45)
     assert out.status == "optimal" and out.nodes <= 45
@@ -641,3 +805,42 @@ def test_paper_scale_glycolic_acid_at_cap_10_fits_its_node_budget():
     indicator_consistent(out, cap=10)
     reference = highs_optimum(model)
     assert abs(out.objective - reference) <= 1e-6 + 1e-9 * abs(reference)
+
+
+def test_carbon_four_closure_glycolic_acid_at_cap_1_matches_highs():
+    # dev-only: the closure of water and glycolonitrile with up to four
+    # carbons, 4 iterations, which the bounded dual simplex makes answerable;
+    # skipped where scipy is missing, before the expansion runs
+    pytest.importorskip("scipy.optimize")
+    water, glyco, ammonia, glycolic = parse_molecules(
+        "---\n".join([molecules.WATER_MGF, molecules.GLYCOLONITRILE_MGF,
+                      molecules.AMMONIA_MGF, molecules.GLYCOLIC_ACID_MGF])
+    )
+    config = ExpansionConfig(
+        (water, glyco),
+        max_iterations=4,
+        max_element_counts={"C": 4, "N": 4, "O": 4},
+        right_predicates=("no-rings-le=3", "no-cumulated-doubles"),
+    )
+    result = run_expansion(config, load_default_rules())
+    assert result.history == [(4, 2), (17, 19), (57, 128), (175, 466)]
+    net = result.network
+    rng = random.Random(1)
+    table = BarrierTable.from_kj({e.id: rng.uniform(0.0, 100.0) for e in net.edges})
+    vid = {name: net.find_vertex(g).id for name, g in
+           [("water", water), ("glyco", glyco), ("ammonia", ammonia), ("glycolic", glycolic)]}
+    query = PathwayQuery(
+        sources={vid["water"]: (0, 10), vid["glyco"]: (0, 10)},
+        targets={vid["glycolic"]: (1, 1)},
+        allowed_byproducts={vid["ammonia"]: 10},
+        flow_cap=1,
+    )
+    model = build_model(net, objective_coefficients(table, Thermo(), net), query)
+    # 95 nodes answer it; the budget leaves room for about three times that
+    out = branch_and_bound(model, node_limit=300)
+    assert out.status == "optimal"
+    assert net.conservation_violations(out.flow) == {}
+    indicator_consistent(out, cap=1)
+    reference = highs_optimum(model)
+    assert abs(out.objective - reference) <= 1e-6 + 1e-9 * abs(reference)
+    assert out.objective == pytest.approx(94076.66, abs=0.01)
