@@ -118,10 +118,13 @@ def make_graph(atoms, bonds=()) -> MolecularGraph:
     return MolecularGraph(tuple(sorted(built_atoms)), tuple(sorted(built_bonds)))
 
 
-def make_components(atoms: list, bonds: list) -> list[MolecularGraph]:
-    """Like ``make_graph``, but one graph per connected component.
+def component_specs(atoms: list, bonds: list) -> list[tuple[list, list]]:
+    """Split atom specs and bond triples into connected components.
 
-    Components come smallest atom id first and keep their atom ids.
+    The integer-level half of ``make_components``: each component is its
+    atom specs and bond triples, in input order, with no graph built, so a
+    caller can refuse a part (say, by its element counts) before paying for
+    its ``MolecularGraph``.  Components come smallest atom id first.
     """
     adj: dict[int, list[int]] = {spec[0]: [] for spec in atoms}
     for a, b, _ in bonds:
@@ -140,13 +143,21 @@ def make_components(atoms: list, bonds: list) -> list[MolecularGraph]:
                     part_of[u] = n_parts
                     stack.append(u)
         n_parts += 1
-    part_atoms: list[list] = [[] for _ in range(n_parts)]
-    part_bonds: list[list] = [[] for _ in range(n_parts)]
+    parts: list[tuple[list, list]] = [([], []) for _ in range(n_parts)]
     for spec in atoms:
-        part_atoms[part_of[spec[0]]].append(spec)
+        parts[part_of[spec[0]]][0].append(spec)
     for bond in bonds:
-        part_bonds[part_of[bond[0]]].append(bond)
-    return [make_graph(a, b) for a, b in zip(part_atoms, part_bonds)]
+        parts[part_of[bond[0]]][1].append(bond)
+    return parts
+
+
+def make_components(atoms: list, bonds: list) -> list[MolecularGraph]:
+    """Like ``make_graph``, but one graph per connected component.
+
+    Components come smallest atom id first and keep their atom ids; see
+    ``component_specs`` for the split without the graphs.
+    """
+    return [make_graph(a, b) for a, b in component_specs(atoms, bonds)]
 
 
 def element_counts(g: MolecularGraph) -> dict[str, int]:

@@ -6,10 +6,14 @@ right-side bonds, and keeps everything else.  Matches are injective and
 label-compatible, map each connected pattern component into one host
 molecule, and must touch every molecule of the multiset.  Expansion applies
 all rules breadth-first over growing strata of molecules, recording every
-successful application as a hyperedge.
+successful application as a hyperedge.  An application is refused when a
+product would break a valence ceiling or an element cap, both checked on the
+rewritten integer tables before any product graph is built, or when a built
+product fails a product filter (ring size, cumulated doubles).
 """
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from collections.abc import Callable
@@ -23,8 +27,8 @@ from .molgraph import (
     PERIODIC_TABLE,
     MolecularGraph,
     canonical_form,
-    element_counts,
-    make_components,
+    component_specs,
+    make_graph,
 )
 from .netcore import Hypergraph, Vertex
 
@@ -174,8 +178,13 @@ def parse_rules(text: str) -> list[Rule]:
     lines, a ``left:`` section of atom/bond lines, optional ``context:`` and
     ``right:`` bond sections, and an optional bare ``reversible`` line.
     Atoms are declared once under ``left:`` and shared by all three patterns.
+    Rule names must be distinct, also from the ``<name>-rev`` names that
+    reversible rules give their reverses, because derivation records name
+    the rule that made them.
     """
     rules: list[Rule] = []
+    #: each rule name and reverse name taken so far, with its rule's line
+    taken: dict[str, int] = {}
     name: str | None = None
     classes: dict[str, tuple[str, ...]] = {}
     atoms: list[PatternAtom] = []
@@ -202,6 +211,15 @@ def parse_rules(text: str) -> list[Rule]:
             )
         except ValueError as exc:
             raise RuleError(str(exc), start_line) from None
+        names = [rule.name] + ([reverse_rule(rule).name] if reversible else [])
+        for taken_name in names:
+            if taken_name in taken:
+                raise RuleError(
+                    f"rule name {taken_name!r} is already taken by the rule on line "
+                    f"{taken[taken_name]}",
+                    start_line,
+                )
+        taken.update((n, start_line) for n in names)
         rules.append(rule)
         name, classes, atoms = None, {}, []
         bonds = {"left": [], "context": [], "right": []}
@@ -293,6 +311,8 @@ class _Union:
     Its atoms are numbered 0..n-1 in (copy index, atom id) order: ``nodes[i]``
     is the handle of atom i, ``atoms[i]`` is ``(i, element, charge)``, and
     ``bonds`` maps each pair ``(i, j)`` with ``i < j`` to its bond order.
+    ``valence[i]`` is atom i's bond-order sum, and ``over_valence`` the atoms
+    already past their ceiling; both are made on first use.
     """
 
     def __init__(self, hosts: tuple[MolecularGraph, ...]):
@@ -310,6 +330,23 @@ class _Union:
                 i, j = self.index[(copy, bond.a)], self.index[(copy, bond.b)]
                 self.bonds[(i, j) if i < j else (j, i)] = bond.order
 
+    @functools.cached_property
+    def valence(self) -> list[float]:
+        valence = [0.0] * len(self.atoms)
+        for (i, j), order in self.bonds.items():
+            valence[i] += ORDER_VALUE[order]
+            valence[j] += ORDER_VALUE[order]
+        return valence
+
+    @functools.cached_property
+    def over_valence(self) -> list[int]:
+        return [i for i, element, _ in self.atoms if _over_valence(element, self.valence[i])]
+
+
+def _over_valence(element: str, valence: float) -> bool:
+    cap = VALENCE_CAP.get(element)
+    return cap is not None and valence > cap + 1e-9
+
 
 @dataclass
 class Match:
@@ -319,13 +356,9 @@ class Match:
     table: _Union = field(repr=False, compare=False)
 
 
-def _pattern_order(rule: Rule, union: _Union) -> list[int]:
+def _pattern_order(rule: Rule, candidates: dict[int, list]) -> list[int]:
     # rarest label first, then greedily extend along pattern bonds so that
     # each later atom is checked against as many placed neighbors as possible
-    candidates = {}
-    for atom in rule.left.atoms:
-        allowed = set(rule.allowed_elements(atom.label))
-        candidates[atom.id] = sum(1 for _, el, _ in union.atoms if el in allowed)
     adj = rule.left.adjacency()
     remaining = {a.id for a in rule.left.atoms}
     order: list[int] = []
@@ -333,7 +366,7 @@ def _pattern_order(rule: Rule, union: _Union) -> list[int]:
     while remaining:
         def rank(pid: int):
             linked = sum(1 for u, _ in adj[pid] if u in placed)
-            return (-linked, candidates[pid], pid)
+            return (-linked, len(candidates[pid]), pid)
 
         best = min(remaining, key=rank)
         order.append(best)
@@ -351,7 +384,12 @@ def find_matches(rule: Rule, hosts: tuple[MolecularGraph, ...]) -> list[Match]:
     multiset must receive at least one pattern atom.
     """
     union = _Union(hosts)
-    order = _pattern_order(rule, union)
+    # each pattern atom's label-compatible host atoms, in host table order
+    candidates: dict[int, list[tuple[int, str]]] = {}
+    for atom in rule.left.atoms:
+        allowed = rule.allowed_elements(atom.label)
+        candidates[atom.id] = [(i, el) for i, el, _ in union.atoms if el in allowed]
+    order = _pattern_order(rule, candidates)
     adj = rule.left.adjacency()
     atom_label = {a.id: a.label for a in rule.left.atoms}
     matches: list[Match] = []
@@ -368,13 +406,10 @@ def find_matches(rule: Rule, hosts: tuple[MolecularGraph, ...]) -> list[Match]:
         pid = order[depth]
         label = atom_label[pid]
         is_class = label in rule.label_classes
-        if is_class and label in binding:
-            allowed = (binding[label],)
-        else:
-            allowed = rule.allowed_elements(label)
+        bound = binding.get(label) if is_class else None
         placed_neighbors = [(assignment[u], o) for u, o in adj[pid] if u in assignment]
-        for i, element, _ in union.atoms:
-            if i in used or element not in allowed:
+        for i, element in candidates[pid]:
+            if i in used or (bound is not None and element != bound):
                 continue
             ok = True
             for j, want in placed_neighbors:
@@ -413,26 +448,39 @@ def apply_rule(
     match: Match,
     hosts: tuple[MolecularGraph, ...],
     admit: Callable[[MolecularGraph], bool] | None = None,
+    *,
+    max_element_counts: dict[str, int] | None = None,
 ) -> tuple[list[MolecularGraph], DerivationRecord]:
     """Rewrite the matched bonds, returning the product molecules.
 
     ``match`` comes from ``find_matches(rule, hosts)`` and carries the host
     table it rewrites.  Raises RuleApplicationError when the rewrite would
-    create a parallel bond or push an atom past its valence ceiling, or when
-    ``admit`` (a predicate on one product molecule) refuses a product.
-    ``admit`` is checked before any canonical key is computed, so a caller
-    that would discard such products pays nothing for their keys.
+    create a parallel bond or push an atom past its valence ceiling, when a
+    product holds more atoms of an element than ``max_element_counts``
+    allows, or when ``admit`` (a predicate on one product molecule) refuses
+    a product.  These checks run cheapest first: bonds, valences and element
+    caps on the rewritten integer tables, before any ``MolecularGraph`` is
+    built; ``admit`` on the built products, before any canonical key is
+    computed.  A refused application so costs no graph if a cap refuses it,
+    and no key in any case.
     """
     union = match.table
     atoms = union.atoms
     bonds = dict(union.bonds)
+    at = {p: union.index[node] for p, node in match.assignment.items()}
+    # only matched atoms change bonds; bond-order sums of 1, 2, 3 and 1.5
+    # are exact in binary, so updating the hosts' sums equals a recount
+    valence = {i: union.valence[i] for i in at.values()}
 
     def edge(p: int, q: int) -> tuple[int, int]:
-        i, j = union.index[match.assignment[p]], union.index[match.assignment[q]]
-        return (min(i, j), max(i, j))
+        i, j = at[p], at[q]
+        return (i, j) if i < j else (j, i)
 
     for b in rule.left.bonds:
-        del bonds[edge(b.a, b.b)]
+        key = edge(b.a, b.b)
+        del bonds[key]
+        valence[key[0]] -= ORDER_VALUE[b.order]
+        valence[key[1]] -= ORDER_VALUE[b.order]
     for b in rule.right.bonds:
         key = edge(b.a, b.b)
         if key in bonds:
@@ -440,19 +488,25 @@ def apply_rule(
                 f"rule {rule.name!r} would create a parallel bond {key[0]}-{key[1]}"
             )
         bonds[key] = b.order
+        valence[key[0]] += ORDER_VALUE[b.order]
+        valence[key[1]] += ORDER_VALUE[b.order]
+    over = [i for i in valence if _over_valence(atoms[i][1], valence[i])]
+    over += [i for i in union.over_valence if i not in valence]
+    if over:
+        raise RuleApplicationError(
+            f"rule {rule.name!r} would exceed the valence of {atoms[over[0]][1]} (atom {over[0]})"
+        )
 
-    valence: dict[int, float] = {i: 0.0 for i, _, _ in atoms}
-    for (i, j), order in bonds.items():
-        valence[i] += ORDER_VALUE[order]
-        valence[j] += ORDER_VALUE[order]
-    for i, element, _ in atoms:
-        cap = VALENCE_CAP.get(element)
-        if cap is not None and valence[i] > cap + 1e-9:
-            raise RuleApplicationError(
-                f"rule {rule.name!r} would exceed the valence of {element} (atom {i})"
-            )
-
-    products = make_components(atoms, [(i, j, order) for (i, j), order in bonds.items()])
+    parts = component_specs(atoms, [(i, j, order) for (i, j), order in bonds.items()])
+    if max_element_counts:
+        for part_atoms, _ in parts:
+            counts = Counter(element for _, element, _ in part_atoms)
+            for element, cap in max_element_counts.items():
+                if counts[element] > cap:
+                    raise RuleApplicationError(
+                        f"rule {rule.name!r} gives a product with more than {cap} {element}"
+                    )
+    products = [make_graph(a, b) for a, b in parts]
     if admit is not None and not all(admit(p) for p in products):
         raise RuleApplicationError(f"rule {rule.name!r} gives a product that is not admitted")
     record = DerivationRecord(
@@ -556,19 +610,17 @@ def _directional_rules(rules: list[Rule]) -> list[Rule]:
     return out
 
 
-def _admissible(graph: MolecularGraph, config: ExpansionConfig, predicates) -> bool:
-    if config.max_element_counts:
-        counts = element_counts(graph)
-        for element, cap in config.max_element_counts.items():
-            if counts.get(element, 0) > cap:
-                return False
-    return all(pred(graph) for pred in predicates)
-
-
-def _derive(rule: Rule, hosts: tuple[MolecularGraph, ...], admit: Callable[[MolecularGraph], bool]):
+def _derive(
+    rule: Rule,
+    hosts: tuple[MolecularGraph, ...],
+    admit: Callable[[MolecularGraph], bool],
+    max_element_counts: dict[str, int] | None,
+):
     """All distinct rewrites of one host multiset under one rule.
 
-    ``admit`` is passed to ``apply_rule``.  It must depend only on a
+    ``admit`` and ``max_element_counts`` are passed to ``apply_rule``, which
+    checks the caps on each product's atoms before it builds the product
+    and ``admit`` on the built product.  Both must depend only on a
     product's isomorphism class, as element caps, ring sizes and cumulated
     doubles do; then a refused match never shares product keys with a kept
     one, and each set of product keys keeps the same first record.
@@ -577,7 +629,9 @@ def _derive(rule: Rule, hosts: tuple[MolecularGraph, ...], admit: Callable[[Mole
     seen: set[tuple[bytes, ...]] = set()
     for match in find_matches(rule, hosts):
         try:
-            products, record = apply_rule(rule, match, hosts, admit)
+            products, record = apply_rule(
+                rule, match, hosts, admit, max_element_counts=max_element_counts
+            )
         except RuleApplicationError:
             continue
         if record.product_keys in seen:
@@ -600,7 +654,7 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
     predicates = [right_predicate(s) for s in config.right_predicates]
 
     def admit(graph: MolecularGraph) -> bool:
-        return _admissible(graph, config, predicates)
+        return all(pred(graph) for pred in predicates)
 
     net = Hypergraph()
     for seed in config.seed_molecules:
@@ -626,7 +680,9 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
 
         before = (len(net.vertices), len(net.edges))
         for ri, combo in tasks:
-            for products, record in _derive(directional[ri], tuple(v.graph for v in combo), admit):
+            for products, record in _derive(
+                directional[ri], tuple(v.graph for v in combo), admit, config.max_element_counts
+            ):
                 product_ids = Counter(net.add_molecule(p) for p in products)
                 reactant_ids = Counter(v.id for v in combo)
                 eid = net.add_reaction(dict(reactant_ids), dict(product_ids))

@@ -159,6 +159,21 @@ def test_expand_invalid_inputs_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_expand_rules_with_a_taken_name_exit_2_without_traceback(tmp_path, capsys):
+    seeds = tmp_path / "seeds.mgf"
+    seeds.write_text(molecules.WATER_MGF)
+    split = "rule split\nleft:\n  atom 0 H\n  atom 1 H\n  bond 0 1 1\nright:\n"
+    rules = tmp_path / "rules.dsl"
+    rules.write_text(split + "reversible\n" + split.replace("rule split", "rule split-rev"))
+    out = tmp_path / "net.json"
+    code = main(["expand", "--seeds", str(seeds), "--rules", str(rules), "--output", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 8:") and "'split-rev'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_annotate_check_conserved(tmp_path, capsys):
     net, network, barriers, _ = flux_setup(tmp_path)
     flow = tmp_path / "flow.json"

@@ -104,6 +104,30 @@ def test_parse_error_carries_line_number():
     assert "line 2" in str(err.value)
 
 
+#: fragments of molecule text, some valid and some not, that the generated
+#: texts are built from
+MGF_TOKENS = [
+    "atom", "bond", "---", ";", "#", "0", "1", "2", "-1", "+1", "3", "a", "1.5",
+    "99999999999999999999", "C", "H", "O", "Xx", "zz",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.lists(st.sampled_from(MGF_TOKENS), max_size=6).map(" ".join), max_size=14)
+        .map("\n".join),
+        st.text(max_size=200),
+    )
+)
+def test_molecule_text_parses_or_raises_mgf_error(text):
+    try:
+        graphs = parse_molecules(text)
+    except MgfError:
+        return
+    assert graphs and all(isinstance(g, MolecularGraph) for g in graphs)
+
+
 def test_make_graph_normalizes_bond_direction():
     a = make_graph([(0, "C"), (1, "O")], [(1, 0, 2)])
     b = make_graph([(0, "C"), (1, "O")], [(0, 1, 2)])

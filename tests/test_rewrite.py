@@ -1,13 +1,27 @@
 """Rule parsing, subgraph matching, rewriting, and network expansion."""
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import molecules
-from hyperpath.molgraph import canonical_form, element_counts, make_graph, parse_molecule
+from hyperpath import rewrite
+from hyperpath.molgraph import (
+    ORDER_VALUE,
+    MolecularGraph,
+    canonical_form,
+    element_counts,
+    make_components,
+    make_graph,
+    parse_molecule,
+)
 from hyperpath.rewrite import (
+    VALENCE_CAP,
+    DerivationRecord,
     ExpansionConfig,
     Rule,
     RuleApplicationError,
@@ -177,6 +191,49 @@ def test_parse_rule_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, line, name",
+    [
+        # the same name twice
+        (HH_BREAK + PAIR_BOND.replace("pair-bond", "hh-break"), 7, "hh-break"),
+        # a rule named like the reverse of a reversible rule, in either order
+        (H2_SPLIT + PAIR_BOND.replace("pair-bond", "hh-break-rev"), 8, "hh-break-rev"),
+        (HH_BREAK.replace("hh-break", "hh-break-rev") + H2_SPLIT, 7, "hh-break-rev"),
+    ],
+)
+def test_parse_rules_refuses_a_name_taken_twice(text, line, name):
+    # derivation records name their rule, so two rules of one name would
+    # be indistinguishable and expansion would merge their records
+    with pytest.raises(RuleError) as err:
+        parse_rules(text)
+    assert err.value.line == line
+    assert repr(name) in str(err.value) and "line 1" in str(err.value)
+
+
+#: fragments of the rule language, some valid and some not, that the
+#: generated texts are built from
+RULE_TOKENS = [
+    "rule", "r", "r-rev", "left:", "context:", "right:", "reversible", "classes:",
+    "X", "=", "{C,", "N}", "{}", "atom", "bond", "0", "1", "2", "-1", "3", "a",
+    "C", "H", "O", "Qq", "#", "x",
+]
+
+
+def token_lines(tokens):
+    line = st.lists(st.sampled_from(tokens), max_size=6).map(" ".join)
+    return st.lists(line, max_size=14).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(token_lines(RULE_TOKENS), st.text(max_size=200)))
+def test_rule_text_parses_or_raises_rule_error(text):
+    try:
+        rules = parse_rules(text)
+    except RuleError:
+        return
+    assert rules and all(isinstance(r, Rule) for r in rules)
+
+
 def test_rule_error_carries_line_number():
     with pytest.raises(RuleError) as err:
         parse_rules("rule x\nleft:\n  atom 0 C\n  bond 0 1 9\n")
@@ -303,6 +360,131 @@ def test_apply_rule_refuses_a_product_before_keying_it():
     with pytest.raises(RuleApplicationError):
         apply_rule(rule, match, hosts, admit=lambda p: False)
     assert canonical_form.cache_info().misses == misses
+
+
+def test_apply_rule_refuses_an_over_cap_product_before_building_it(monkeypatch):
+    rule = parse_rule(PAIR_BOND)
+    hosts = (methyl(), methyl())
+    match = find_matches(rule, hosts)[0]
+    built = []
+    check = MolecularGraph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(MolecularGraph, "__post_init__", counted)
+    with pytest.raises(RuleApplicationError):
+        apply_rule(rule, match, hosts, max_element_counts={"C": 1})
+    assert built == []
+    products, _ = apply_rule(rule, match, hosts, max_element_counts={"C": 2})
+    assert built == products and element_counts(products[0]) == {"C": 2, "H": 6}
+
+
+def reference_apply_rule(rule, match, hosts, admit, caps):
+    """A build-first reference for ``apply_rule``.
+
+    Every product graph is built first, after a full recount of valences;
+    only then are the caps and ``admit`` applied to it.  Returns the products
+    and record, or the reason for a refusal.
+    """
+    union = match.table
+    bonds = dict(union.bonds)
+
+    def edge(p, q):
+        i, j = union.index[match.assignment[p]], union.index[match.assignment[q]]
+        return (min(i, j), max(i, j))
+
+    for b in rule.left.bonds:
+        del bonds[edge(b.a, b.b)]
+    for b in rule.right.bonds:
+        if edge(b.a, b.b) in bonds:
+            return "parallel bond"
+        bonds[edge(b.a, b.b)] = b.order
+    valence = {i: 0.0 for i, _, _ in union.atoms}
+    for (i, j), order in bonds.items():
+        valence[i] += ORDER_VALUE[order]
+        valence[j] += ORDER_VALUE[order]
+    for i, element, _ in union.atoms:
+        if element in VALENCE_CAP and valence[i] > VALENCE_CAP[element] + 1e-9:
+            return "valence"
+    products = make_components(union.atoms, [(i, j, o) for (i, j), o in bonds.items()])
+    for p in products:
+        counts = element_counts(p)
+        if any(counts.get(el, 0) > cap for el, cap in caps.items()):
+            return "element cap"
+    if not all(admit(p) for p in products):
+        return "filter"
+    record = DerivationRecord(
+        rule=rule.name,
+        class_binding=tuple(sorted(match.class_binding.items())),
+        reactant_keys=tuple(sorted(canonical_form(h).key for h in hosts)),
+        product_keys=tuple(sorted(canonical_form(p).key for p in products)),
+    )
+    return products, record
+
+
+def compare_with_reference(tried, caps, filters) -> Counter:
+    """Apply every match of each (rule, hosts) both ways; count the outcomes."""
+    predicates = [right_predicate(name) for name in filters]
+
+    def admit(graph):
+        return all(pred(graph) for pred in predicates)
+
+    outcomes = Counter()
+    for rule, hosts in tried:
+        for match in find_matches(rule, hosts):
+            expected = reference_apply_rule(rule, match, hosts, admit, caps)
+            try:
+                got = apply_rule(rule, match, hosts, admit, max_element_counts=caps)
+            except RuleApplicationError:
+                assert isinstance(expected, str), (rule.name, match.assignment)
+                outcomes[expected] += 1
+            else:
+                assert got == expected, (rule.name, match.assignment)
+                outcomes["kept"] += 1
+    return outcomes
+
+
+def test_apply_rule_refuses_exactly_where_the_build_first_reference_does(monkeypatch):
+    # every (rule, host multiset) the first 4 iterations of criterion 8's
+    # closure try, with every match of each
+    caps = {"C": 2, "N": 4, "O": 4}
+    filters = ("no-rings-le=3", "no-cumulated-doubles")
+    tried = []
+    find = rewrite.find_matches
+
+    def recording(rule, hosts):
+        tried.append((rule, hosts))
+        return find(rule, hosts)
+
+    monkeypatch.setattr(rewrite, "find_matches", recording)
+    config = ExpansionConfig(
+        (molecules.water(), molecules.glycolonitrile()),
+        max_iterations=4,
+        max_element_counts=caps,
+        right_predicates=filters,
+    )
+    assert run_expansion(config, load_default_rules()).history[-1] == (17, 26)
+    outcomes = compare_with_reference(tried, caps, filters)
+    assert set(outcomes) == {"kept", "element cap", "filter", "parallel bond"}
+
+
+def test_apply_rule_matches_the_reference_on_bond_making_rules():
+    # the default rules keep every atom's valence, so refusals for valence
+    # come from rules that only make bonds; "overfull" holds a carbon already
+    # past its ceiling, which refuses every application that includes it, also
+    # where the match leaves that carbon alone
+    overfull = make_graph([(0, "C"), (1, "C")] + [(i, "H") for i in range(2, 6)],
+                          [(0, i, 1) for i in range(1, 6)])
+    bare_cco = make_graph([(0, "C"), (1, "C"), (2, "O")], [(0, 1, 1), (1, 2, 1)])
+    hosts = [methyl(), molecules.water(), molecules.ethanol(), molecules.benzene(),
+             molecules.allene(), propane(), make_graph([(0, "O")]), bare_cco, overfull]
+    rules = [parse_rule(t) for t in (PAIR_BOND, PAIR_XY, RING_CLOSE, HH_BREAK)]
+    tried = [(rule, (a,)) for rule in rules for a in hosts]
+    tried += [(rule, (a, b)) for rule in rules[:2] for a in hosts for b in hosts]
+    outcomes = compare_with_reference(tried, {"C": 2}, ("no-rings-le=3",))
+    assert set(outcomes) == {"kept", "element cap", "filter", "parallel bond", "valence"}
 
 
 def test_apply_rule_splits_components():
@@ -482,8 +664,22 @@ def test_expansion_deterministic_across_runs():
         seed_molecules=(molecules.water(), molecules.glycolonitrile()),
         max_iterations=2,
         max_element_counts={"C": 2, "N": 4, "O": 4},
+        right_predicates=("no-rings-le=3", "no-cumulated-doubles"),
     )
     rules = load_default_rules()
     first = expand_network(config, rules).to_json()
     second = expand_network(config, rules).to_json()
     assert first == second
+
+
+def test_carbon_four_closure_history():
+    # the closure of water and glycolonitrile with up to four carbons and the
+    # product filters of criterion 8, 4 iterations
+    config = ExpansionConfig(
+        (molecules.water(), molecules.glycolonitrile()),
+        max_iterations=4,
+        max_element_counts={"C": 4, "N": 4, "O": 4},
+        right_predicates=("no-rings-le=3", "no-cumulated-doubles"),
+    )
+    result = run_expansion(config, load_default_rules())
+    assert result.history == [(4, 2), (17, 19), (57, 128), (175, 466)]
