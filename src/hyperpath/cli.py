@@ -96,6 +96,8 @@ class _Run:
             return decode(json.loads(text))
         except json.JSONDecodeError as exc:
             raise InputError(f"{path} is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise InputError(f"{path} nests too deeply to read") from None
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InputError(f"{path} is not a valid {name} document: {exc}") from None
 
@@ -256,7 +258,7 @@ def _cmd_query(args, run: _Run) -> int:
     model = build_model(graph, weights, query)
 
     if args.relax:
-        lp = simplex_solve(relax(model))
+        lp = simplex_solve(model)
         if lp.status == "numerical":
             raise SolverError("relaxation came back numerical")
         flow = {}

@@ -2,15 +2,18 @@
 
 A query fixes how much of each source may enter, how much of each target
 must leave, and what may leak out as byproducts.  The compiled model has one
-integer flow variable per edge, one binary use indicator per edge, exchange
-variables for the vertices the query mentions, exact conservation rows for
-every vertex, and big-M rows tying indicators to flows.  Costs come from the
-barrier-derived edge weights, so the optimum is the kinetically favored
-pathway; indicator cuts support enumerating alternatives.
+integer flow variable per edge, exchange variables for the vertices the
+query mentions, and exact conservation rows for every vertex.  Costs come
+from the barrier-derived edge weights, so the optimum is the kinetically
+favored pathway.  Cuts, which enumerate alternatives, are edge-id sets that
+no solution may use all of.  The LP export alone writes the indicator form
+of an integer model: one binary use indicator per edge, big-M rows tying it
+to the edge's flow, and each cut as a row over indicators.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 from .kinetics import WeightModel
@@ -70,44 +73,62 @@ class PathwayQuery:
 
     @classmethod
     def from_json(cls, data: dict) -> "PathwayQuery":
-        """Inverse of to_json; a range may be a {"min","max"} object or a [lo, hi] pair."""
+        """Inverse of to_json.  Every number must be a JSON integer of at most
+        2**53 in magnitude (so that the solver's floats hold it exactly), a
+        vertex id a decimal numeral without leading zeros, a range a
+        {"min","max"} object or a [lo, hi] list, and ``forbidden_edges`` a
+        list; anything else raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError("query document must be a JSON object")
 
+        def is_integer(raw) -> bool:
+            return isinstance(raw, int) and not isinstance(raw, bool) and abs(raw) <= 2**53
+
+        def integer(label: str, raw) -> int:
+            if not is_integer(raw):
+                raise ValueError(f"query {label}: expected an integer, not {raw!r}")
+            return raw
+
         def as_range(label: str, vid, raw) -> tuple[int, int]:
-            try:
-                if isinstance(raw, dict):
-                    return int(raw["min"]), int(raw["max"])
-                lo, hi = raw
-                return int(lo), int(hi)
-            except (KeyError, TypeError, ValueError):
-                raise ValueError(f"query {label}: bad range for vertex {vid!r}") from None
+            pair = (raw.get("min"), raw.get("max")) if isinstance(raw, dict) else raw
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(is_integer, pair)):
+                raise ValueError(f"query {label}: bad range for vertex {vid!r}")
+            return pair[0], pair[1]
+
+        def block(label: str, expected: str) -> dict:
+            raw = data.get(label)
+            if raw is None:
+                return {}
+            if not isinstance(raw, dict):
+                raise ValueError(f"query {label}: expected an object of {expected}")
+            for key in raw:
+                if not re.fullmatch(r"0|[1-9][0-9]*", str(key)):  # "03" would alias "3"
+                    raise ValueError(f"query {label}: bad vertex id {key!r}")
+            return raw
 
         def ranges(label: str) -> dict[int, tuple[int, int]]:
-            block = data.get(label) or {}
-            if not isinstance(block, dict):
-                raise ValueError(f"query {label}: expected an object of vertex ranges")
-            return {int(v): as_range(label, v, r) for v, r in block.items()}
+            return {int(v): as_range(label, v, r) for v, r in block(label, "vertex ranges").items()}
 
-        byproducts = data.get("byproducts") or {}
-        if not isinstance(byproducts, dict):
-            raise ValueError("query byproducts: expected an object of vertex caps")
-        try:
-            forbidden = tuple(int(e) for e in data.get("forbidden_edges") or ())
-        except (TypeError, ValueError):
-            raise ValueError("query forbidden_edges: expected a list of edge ids") from None
+        def optional(label: str) -> int | None:
+            raw = data.get(label)
+            return None if raw is None else integer(label, raw)
+
+        forbidden = data.get("forbidden_edges")
+        if forbidden is None:
+            forbidden = []
+        if not isinstance(forbidden, list):
+            raise ValueError("query forbidden_edges: expected a list of edge ids")
         return cls(
             sources=ranges("sources"),
             targets=ranges("targets"),
-            allowed_byproducts={int(v): int(c) for v, c in byproducts.items()},
-            forbidden_edges=forbidden,
-            flow_cap=int(data.get("flow_cap", DEFAULT_FLOW_CAP)),
-            total_inflow_max=(
-                int(data["total_inflow_max"]) if data.get("total_inflow_max") is not None else None
-            ),
-            maximize_outflow=(
-                int(data["maximize_outflow"]) if data.get("maximize_outflow") is not None else None
-            ),
+            allowed_byproducts={
+                int(v): integer(f"byproducts {v}", c)
+                for v, c in block("byproducts", "vertex caps").items()
+            },
+            forbidden_edges=tuple(integer("forbidden_edges", e) for e in forbidden),
+            flow_cap=integer("flow_cap", data.get("flow_cap", DEFAULT_FLOW_CAP)),
+            total_inflow_max=optional("total_inflow_max"),
+            maximize_outflow=optional("maximize_outflow"),
         )
 
 
@@ -143,9 +164,11 @@ def outflow_var(vertex_id: int) -> str:
 class IlpModel:
     """Variables, bounds, rows and objective of a pathway model.
 
-    ``integers`` and ``binaries`` name the integral variables; both are
-    empty in a continuous relaxation.  ``flow_keys`` maps each flow and
-    exchange variable to its hyperflow key.
+    ``integers`` names the integral variables; it is empty in a continuous
+    relaxation.  ``flow_cap`` is the query's per-edge flow cap, the big-M of
+    the indicator form that ``export_lp_text`` writes.  ``flow_keys`` maps
+    each flow and exchange variable to its hyperflow key, and ``cuts`` are
+    edge-id sets that no solution may use all of.
     """
 
     variables: tuple[str, ...]
@@ -154,7 +177,7 @@ class IlpModel:
     objective: dict[str, float]
     sense: str  # "min" or "max"
     integers: frozenset[str] = frozenset()
-    binaries: frozenset[str] = frozenset()
+    flow_cap: int | None = None
     flow_keys: dict[str, object] = field(default_factory=dict)
     cuts: tuple[frozenset[int], ...] = ()
 
@@ -174,9 +197,9 @@ def build_model(
 ) -> IlpModel:
     """Compile a query against a weighted hypergraph.
 
-    Rows appear in a fixed order: conservation for every vertex by id, the
-    two indicator-linking rows per edge by id, the optional total-inflow cap,
-    then the cuts in the order given.
+    Variables are the flows by edge id, then the exchange variables.  Rows
+    are conservation for every vertex by id, then the optional total-inflow
+    cap.  The cuts are kept in the order given.
     """
     n_vertices = len(h.vertices)
     for vid in list(q.sources) + list(q.targets) + list(q.allowed_byproducts):
@@ -190,7 +213,6 @@ def build_model(
         raise ValueError(f"weights missing for edges {missing}")
 
     forbidden = set(q.forbidden_edges)
-    cap = q.flow_cap
 
     variables: list[str] = []
     bounds: dict[str, tuple[float, float]] = {}
@@ -198,12 +220,8 @@ def build_model(
     for e in h.edges:
         name = flow_var(e.id)
         variables.append(name)
-        bounds[name] = (0, 0) if e.id in forbidden else (0, cap)
+        bounds[name] = (0, 0) if e.id in forbidden else (0, q.flow_cap)
         flow_keys[name] = e.id
-    for e in h.edges:
-        name = indicator_var(e.id)
-        variables.append(name)
-        bounds[name] = (0, 0) if e.id in forbidden else (0, 1)
 
     half_bounds: list[tuple[str, tuple[int, int], object]] = []
     for vid, (lo, hi) in sorted(q.sources.items()):
@@ -232,13 +250,6 @@ def build_model(
         if v.id in has_out:
             coeffs[outflow_var(v.id)] = -1.0
         rows.append(Row(f"conserve_v{v.id}", coeffs, "=", 0.0))
-    for e in h.edges:
-        rows.append(
-            Row(f"link_up_e{e.id}", {flow_var(e.id): 1.0, indicator_var(e.id): -float(cap)}, "<=", 0.0)
-        )
-        rows.append(
-            Row(f"link_lo_e{e.id}", {indicator_var(e.id): 1.0, flow_var(e.id): -1.0}, "<=", 0.0)
-        )
     if q.total_inflow_max is not None:
         coeffs = {inflow_var(vid): 1.0 for vid in sorted(q.sources)}
         rows.append(Row("total_inflow", coeffs, "<=", float(q.total_inflow_max)))
@@ -256,10 +267,8 @@ def build_model(
         rows=tuple(rows),
         objective=objective,
         sense=sense,
-        integers=frozenset(
-            [flow_var(e.id) for e in h.edges] + [name for name, _, _ in half_bounds]
-        ),
-        binaries=frozenset(indicator_var(e.id) for e in h.edges),
+        integers=frozenset(variables),
+        flow_cap=q.flow_cap,
         flow_keys=flow_keys,
     )
     for cut in cuts:
@@ -268,35 +277,20 @@ def build_model(
 
 
 def add_cut(model: IlpModel, support: "frozenset[int] | set[int] | list[int]") -> IlpModel:
-    """Copy of the model with one more row: its solutions may not use all
+    """Copy of the model with one more cut: its solutions may not use all
     edges of ``support`` together."""
     cut = frozenset(int(e) for e in support)
     if not cut:
         raise ValueError("an exclusion cut needs at least one edge")
-    edges = sorted(cut)
-    for eid in edges:
-        if indicator_var(eid) not in model.binaries:
-            raise ValueError(f"cut references unknown edge {eid}")
-    coeffs = {indicator_var(eid): 1.0 for eid in edges}
-    row = Row(f"cut_{len(model.cuts)}", coeffs, "<=", float(len(cut) - 1))
-    return replace(model, rows=model.rows + (row,), cuts=model.cuts + (cut,))
+    unknown = sorted(cut.difference(key for key in model.flow_keys.values() if isinstance(key, int)))
+    if unknown:
+        raise ValueError(f"cut references unknown edge {unknown[0]}")
+    return replace(model, cuts=model.cuts + (cut,))
 
 
 def relax(model: IlpModel) -> IlpModel:
-    """Drop integrality, indicators, and every row that mentions one (linking
-    rows and cuts); keep conservation and query rows with continuous flow and
-    exchange variables."""
-    keep_vars = tuple(name for name in model.variables if name not in model.binaries)
-    rows = tuple(row for row in model.rows if model.binaries.isdisjoint(row.coeffs))
-    objective = {n: c for n, c in model.objective.items() if n in set(keep_vars)}
-    return IlpModel(
-        variables=keep_vars,
-        bounds={n: (float(model.bounds[n][0]), float(model.bounds[n][1])) for n in keep_vars},
-        rows=rows,
-        objective=objective,
-        sense=model.sense,
-        flow_keys=dict(model.flow_keys),
-    )
+    """The continuous relaxation: no integral variables and no cuts."""
+    return replace(model, integers=frozenset(), cuts=())
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +320,51 @@ def _terms(coeffs: dict[str, float], variables: tuple[str, ...]) -> str:
     return " ".join(parts)
 
 
+def _indicator_form(model: IlpModel) -> tuple[tuple[str, ...], dict, list[Row], list[str]]:
+    """Variables, bounds, rows and binaries of an integer model with a use
+    indicator ``z_e`` per edge.  The indicators follow the flows, and
+    ``z_e`` is fixed at 0 where ``f_e`` is.  The rows ``f_e <= cap·z_e`` and
+    ``z_e <= f_e`` follow the conservation rows, edge by edge, and each cut
+    becomes a row over its edges' indicators after the model's own rows."""
+    flows = [name for name in model.variables if isinstance(model.flow_keys.get(name), int)]
+    binaries = [indicator_var(model.flow_keys[name]) for name in flows]
+    exchange = [name for name in model.variables if not isinstance(model.flow_keys.get(name), int)]
+    variables = tuple(flows + binaries + exchange)
+    bounds = dict(model.bounds)
+    links: list[Row] = []
+    for f, z in zip(flows, binaries):
+        bounds[z] = (0, 0) if model.bounds[f][1] == 0 else (0, 1)
+        eid = model.flow_keys[f]
+        links.append(Row(f"link_up_e{eid}", {f: 1.0, z: -float(model.flow_cap)}, "<=", 0.0))
+        links.append(Row(f"link_lo_e{eid}", {z: 1.0, f: -1.0}, "<=", 0.0))
+    conserve = [row for row in model.rows if row.name.startswith("conserve_")]
+    others = [row for row in model.rows if not row.name.startswith("conserve_")]
+    cuts = [
+        Row(f"cut_{i}", {indicator_var(eid): 1.0 for eid in cut}, "<=", float(len(cut) - 1))
+        for i, cut in enumerate(model.cuts)
+    ]
+    return variables, bounds, conserve + links + others + cuts, binaries
+
+
 def export_lp_text(model: IlpModel) -> str:
     """Serialize a model in LP text format with a stable layout.
 
-    The layout is deterministic, so exporting the same model twice yields
-    byte-identical text.
+    An integer model built for a query is written in its indicator form,
+    with the indicators as binaries.  The layout is deterministic, so
+    exporting the same model twice yields byte-identical text.
     """
+    variables, bounds, rows, binaries = model.variables, model.bounds, model.rows, []
+    if model.integers and model.flow_cap is not None:
+        variables, bounds, rows, binaries = _indicator_form(model)
     out: list[str] = []
     out.append("Maximize" if model.sense == "max" else "Minimize")
-    out.append(f" obj: {_terms(model.objective, model.variables)}")
+    out.append(f" obj: {_terms(model.objective, variables)}")
     out.append("Subject To")
-    for row in model.rows:
-        out.append(f" {row.name}: {_terms(row.coeffs, model.variables)} {row.sense} {_fmt(row.rhs)}")
+    for row in rows:
+        out.append(f" {row.name}: {_terms(row.coeffs, variables)} {row.sense} {_fmt(row.rhs)}")
     out.append("Bounds")
-    for name in model.variables:
-        lo, hi = model.bounds[name]
+    for name in variables:
+        lo, hi = bounds[name]
         if lo == hi:
             out.append(f" {name} = {_fmt(lo)}")
         elif math.isinf(hi):
@@ -349,9 +373,9 @@ def export_lp_text(model: IlpModel) -> str:
             out.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
     if model.integers:
         out.append("Generals")
-        out.append(" " + " ".join(n for n in model.variables if n in model.integers))
-    if model.binaries:
+        out.append(" " + " ".join(n for n in variables if n in model.integers))
+    if binaries:
         out.append("Binaries")
-        out.append(" " + " ".join(n for n in model.variables if n in model.binaries))
+        out.append(" " + " ".join(binaries))
     out.append("End")
     return "\n".join(out) + "\n"

@@ -1,26 +1,25 @@
 """Exact solvers for the pathway models.
 
-``simplex_solve`` is a dense-tableau bounded-variable simplex over a model
+``simplex_solve`` is a dense-tableau bounded dual simplex over a model
 compiled to arrays: the tableau holds only the model's rows, each with a
-logical column, and a nonbasic column sits at its lower or upper bound.  A
-solve starts from the all-logical basis, or warm from an earlier solve's
-final basis whose bounds contain its own; a dual simplex restores the
-bounds, and a primal simplex finishes, both with Bland's rule.
-``branch_and_bound`` searches in flow space: it drops the use indicators and
-their linking rows, keeps the flows and exchange variables integral, and
-compiles that model once, so its depth-first search nodes differ only in
-their bounds, and each node re-solves from its parent's basis.  A cut ("not
-every edge of S") is not a row there: an integral leaf that uses every edge
-of S becomes partition branches, one per edge of S (Lawler's k-best
-partition).  The optimum is then canonicalized, under an objective cutoff,
-to the lexicographically smallest optimal support, so runs and enumeration
-are deterministic, and reported on the full model with each indicator set to
-whether its edge carries flow.  It raises ``SolverError`` when an LP
-relaxation ends numerically or when the canonical support admits no optimum,
-rather than report a support it could not confirm.  ``enumerate_pathways``
-compiles once, solves the root LP cold once, and peels off structurally
-distinct optima, each rank appending its support to the program's cuts, and
-``brute_force`` is an independent exhaustive oracle over the full indicator model.
+logical column, and a nonbasic column sits at its lower or upper bound, so
+every structural column needs finite bounds.  A solve starts from the
+all-logical basis, or warm from an earlier solve's final basis whose bounds
+contain its own; either basis is dual feasible, and the dual simplex, with
+Bland's rule, restores the basic columns' bounds.
+``branch_and_bound`` compiles the model once, with its flows and exchange
+variables integral, so its depth-first search nodes differ only in their
+bounds, and each node re-solves from its parent's basis.  A cut ("not every
+edge of S") is not a row: an integral leaf that uses every edge of S becomes
+partition branches, one per edge of S (Lawler's k-best partition).  The
+optimum is then canonicalized, under an objective cutoff, to the
+lexicographically smallest optimal support, so runs and enumeration are
+deterministic.  It raises ``SolverError`` when an LP relaxation ends
+numerically or when the canonical support admits no optimum, rather than
+report a support it could not confirm.  ``enumerate_pathways`` compiles
+once, solves the root LP cold once, and peels off structurally distinct
+optima, each rank appending its support to the program's cuts, and
+``brute_force`` is an independent exhaustive oracle over the same model.
 """
 from __future__ import annotations
 
@@ -29,12 +28,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .pathopt import IlpModel, Row, indicator_var, relax
+from .pathopt import IlpModel
 
 PIVOT_TOL = 1e-10
 INTEGRALITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-9  # how far a basic value may pass its bound
-MAX_PIVOTS = 200_000  # iterations of either simplex loop within one solve
+MAX_PIVOTS = 200_000  # dual simplex iterations within one solve
 DEFAULT_NODE_LIMIT = 10_000_000
 
 
@@ -52,7 +51,7 @@ class SolverError(RuntimeError):
 
 
 class IterationLimit(SolverError):
-    """A simplex loop ran ``MAX_PIVOTS`` iterations without finishing."""
+    """The dual simplex ran ``MAX_PIVOTS`` iterations without finishing."""
 
     def __init__(self):
         super().__init__(f"simplex reached its iteration limit of {MAX_PIVOTS} iterations")
@@ -71,7 +70,7 @@ class _Basis:
 
 @dataclass
 class LpSolution:
-    status: str  # optimal, infeasible, unbounded or numerical
+    status: str  # optimal, infeasible or numerical
     objective: float | None = None
     values: dict[str, float] | np.ndarray | None = None
     basis: _Basis | None = None  # the optimal basis, to warm-start tighter bounds from
@@ -82,9 +81,9 @@ class _Program:
     """A model as arrays: rows ``A x`` against ``rhs``, each row's logical
     ``rhs - A x`` bounded by ``row_lo, row_hi`` (0 and inf for <=, -inf and 0
     for >=, 0 and 0 for =), bounds ``lo, hi``, objective (column,
-    coefficient) terms in model order, the simplex's pricing tolerance,
-    integral columns, (edge id, flow column) pairs in id order and cuts as
-    flow columns."""
+    coefficient) terms in model order, the slack per unit of box width that
+    the search allows an LP bound (``price_tol``), integral columns, (edge
+    id, flow column) pairs in id order and cuts as flow columns."""
 
     names: tuple[str, ...]
     A: np.ndarray
@@ -101,8 +100,8 @@ class _Program:
     cuts: tuple[np.ndarray, ...]
 
 
-def _compile(model: IlpModel, integers=frozenset(), cuts=()) -> _Program:
-    """``model`` as arrays, with ``integers`` integral and the edge-id sets ``cuts``."""
+def _compile(model: IlpModel) -> _Program:
+    """``model`` as arrays."""
     names = model.variables
     index = {name: j for j, name in enumerate(names)}
     A = np.zeros((len(model.rows), len(names)))
@@ -122,9 +121,9 @@ def _compile(model: IlpModel, integers=frozenset(), cuts=()) -> _Program:
         tuple((index[name], coef) for name, coef in model.objective.items()),
         1.0 if model.sense == "min" else -1.0,
         1e-9 * max([1.0] + [abs(coef) for coef in model.objective.values()]),
-        np.array([j for j, name in enumerate(names) if name in integers], dtype=int),
+        np.array([j for j, name in enumerate(names) if name in model.integers], dtype=int),
         tuple(edges),
-        tuple(np.array([column[eid] for eid in sorted(cut)]) for cut in cuts),
+        tuple(np.array([column[eid] for eid in sorted(cut)]) for cut in model.cuts),
     )
 
 
@@ -176,45 +175,6 @@ def _dual(T: np.ndarray, x: np.ndarray, basic: np.ndarray, lo: np.ndarray, hi: n
     raise IterationLimit()
 
 
-def _primal(T: np.ndarray, x: np.ndarray, basic: np.ndarray, lo, hi, tol: float) -> str:
-    """Primal simplex in place from a primal feasible basis; Bland's rule:
-    the smallest improving column enters, and it either moves to its other
-    bound or the smallest basic column among ratio ties leaves."""
-    m = basic.size
-    cost = T[m]
-    for _ in range(MAX_PIVOTS):
-        improving = ((cost < -tol) & (x < hi)) | ((cost > tol) & (x > lo))
-        entering = improving.nonzero()[0]
-        if entering.size == 0:
-            return "optimal"
-        j = int(entering[0])
-        up = cost[j] < 0
-        # moving column j by t in its improving direction lowers the basic values by fall·t
-        fall = T[:m, j] if up else -T[:m, j]
-        xb = x[basic]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(
-                fall > PIVOT_TOL,
-                (xb - lo[basic]) / fall,
-                np.where(fall < -PIVOT_TOL, (xb - hi[basic]) / fall, np.inf),
-            )
-        room = np.maximum(room, 0.0)
-        reach = min(float(room.min(initial=np.inf)), hi[j] - lo[j])
-        if reach == np.inf:
-            return "unbounded"
-        x[basic] -= reach * fall
-        if hi[j] - lo[j] <= reach:
-            x[j] = hi[j] if up else lo[j]
-            continue
-        ties = (room <= reach + 1e-12).nonzero()[0]
-        r = int(ties[np.argmin(basic[ties])])
-        q = basic[r]
-        x[j] += reach if up else -reach
-        x[q] = lo[q] if fall[r] > 0 else hi[q]
-        _pivot(T, basic, r, j)
-    raise IterationLimit()
-
-
 def simplex_solve(
     model: IlpModel | _Program, bounds: tuple | None = None, *, start: _Basis | None = None
 ) -> LpSolution:
@@ -223,54 +183,45 @@ def simplex_solve(
     ``model`` is an ``IlpModel``, compiled on entry, whose values come back
     by name, or a compiled ``_Program``, whose values come back as an array
     in column order and whose bounds ``bounds = (lo, hi)`` may replace.
+    Every structural column needs finite bounds; one without raises
+    ValueError.
 
     Bounds stay out of the tableau, which has one row per model row.  Cold,
     the solve starts from the all-logical basis with each nonbasic column at
-    the bound its cost favours; a column whose cost favours an infinite bound
-    is priced at zero until the dual simplex ends.  Warm, it starts from
-    ``start``, the basis of a solve of the same program whose bounds contain
-    these: each nonbasic column moves to the same side of its new bounds, so
-    the basis stays dual feasible.  The dual simplex then restores the
-    basics' bounds, and the primal simplex prices out what is left.  The
-    answer is checked against every row and bound; a solve that fails that
-    check ends ``numerical``.  Raises ``IterationLimit`` when either loop
-    runs ``MAX_PIVOTS`` iterations.
+    the bound its cost favours.  Warm, it starts from ``start``, the basis of
+    a solve of the same program whose bounds contain these: each nonbasic
+    column moves to the same side of its new bounds.  Either basis is dual
+    feasible, so the dual simplex, restoring the basics' bounds, ends at an
+    optimum.  The answer is checked against every row and bound; a solve
+    that fails that check ends ``numerical``.  Raises ``IterationLimit`` when
+    the dual simplex runs ``MAX_PIVOTS`` iterations.
     """
     named = isinstance(model, IlpModel)
     program = _compile(model) if named else model
     lo, hi = (program.lo, program.hi) if bounds is None else bounds
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("every structural column needs finite bounds")
     if (lo > hi + 1e-12).any():
         return LpSolution("infeasible")
 
     m, n = program.A.shape
     full_lo = np.concatenate([lo, program.row_lo])
     full_hi = np.concatenate([hi, program.row_hi])
-    true_cost = None
     if start is None:
         T = np.zeros((m + 1, n + m))
         T[:m, :n] = program.A
         T[:m, n:] = np.eye(m)
-        cost = T[m]
         for j, coef in program.objective:
-            cost[j] += program.sign * coef
-        upper = np.isfinite(full_hi) & ((cost < 0) | np.isneginf(full_lo))
-        unplaced = ((cost < 0) & np.isposinf(full_hi)) | ((cost > 0) & np.isneginf(full_lo))
-        if unplaced.any():
-            true_cost = cost.copy()
-            cost[unplaced] = 0.0
+            T[m, j] += program.sign * coef
+        upper = T[m] < 0
         basic = np.arange(n, n + m)
     else:
         T, basic, upper = start.T.copy(), start.basic.copy(), start.upper
     x = np.where(upper, full_hi, full_lo)
-    x[~np.isfinite(x)] = 0.0  # a free nonbasic column sits at zero
     x[basic] = 0.0
     x[basic] = T[:m, n:] @ (program.rhs - program.A @ x[:n] - x[n:])
 
     status = _dual(T, x, basic, full_lo, full_hi)
-    if status == "optimal":
-        if true_cost is not None:
-            T[m] = true_cost - true_cost[basic] @ T[:m]
-        status = _primal(T, x, basic, full_lo, full_hi, program.price_tol)
     if status != "optimal":
         return LpSolution(status)
 
@@ -347,8 +298,8 @@ def _dfs(
     integral leaf that uses every edge of one of ``program.cuts`` is replaced
     by that cut's partition children, first child explored first.  A leaf
     whose signed objective exceeds ``cutoff`` is not accepted, and a node is
-    pruned once its LP bound exceeds it by more than the slack the simplex's
-    pricing tolerance leaves in that bound.
+    pruned once its LP bound exceeds it by more than ``program.price_tol``
+    per unit of the node's box width.
     """
     sign = program.sign
     best_signed = math.inf
@@ -411,25 +362,22 @@ def _support_bounds(program: _Program, chosen: set[int], free_above: int | None)
 
 
 def _finish(model: IlpModel, exact: float, values: dict[str, int], nodes: int) -> IlpSolution:
-    """A solution of the full model: an edge's indicator is 1 exactly when
-    the edge carries flow."""
+    """A solution of the model; an edge is used exactly when it carries flow."""
     flow = model.flow_from_values(values)
     indicator = {key: int(value >= 1) for key, value in flow.items() if isinstance(key, int)}
-    used = {indicator_var(eid): z for eid, z in indicator.items()}
-    values = {name: used[name] if name in used else values[name] for name in model.variables}
     support = sorted(eid for eid, z in indicator.items() if z)
     return IlpSolution("optimal", exact, values, flow, indicator, support, nodes)
 
 
 def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> IlpSolution:
-    """Solve to optimality in flow space, then canonicalize the support.
+    """Solve to optimality, then canonicalize the support.
 
-    The model without indicators, linking rows and cut rows is compiled
-    once, with its flows and exchange variables integral; search nodes
-    differ only in their bounds, and each node re-solves its LP from its
-    parent's basis.  Indicator pins become flow bounds (z = 0
-    is f = 0, z = 1 is f >= 1), and each cut of ``model.cuts`` becomes
-    partition branches at any integral leaf that uses all of its edges.
+    The model is compiled once, with its flows and exchange variables
+    integral; search nodes differ only in their bounds, and each node
+    re-solves its LP from its parent's basis.  Support pins are flow bounds
+    (unused is f = 0, used is f >= 1), and each cut of ``model.cuts``
+    becomes partition branches at any integral leaf that uses all of its
+    edges.
     Among all optima, within 1e-6 + 1e-9·|objective| of the first search's
     (a cutoff the later searches apply), the reported one uses the
     lexicographically smallest edge support: edges are admitted in id order
@@ -440,14 +388,13 @@ def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> I
     the support chosen this way.  ``enumerate_pathways`` compiles once,
     solves the root LP once, and runs this search on them for every rank.
     """
-    program = _compile(relax(model), model.integers, model.cuts)
+    program = _compile(model)
     return _optimum(model, program, node_limit, simplex_solve(program))
 
 
 def _optimum(model: IlpModel, program: _Program, node_limit: int, root: LpSolution) -> IlpSolution:
-    """``branch_and_bound`` of ``model`` on its compiled flow-space
-    ``program``, whose LP solution at its own bounds is ``root``; every
-    search starts from it."""
+    """``branch_and_bound`` of ``model`` on its compiled ``program``, whose
+    LP solution at its own bounds is ``root``; every search starts from it."""
     search = _Search(node_limit)
     raw = _dfs(program, root, search)
     if raw is None:
@@ -480,14 +427,14 @@ def enumerate_pathways(
     """Best pathway first, then repeatedly forbid the found support and
     re-solve, yielding up to ``k`` structurally distinct solutions.
 
-    The flow-space program is compiled once, as in ``branch_and_bound``, and
-    each found support is appended to its cuts, which the search turns into
+    The model is compiled once, as in ``branch_and_bound``, and each found
+    support is appended to the program's cuts, which the search turns into
     partition branches; no model is rebuilt between ranks.  Cuts are not LP
     rows, so the root LP is the same for every rank: it is solved cold once,
     and every search of every rank starts from its basis."""
     if k < 1:
         raise ValueError("need k >= 1 pathways")
-    program = _compile(relax(model), model.integers, model.cuts)
+    program = _compile(model)
     root = simplex_solve(program)
     column = dict(program.edges)
     solutions: list[IlpSolution] = []
@@ -510,16 +457,14 @@ def enumerate_pathways(
 def brute_force(model: IlpModel, grid_limit: int = 100_000_000) -> IlpSolution:
     """Independent reference solver: enumerate every integer assignment.
 
-    Indicators are not enumerated; they are implied by the flows (an edge is
-    used exactly when it carries flow), which matches the linking rows for
-    any big-M of at least the flow cap.  Ties on the objective keep the
-    lexicographically first assignment in model variable order.
+    A cut holds where some edge of it carries no flow.  Ties on the
+    objective keep the lexicographically first assignment in model variable
+    order.
     """
-    free_names = [n for n in model.variables if not n.startswith("z_")]
-    z_names = [n for n in model.variables if n.startswith("z_")]
+    names = model.variables
     lows = []
     sizes = []
-    for name in free_names:
+    for name in names:
         lo, hi = model.bounds[name]
         if not float(lo).is_integer() or not float(hi).is_integer():
             raise ValueError(f"non-integer bounds on {name}")
@@ -541,26 +486,19 @@ def brute_force(model: IlpModel, grid_limit: int = 100_000_000) -> IlpSolution:
     sizes_arr = np.array(sizes, dtype=np.int64).reshape(-1, 1)
     strides_arr = np.array(strides, dtype=np.int64).reshape(-1, 1)
 
-    flow_of_z = {}
-    for zn in z_names:
-        flow_of_z[zn] = free_names.index(f"f_{zn[2:]}")
-    z_lo = np.array([model.bounds[n][0] for n in z_names]).reshape(-1, 1)
-    z_hi = np.array([model.bounds[n][1] for n in z_names]).reshape(-1, 1)
-    z_from = np.array([flow_of_z[n] for n in z_names], dtype=np.int64)
+    index = {name: i for i, name in enumerate(names)}
 
-    def row_vectors(row: Row):
-        cf = np.zeros(len(free_names))
-        cz = np.zeros(len(z_names))
-        for var, coef in row.coeffs.items():
-            if var.startswith("z_"):
-                cz[z_names.index(var)] = coef
-            else:
-                cf[free_names.index(var)] = coef
-        return cf, cz
+    def vector(coeffs: dict[str, float]) -> np.ndarray:
+        v = np.zeros(len(names))
+        for var, coef in coeffs.items():
+            v[index[var]] = coef
+        return v
 
-    row_data = [(row_vectors(row), row.sense, row.rhs) for row in model.rows]
-    obj_f, obj_z = row_vectors(Row("objective", dict(model.objective), "<=", 0.0))
+    row_data = [(vector(row.coeffs), row.sense, row.rhs) for row in model.rows]
+    obj = vector(model.objective)
     sign = 1.0 if model.sense == "min" else -1.0
+    column = {key: index[name] for name, key in model.flow_keys.items() if isinstance(key, int)}
+    cuts = [np.array([column[eid] for eid in sorted(cut)]) for cut in model.cuts]
 
     best_signed = math.inf
     best_column: np.ndarray | None = None
@@ -568,12 +506,9 @@ def brute_force(model: IlpModel, grid_limit: int = 100_000_000) -> IlpSolution:
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         X = (idx[np.newaxis, :] // strides_arr) % sizes_arr + lows_arr
-        Z = (X[z_from] >= 1).astype(np.int64) if z_names else np.zeros((0, len(idx)), np.int64)
         ok = np.ones(len(idx), dtype=bool)
-        if z_names:
-            ok &= np.all((Z >= z_lo) & (Z <= z_hi), axis=0)
-        for (cf, cz), sense, rhs in row_data:
-            value = cf @ X + (cz @ Z if z_names else 0.0)
+        for coeffs, sense, rhs in row_data:
+            value = coeffs @ X
             tol = 1e-9 * (1.0 + abs(rhs))
             if sense == "<=":
                 ok &= value <= rhs + tol
@@ -581,18 +516,18 @@ def brute_force(model: IlpModel, grid_limit: int = 100_000_000) -> IlpSolution:
                 ok &= value >= rhs - tol
             else:
                 ok &= np.abs(value - rhs) <= tol
+        for cut in cuts:
+            ok &= ~np.all(X[cut] >= 1, axis=0)
         if not ok.any():
             continue
-        objective = sign * (obj_f @ X + (obj_z @ Z if z_names else 0.0))
-        objective = np.where(ok, objective, math.inf)
+        objective = np.where(ok, sign * (obj @ X), math.inf)
         at = int(np.argmin(objective))
         if objective[at] < best_signed - 1e-12:
             best_signed = float(objective[at])
-            best_column = np.concatenate([X[:, at], Z[:, at]]) if z_names else X[:, at]
+            best_column = X[:, at]
 
     if best_column is None:
         return IlpSolution("infeasible", nodes=total)
-    values = {name: int(best_column[i]) for i, name in enumerate(free_names)}
-    values.update({name: int(best_column[len(free_names) + i]) for i, name in enumerate(z_names)})
+    values = {name: int(best_column[i]) for i, name in enumerate(names)}
     exact = float(sum(coef * values.get(name, 0) for name, coef in model.objective.items()))
     return _finish(model, exact, values, total)

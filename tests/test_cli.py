@@ -1,16 +1,28 @@
 """End-to-end command line behavior, run in process."""
 import itertools
 import json
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import molecules
 import nets
+import hyperpath
 from hyperpath import __version__, solve
 from hyperpath.cli import main
-from hyperpath.kinetics import BarrierTable, Thermo, objective_coefficients, pathway_score
+from hyperpath.kinetics import (
+    BarrierTable,
+    Thermo,
+    load_barriers,
+    objective_coefficients,
+    pathway_score,
+)
 from hyperpath.netcore import Hypergraph
 from hyperpath.pathopt import PathwayQuery
 
@@ -871,3 +883,186 @@ def test_manifest_keys_and_outputs(
     assert manifest["argv"] == argv
     assert set(manifest["inputs"]) == input_names
     assert manifest["outputs"] == sorted(written - {manifest_name})
+
+
+@pytest.mark.parametrize("document", ["network", "query", "flow", "solutions"])
+def test_deeply_nested_json_exit_2(tmp_path, capsys, document):
+    # json's decoder recurses once per level and runs out of stack long
+    # before it runs out of text
+    net, network, barriers, query = flux_setup(tmp_path)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    out = str(tmp_path / "out")
+    argv = {
+        "network": ["export-dot", "--network", str(deep), "--output", out],
+        "query": ["export-lp", "--network", network, "--barriers", barriers,
+                  "--query", str(deep), "--output", out],
+        "flow": ["annotate-check", "--network", network, "--flow", str(deep)],
+        "solutions": ["export-dot", "--network", network, "--solutions", str(deep),
+                      "--output", out],
+    }[document]
+    assert main(argv) == 2
+    assert f"{deep} nests too deeply to read" in capsys.readouterr().err
+    assert not Path(out).exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("forbidden_edges", "01"), ("targets", {"3": "12"}), ("flow_cap", 2.7), ("flow_cap", True)],
+)
+def test_query_values_that_are_not_json_integers_exit_2(tmp_path, capsys, field, value):
+    net, network, barriers, _ = flux_setup(tmp_path)
+    data = nets.flux_demo()[1].to_json()
+    data[field] = value
+    query = tmp_path / "odd-query.json"
+    query.write_text(json.dumps(data))
+    out = tmp_path / "solutions.json"
+    assert main(["query", "--network", network, "--barriers", barriers,
+                 "--query", str(query), "--output", str(out)]) == 2
+    assert "not a valid query document" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_imports_no_test_oracle():
+    # the package needs numpy only: scipy, networkx and hypothesis serve the
+    # tests, and pytest runs them
+    src = Path(hyperpath.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import hyperpath.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} "
+        "& {'scipy', 'networkx', 'hypothesis', 'pytest'}))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+# -- inputs that cannot crash --------------------------------------------------
+# Any query, network or barrier text either parses or raises the error its
+# reader documents, and the CLI turns that error into exit 2, never into a
+# traceback.
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 4),
+    st.integers(),
+    st.sampled_from([2**53, 2**53 + 1, -(2**53) - 1, 10**400]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+#: what ``_Run.read_document`` maps to exit 2 besides malformed JSON
+SHAPE_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
+@st.composite
+def mutated(draw, base: dict):
+    """``base`` with one to three values, at any depth, replaced by any JSON."""
+    doc = json.loads(json.dumps(base))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = doc, draw(st.sampled_from(sorted(doc)))
+        while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
+            node = parent[key]
+            parent, key = node, draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent[key] = draw(JSON_VALUES)
+    return doc
+
+
+def json_texts(base: dict):
+    return st.one_of(
+        mutated(base).map(json.dumps),
+        JSON_VALUES.map(json.dumps),
+        st.text(max_size=30),
+    )
+
+
+def decodes(decode, text: str, errors) -> bool:
+    """Whether ``decode`` takes the JSON ``text``; it may fail only with ``errors``."""
+    try:
+        data = json.loads(text)
+    except ValueError:  # malformed JSON, or an integer too long to read
+        return False
+    try:
+        decode(data)
+    except errors:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    net, query = nets.flux_demo()
+    flow = root / "flow.json"
+    flow.write_text("{}")
+    return {
+        "root": root,
+        "network": write_network(root, net),
+        "barriers": write_barriers(root, nets.uniform_barriers(net)),
+        "query": write_query(root, query),
+        "flow": str(flow),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=json_texts(nets.flux_demo()[1].to_json()))
+def test_query_json_parses_or_raises_value_error(fuzz_files, text):
+    parsed = decodes(PathwayQuery.from_json, text, ValueError)
+    query = fuzz_files["root"] / "fuzzed-query.json"
+    query.write_text(text)
+    code = main(["export-lp", "--network", fuzz_files["network"], "--barriers",
+                 fuzz_files["barriers"], "--query", str(query),
+                 "--output", str(fuzz_files["root"] / "model.lp")])
+    # a query that parses may still name vertices the network lacks
+    assert code in (0, 2) if parsed else code == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=json_texts(nets.flux_demo()[0].to_json()))
+def test_network_json_parses_or_raises_a_shape_error(fuzz_files, text):
+    parsed = decodes(Hypergraph.from_json, text, SHAPE_ERRORS)
+    network = fuzz_files["root"] / "fuzzed-network.json"
+    network.write_text(text)
+    code = main(["annotate-check", "--network", str(network), "--flow", fuzz_files["flow"]])
+    assert code == (0 if parsed else 2)
+
+
+CSV_CELLS = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "-1", "20", "-3.5", "1e4", "10000.5", "1e400", "nan", " 1 "]),
+    st.text(max_size=5),
+)
+CSV_ROWS = st.one_of(
+    st.sampled_from(["0,20", "1,-3.5", "2,1e4", ""]),
+    st.lists(CSV_CELLS, min_size=1, max_size=3).map(",".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.one_of(
+        st.builds(
+            lambda header, rows: "\n".join([header] + rows),
+            st.sampled_from(["edge_id,barrier_kj_per_mol", " edge_id,barrier_kj_per_mol ", "edge_id"]),
+            st.lists(CSV_ROWS, max_size=5),
+        ),
+        st.text(max_size=40),
+    )
+)
+def test_barrier_csv_parses_or_raises_value_error(fuzz_files, text):
+    net, _ = nets.flux_demo()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # negative barriers are accepted with a warning
+        try:
+            load_barriers(text, net)
+            parsed = True
+        except ValueError:
+            parsed = False
+        barriers = fuzz_files["root"] / "fuzzed-barriers.csv"
+        barriers.write_text(text)
+        code = main(["annotate-check", "--network", fuzz_files["network"],
+                     "--flow", fuzz_files["flow"], "--barriers", str(barriers)])
+    assert code == (0 if parsed else 2)

@@ -1,4 +1,6 @@
 """Query validation, ILP compilation, relaxation, and LP text export."""
+from dataclasses import replace
+
 import pytest
 
 import helpers
@@ -98,6 +100,25 @@ def test_query_json_accepts_pair_ranges():
         ({"targets": {"3": [1, 2, 3]}}, "bad range"),
         ({"targets": {"3": [1, 1]}, "byproducts": [4]}, "vertex caps"),
         ({"targets": {"3": [1, 1]}, "forbidden_edges": 7}, "list of edge ids"),
+        # values that used to be coerced: a string of digits, a fraction, a bool
+        ({"targets": {"3": [1, 1]}, "forbidden_edges": "01"}, "list of edge ids"),
+        ({"targets": {"3": "12"}}, "bad range for vertex '3'"),
+        ({"targets": {"3": [1, 1]}, "flow_cap": 2.7}, "flow_cap: expected an integer"),
+        ({"targets": {"3": [1, 1]}, "flow_cap": True}, "flow_cap: expected an integer"),
+        ({"targets": {"3": [True, 1]}}, "bad range"),
+        ({"targets": {"3": {"min": 1, "max": 2.0}}}, "bad range"),
+        ({"targets": {"3": [1, 1]}, "byproducts": {"4": "2"}}, "byproducts 4: expected an integer"),
+        ({"targets": {"3": [1, 1]}, "forbidden_edges": [0, 1.0]}, "forbidden_edges: expected an"),
+        ({"targets": {"3": [1, 1]}, "total_inflow_max": "3"}, "total_inflow_max: expected an"),
+        ({"targets": {"3": [1, 1]}, "maximize_outflow": 3.0}, "maximize_outflow: expected an"),
+        ({"sources": [], "targets": {"3": [1, 1]}}, "expected an object"),
+        # beyond 2**53 the solver's floats no longer hold an integer exactly
+        ({"targets": {"3": [1, 1]}, "flow_cap": 2**53 + 1}, "flow_cap: expected an integer"),
+        ({"targets": {"3": [1, 10**400]}}, "bad range"),
+        # a vertex id is written one way only, so two keys cannot name one vertex
+        ({"targets": {"3": [1, 1], "03": [2, 2]}}, "targets: bad vertex id '03'"),
+        ({"sources": {" 0": [0, 1]}, "targets": {"3": [1, 1]}}, "sources: bad vertex id ' 0'"),
+        ({"targets": {"3": [1, 1]}, "byproducts": {"x": 1}}, "byproducts: bad vertex id 'x'"),
     ],
 )
 def test_query_json_malformed_documents(document, fragment):
@@ -105,24 +126,38 @@ def test_query_json_malformed_documents(document, fragment):
         PathwayQuery.from_json(document)
 
 
+def test_query_json_takes_integers_up_to_two_to_the_53():
+    q = PathwayQuery.from_json({"targets": {"3": [1, 2**53]}, "flow_cap": 2**53})
+    assert q.targets == {3: (1, 2**53)} and q.flow_cap == 2**53
+
+
 def test_build_model_variable_layout():
     net, query = nets.flux_demo()
     model = build_model(net, weighted(net), query)
     assert model.variables == (
         "f_0", "f_1", "f_2",
-        "z_0", "z_1", "z_2",
         "in_0", "in_1", "in_2",
         "out_3",
     )
     assert model.bounds["f_0"] == (0, 3)
-    assert model.bounds["z_2"] == (0, 1)
     assert model.bounds["in_1"] == (0, 3)
     assert model.bounds["out_3"] == (1, 10)
     assert model.integers == frozenset({"f_0", "f_1", "f_2", "in_0", "in_1", "in_2", "out_3"})
-    assert model.binaries == frozenset({"z_0", "z_1", "z_2"})
+    assert model.flow_cap == 3
     assert model.flow_keys["f_1"] == 1
     assert model.flow_keys["in_2"] == ("in", 2)
     assert model.flow_keys["out_3"] == ("out", 3)
+    # the export places one binary indicator per edge after the flows
+    lines = export_lp_text(model).splitlines()
+    bounds = lines[lines.index("Bounds") + 1:lines.index("Generals")]
+    assert [line.split()[-3] if "<=" in line else line.split()[0] for line in bounds] == [
+        "f_0", "f_1", "f_2",
+        "z_0", "z_1", "z_2",
+        "in_0", "in_1", "in_2",
+        "out_3",
+    ]
+    assert " 0 <= z_2 <= 1" in bounds
+    assert lines[lines.index("Binaries") + 1] == " z_0 z_1 z_2"
 
 
 def test_build_model_row_layout():
@@ -131,9 +166,6 @@ def test_build_model_row_layout():
     names = [row.name for row in model.rows]
     assert names == [
         "conserve_v0", "conserve_v1", "conserve_v2", "conserve_v3",
-        "link_up_e0", "link_lo_e0",
-        "link_up_e1", "link_lo_e1",
-        "link_up_e2", "link_lo_e2",
         "total_inflow",
     ]
     v0 = model.rows[0]
@@ -141,13 +173,21 @@ def test_build_model_row_layout():
     assert v0.coeffs == {"f_0": -2.0, "in_0": 1.0}
     v3 = model.rows[3]
     assert v3.coeffs == {"f_0": 1.0, "f_1": 1.0, "f_2": 1.0, "out_3": -1.0}
-    up = model.rows[4]
-    assert up.coeffs == {"f_0": 1.0, "z_0": -3.0} and up.sense == "<=" and up.rhs == 0.0
-    lo = model.rows[5]
-    assert lo.coeffs == {"z_0": 1.0, "f_0": -1.0} and lo.sense == "<="
     cap_row = model.rows[-1]
     assert cap_row.coeffs == {"in_0": 1.0, "in_1": 1.0, "in_2": 1.0}
     assert cap_row.sense == "<=" and cap_row.rhs == 3.0
+    # the export places the two linking rows per edge after the conservation rows
+    lines = export_lp_text(model).splitlines()
+    rows = lines[lines.index("Subject To") + 1:lines.index("Bounds")]
+    assert [line.split(":")[0].strip() for line in rows] == [
+        "conserve_v0", "conserve_v1", "conserve_v2", "conserve_v3",
+        "link_up_e0", "link_lo_e0",
+        "link_up_e1", "link_lo_e1",
+        "link_up_e2", "link_lo_e2",
+        "total_inflow",
+    ]
+    assert rows[4] == " link_up_e0: 1 f_0 - 3 z_0 <= 0"
+    assert rows[5] == " link_lo_e0: - 1 f_0 + 1 z_0 <= 0"
 
 
 def test_build_model_objective_modes():
@@ -181,8 +221,8 @@ def test_build_model_forbidden_edges_pin_to_zero():
     )
     model = build_model(net, weighted(net), q)
     assert model.bounds["f_1"] == (0, 0)
-    assert model.bounds["z_1"] == (0, 0)
     assert model.bounds["f_0"] == (0, 3)
+    assert " z_1 = 0" in export_lp_text(model).splitlines()
 
 
 def test_build_model_every_vertex_conserved():
@@ -222,13 +262,12 @@ def test_cut_rows_appended_in_order():
     model = build_model(
         net, weighted(net), query, cuts=(frozenset({0, 2}), frozenset({1}))
     )
-    cut0 = model.rows[-2]
-    cut1 = model.rows[-1]
-    assert cut0.name == "cut_0"
-    assert cut0.coeffs == {"z_0": 1.0, "z_2": 1.0}
-    assert cut0.sense == "<=" and cut0.rhs == 1.0
-    assert cut1.name == "cut_1"
-    assert cut1.coeffs == {"z_1": 1.0} and cut1.rhs == 0.0
+    assert model.cuts == (frozenset({0, 2}), frozenset({1}))
+    assert model.rows == build_model(net, weighted(net), query).rows
+    lines = export_lp_text(model).splitlines()
+    bounds_at = lines.index("Bounds")
+    assert lines[bounds_at - 2] == " cut_0: 1 z_0 + 1 z_2 <= 1"
+    assert lines[bounds_at - 1] == " cut_1: 1 z_1 <= 0"
 
 
 def test_add_cut_returns_new_model():
@@ -237,8 +276,9 @@ def test_add_cut_returns_new_model():
     cut = add_cut(base, {0})
     assert base.cuts == ()
     assert cut.cuts == (frozenset({0}),)
-    assert cut.rows[-1].name == "cut_0"
-    assert len(cut.rows) == len(base.rows) + 1
+    assert cut.rows == base.rows
+    lines = export_lp_text(cut).splitlines()
+    assert lines[lines.index("Bounds") - 1] == " cut_0: 1 z_0 <= 0"
     with pytest.raises(ValueError):
         add_cut(base, set())
     with pytest.raises(ValueError):
@@ -257,14 +297,16 @@ def test_relax_drops_integrality_machinery():
     net, query = nets.flux_demo()
     model = build_model(net, weighted(net), query, cuts=(frozenset({0}),))
     lp = relax(model)
-    assert all(not name.startswith("z_") for name in lp.variables)
-    assert all(not row.name.startswith(("link_", "cut_")) for row in lp.rows)
+    assert lp.integers == frozenset() and lp.cuts == ()
+    assert lp == replace(model, integers=frozenset(), cuts=())
     assert [row.name for row in lp.rows] == [
         "conserve_v0", "conserve_v1", "conserve_v2", "conserve_v3", "total_inflow",
     ]
     assert lp.bounds["f_0"] == (0.0, 3.0)
     assert lp.flow_keys["out_3"] == ("out", 3)
     assert set(lp.objective) <= set(lp.variables)
+    text = export_lp_text(lp)
+    assert "z_0" not in text and "link_" not in text and "cut_" not in text
 
 
 def test_flow_from_values_rounds_and_maps():
@@ -331,7 +373,138 @@ def test_export_lp_byte_identical():
 def test_reference_fixture_model_sizes():
     net, query = nets.cascade_network()
     model = build_model(net, weighted(net), query)
-    # 20 flows + 20 indicators + 2 inflows + 2 outflows
-    assert len(model.variables) == 44
-    # 12 conservation rows + 40 linking rows
-    assert len(model.rows) == 52
+    # 20 flows + 2 inflows + 2 outflows
+    assert len(model.variables) == 24
+    # 12 conservation rows
+    assert len(model.rows) == 12
+    # the exported indicator form adds 20 indicators and 40 linking rows
+    lines = export_lp_text(model).splitlines()
+    assert lines.index("Bounds") - lines.index("Subject To") - 1 == 52
+    assert lines.index("Generals") - lines.index("Bounds") - 1 == 44
+
+
+# export_lp_text of flux_demo with edge 1 forbidden and cuts {0, 2} and {1},
+# and with every edge forbidden, as the indicator model wrote them when it
+# carried its indicators, linking rows and cut rows itself
+CUT_TEXT = """\
+Maximize
+ obj: 1 out_3
+Subject To
+ conserve_v0: - 2 f_0 + 1 in_0 = 0
+ conserve_v1: - 2 f_1 + 1 in_1 = 0
+ conserve_v2: - 2 f_2 + 1 in_2 = 0
+ conserve_v3: 1 f_0 + 1 f_1 + 1 f_2 - 1 out_3 = 0
+ link_up_e0: 1 f_0 - 3 z_0 <= 0
+ link_lo_e0: - 1 f_0 + 1 z_0 <= 0
+ link_up_e1: 1 f_1 - 3 z_1 <= 0
+ link_lo_e1: - 1 f_1 + 1 z_1 <= 0
+ link_up_e2: 1 f_2 - 3 z_2 <= 0
+ link_lo_e2: - 1 f_2 + 1 z_2 <= 0
+ total_inflow: 1 in_0 + 1 in_1 + 1 in_2 <= 3
+ cut_0: 1 z_0 + 1 z_2 <= 1
+ cut_1: 1 z_1 <= 0
+Bounds
+ 0 <= f_0 <= 3
+ f_1 = 0
+ 0 <= f_2 <= 3
+ 0 <= z_0 <= 1
+ z_1 = 0
+ 0 <= z_2 <= 1
+ 0 <= in_0 <= 3
+ 0 <= in_1 <= 3
+ 0 <= in_2 <= 3
+ 1 <= out_3 <= 10
+Generals
+ f_0 f_1 f_2 in_0 in_1 in_2 out_3
+Binaries
+ z_0 z_1 z_2
+End
+"""
+
+CUT_RELAXED_TEXT = """\
+Maximize
+ obj: 1 out_3
+Subject To
+ conserve_v0: - 2 f_0 + 1 in_0 = 0
+ conserve_v1: - 2 f_1 + 1 in_1 = 0
+ conserve_v2: - 2 f_2 + 1 in_2 = 0
+ conserve_v3: 1 f_0 + 1 f_1 + 1 f_2 - 1 out_3 = 0
+ total_inflow: 1 in_0 + 1 in_1 + 1 in_2 <= 3
+Bounds
+ 0 <= f_0 <= 3
+ f_1 = 0
+ 0 <= f_2 <= 3
+ 0 <= in_0 <= 3
+ 0 <= in_1 <= 3
+ 0 <= in_2 <= 3
+ 1 <= out_3 <= 10
+End
+"""
+
+ALL_FORBIDDEN_TEXT = """\
+Maximize
+ obj: 1 out_3
+Subject To
+ conserve_v0: - 2 f_0 + 1 in_0 = 0
+ conserve_v1: - 2 f_1 + 1 in_1 = 0
+ conserve_v2: - 2 f_2 + 1 in_2 = 0
+ conserve_v3: 1 f_0 + 1 f_1 + 1 f_2 - 1 out_3 = 0
+ link_up_e0: 1 f_0 - 3 z_0 <= 0
+ link_lo_e0: - 1 f_0 + 1 z_0 <= 0
+ link_up_e1: 1 f_1 - 3 z_1 <= 0
+ link_lo_e1: - 1 f_1 + 1 z_1 <= 0
+ link_up_e2: 1 f_2 - 3 z_2 <= 0
+ link_lo_e2: - 1 f_2 + 1 z_2 <= 0
+ total_inflow: 1 in_0 + 1 in_1 + 1 in_2 <= 3
+Bounds
+ f_0 = 0
+ f_1 = 0
+ f_2 = 0
+ z_0 = 0
+ z_1 = 0
+ z_2 = 0
+ 0 <= in_0 <= 3
+ 0 <= in_1 <= 3
+ 0 <= in_2 <= 3
+ 1 <= out_3 <= 10
+Generals
+ f_0 f_1 f_2 in_0 in_1 in_2 out_3
+Binaries
+ z_0 z_1 z_2
+End
+"""
+
+ALL_FORBIDDEN_RELAXED_TEXT = """\
+Maximize
+ obj: 1 out_3
+Subject To
+ conserve_v0: - 2 f_0 + 1 in_0 = 0
+ conserve_v1: - 2 f_1 + 1 in_1 = 0
+ conserve_v2: - 2 f_2 + 1 in_2 = 0
+ conserve_v3: 1 f_0 + 1 f_1 + 1 f_2 - 1 out_3 = 0
+ total_inflow: 1 in_0 + 1 in_1 + 1 in_2 <= 3
+Bounds
+ f_0 = 0
+ f_1 = 0
+ f_2 = 0
+ 0 <= in_0 <= 3
+ 0 <= in_1 <= 3
+ 0 <= in_2 <= 3
+ 1 <= out_3 <= 10
+End
+"""
+
+
+@pytest.mark.parametrize(
+    "forbidden, cuts, texts",
+    [
+        ((1,), (frozenset({0, 2}), frozenset({1})), (CUT_TEXT, CUT_RELAXED_TEXT)),
+        ((0, 1, 2), (), (ALL_FORBIDDEN_TEXT, ALL_FORBIDDEN_RELAXED_TEXT)),
+    ],
+    ids=["forbidden-edge-and-cuts", "every-edge-forbidden"],
+)
+def test_export_lp_text_is_pinned(forbidden, cuts, texts):
+    net, query = nets.flux_demo()
+    assert query.total_inflow_max is not None
+    model = build_model(net, weighted(net), replace(query, forbidden_edges=forbidden), cuts=cuts)
+    assert (export_lp_text(model), export_lp_text(relax(model))) == texts
