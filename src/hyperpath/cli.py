@@ -36,7 +36,7 @@ from .kinetics import (
     pathway_score,
 )
 from .molgraph import PERIODIC_TABLE, MgfError, parse_molecules
-from .netcore import Hypergraph
+from .netcore import Hypergraph, is_json_id, is_json_integer
 from .pathopt import PathwayQuery, build_model, export_lp_text, relax
 from .rewrite import (
     ExpansionConfig,
@@ -140,13 +140,14 @@ def _parse_max_elements(spec: str | None) -> dict[str, int] | None:
 
 
 def _flow_from_json(data: dict) -> dict:
+    """The hyperflow of a flow document: ids as decimal numerals without
+    leading zeros, values as JSON integers of at most 2**53 in magnitude."""
     flow: dict = {}
-    for eid, value in data.get("flow", {}).items():
-        flow[int(eid)] = int(value)
-    for vid, value in data.get("inflow", {}).items():
-        flow[("in", int(vid))] = int(value)
-    for vid, value in data.get("outflow", {}).items():
-        flow[("out", int(vid))] = int(value)
+    for block, kind in (("flow", None), ("inflow", "in"), ("outflow", "out")):
+        for key, value in data.get(block, {}).items():
+            if not (is_json_id(key) and is_json_integer(value)):
+                raise ValueError(f"{block}: bad entry {key!r}: {value!r}, expected an id and an integer")
+            flow[int(key) if kind is None else (kind, int(key))] = value
     return flow
 
 
@@ -263,7 +264,7 @@ def _cmd_query(args, run: _Run) -> int:
             raise SolverError("relaxation came back numerical")
         flow = {}
         if lp.status == "optimal":
-            flow = {key: lp.values.get(name, 0.0) for name, key in model.flow_keys.items()}
+            flow = dict(zip(model.keys, lp.values.tolist()))
         data = {
             "status": lp.status,
             "objective_j_per_mol": lp.objective,

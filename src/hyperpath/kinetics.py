@@ -27,23 +27,18 @@ MAX_BARRIER_KJ = 1e4
 
 @dataclass(frozen=True)
 class Thermo:
-    """Temperature plus the physical constants the rate law needs (SI units)."""
+    """The temperature, in K, that the rate law is taken at."""
 
     T: float = DEFAULT_TEMPERATURE
-    R: float = GAS_CONSTANT
-    k_b: float = BOLTZMANN
-    h: float = PLANCK
 
     def __post_init__(self):
-        if self.R <= 0 or self.k_b <= 0 or self.h <= 0:
-            raise ValueError("physical constants must be positive")
         if not 0 < self.rt < math.inf:
             raise ValueError("temperature must be positive, with R*T finite")
 
     @property
     def rt(self) -> float:
         """R*T in J/mol."""
-        return self.R * self.T
+        return GAS_CONSTANT * self.T
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,7 @@ def load_barriers(text: str, h: Hypergraph) -> BarrierTable:
 
 def rate_constant(barrier_j_per_mol: float, thermo: Thermo = Thermo()) -> float:
     """Transition-state rate constant (k_b*T/h) * exp(-G/RT), in 1/s."""
-    prefactor = thermo.k_b * thermo.T / thermo.h
+    prefactor = BOLTZMANN * thermo.T / PLANCK
     return prefactor * math.exp(-barrier_j_per_mol / thermo.rt)
 
 

@@ -7,6 +7,7 @@ for hyperflows, JSON round-tripping, and DOT export.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -14,6 +15,43 @@ from .molgraph import MolecularGraph, canonical_form, element_counts, parse_mole
 
 #: a hyperflow maps edge ids to integers plus ("in", v) / ("out", v) half-edges
 HalfEdge = tuple[str, int]
+
+#: the largest stoichiometric multiplicity a network file may give; ``to_dot``
+#: draws one arrow per unit
+MAX_MULTIPLICITY = 1000
+
+
+def is_json_integer(raw, limit: int = 2**53) -> bool:
+    """Whether a value read from JSON is an integer, not a bool, of at most
+    ``limit`` in magnitude; 2**53 keeps it exact as a float."""
+    return isinstance(raw, int) and not isinstance(raw, bool) and abs(raw) <= limit
+
+
+def is_json_id(key) -> bool:
+    """Whether a JSON object key is an id: a decimal numeral without leading
+    zeros, so that no two keys name one id ("03" would alias "3")."""
+    return re.fullmatch(r"0|[1-9][0-9]*", str(key)) is not None
+
+
+def _same(raw, derived) -> bool:
+    """Whether a value read from JSON is ``derived``, of its type too (a
+    bool or a float is no id)."""
+    return type(raw) is type(derived) and raw == derived
+
+
+def _side(raw: dict) -> dict[int, int]:
+    """One side of an edge of a network file: vertex id -> multiplicity."""
+    side = {}
+    for key, mult in raw.items():
+        if not is_json_id(key):
+            raise ValueError(f"bad vertex id {key!r}")
+        if not (is_json_integer(mult, MAX_MULTIPLICITY) and mult > 0):
+            raise ValueError(
+                f"multiplicity for vertex {key} must be positive, an integer of at most "
+                f"{MAX_MULTIPLICITY}, not {mult!r}"
+            )
+        side[int(key)] = mult
+    return side
 
 
 @dataclass(frozen=True)
@@ -171,28 +209,28 @@ class Hypergraph:
     def from_json(cls, data: dict) -> "Hypergraph":
         """Inverse of to_json.  Molecules and reactions go in through
         ``add_molecule`` and ``add_reaction``, so a file gets the checks an
-        expansion gets: ids out of order, a repeated molecule or reaction, a
-        multiplicity below 1 or a ``reverse_of`` other than the derived one
-        raises ValueError."""
+        expansion gets: ids out of order, a repeated molecule or reaction, or
+        a ``reverse_of`` other than the derived one raises ValueError.  Ids
+        must be JSON integers, vertex ids in a reaction decimal numerals
+        without leading zeros, and multiplicities JSON integers from 1 to
+        ``MAX_MULTIPLICITY``; anything else raises ValueError too."""
         graph = cls()
         for row in data["vertices"]:
             vid = graph.add_molecule(parse_molecule(row["mgf"]))
             if graph.vertices[vid].key.hex() != row["key"]:
                 raise ValueError(f"vertex {row['id']} key does not match its molecule")
-            if vid != row["id"]:
+            if not _same(row["id"], vid):
                 raise ValueError(f"vertex {row['id']} is vertex {vid}: out of order or repeated")
         rows = data["edges"]
         for row in rows:
-            reactants = {int(v): int(m) for v, m in row["reactants"].items()}
-            products = {int(v): int(m) for v, m in row["products"].items()}
             try:
-                eid = graph.add_reaction(reactants, products)
+                eid = graph.add_reaction(_side(row["reactants"]), _side(row["products"]))
             except ValueError as exc:
                 raise ValueError(f"edge {row['id']}: {exc}") from None
-            if eid != row["id"]:
+            if not _same(row["id"], eid):
                 raise ValueError(f"edge {row['id']} is edge {eid}: out of order or repeated")
         for row, edge in zip(rows, graph.edges):
-            if row.get("reverse_of") != edge.reverse_of:
+            if not _same(row.get("reverse_of"), edge.reverse_of):
                 raise ValueError(f"edge {edge.id}: reverse_of is not the derived {edge.reverse_of}")
         return graph
 

@@ -1,23 +1,29 @@
 """Pathway queries compiled to integer linear programs over hyperflows.
 
 A query fixes how much of each source may enter, how much of each target
-must leave, and what may leak out as byproducts.  The compiled model has one
-integer flow variable per edge, exchange variables for the vertices the
-query mentions, and exact conservation rows for every vertex.  Costs come
-from the barrier-derived edge weights, so the optimum is the kinetically
-favored pathway.  Cuts, which enumerate alternatives, are edge-id sets that
-no solution may use all of.  The LP export alone writes the indicator form
-of an integer model: one binary use indicator per edge, big-M rows tying it
-to the edge's flow, and each cut as a row over indicators.
+must leave, and what may leak out as byproducts.  ``build_model`` compiles
+it, edge by edge, into one model held as arrays: one integer flow column per
+edge, exchange columns for the vertices the query mentions, a dense matrix
+of exact conservation rows for every vertex, and a cost vector.  The
+search, the exhaustive oracle and the LP export all read these arrays.
+Costs come from the barrier-derived edge weights, so the optimum is the
+kinetically favored pathway.  Cuts, which enumerate alternatives, are
+edge-id sets that no solution may use all of.  The LP export alone writes
+the indicator form of an integer model: one binary use indicator per edge,
+big-M rows tying it to the edge's flow, and each cut as a row over
+indicators.  numpy is imported by ``build_model``, not by this module.
 """
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from .kinetics import WeightModel
-from .netcore import Hypergraph
+from .netcore import Hypergraph, is_json_id, is_json_integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_FLOW_CAP = 10
 
@@ -81,17 +87,14 @@ class PathwayQuery:
         if not isinstance(data, dict):
             raise ValueError("query document must be a JSON object")
 
-        def is_integer(raw) -> bool:
-            return isinstance(raw, int) and not isinstance(raw, bool) and abs(raw) <= 2**53
-
         def integer(label: str, raw) -> int:
-            if not is_integer(raw):
+            if not is_json_integer(raw):
                 raise ValueError(f"query {label}: expected an integer, not {raw!r}")
             return raw
 
         def as_range(label: str, vid, raw) -> tuple[int, int]:
             pair = (raw.get("min"), raw.get("max")) if isinstance(raw, dict) else raw
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(map(is_integer, pair)):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(is_json_integer, pair))):
                 raise ValueError(f"query {label}: bad range for vertex {vid!r}")
             return pair[0], pair[1]
 
@@ -102,7 +105,7 @@ class PathwayQuery:
             if not isinstance(raw, dict):
                 raise ValueError(f"query {label}: expected an object of {expected}")
             for key in raw:
-                if not re.fullmatch(r"0|[1-9][0-9]*", str(key)):  # "03" would alias "3"
+                if not is_json_id(key):
                     raise ValueError(f"query {label}: bad vertex id {key!r}")
             return raw
 
@@ -132,18 +135,6 @@ class PathwayQuery:
         )
 
 
-@dataclass(frozen=True)
-class Row:
-    name: str
-    coeffs: dict[str, float]
-    sense: str  # "<=", ">=" or "="
-    rhs: float
-
-    def __post_init__(self):
-        if self.sense not in ("<=", ">=", "="):
-            raise ValueError(f"bad row sense {self.sense!r}")
-
-
 def flow_var(edge_id: int) -> str:
     return f"f_{edge_id}"
 
@@ -160,33 +151,35 @@ def outflow_var(vertex_id: int) -> str:
     return f"out_{vertex_id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays do not compare to one bool
 class IlpModel:
-    """Variables, bounds, rows and objective of a pathway model.
+    """A pathway model as arrays.
 
-    ``integers`` names the integral variables; it is empty in a continuous
-    relaxation.  ``flow_cap`` is the query's per-edge flow cap, the big-M of
-    the indicator form that ``export_lp_text`` writes.  ``flow_keys`` maps
-    each flow and exchange variable to its hyperflow key, and ``cuts`` are
-    edge-id sets that no solution may use all of.
+    Column j is named ``variables[j]``, carries the hyperflow key
+    ``keys[j]`` and lies within ``lo[j], hi[j]``.  A built model's columns
+    are the flows of edges 0, 1, ... (column e is edge e, keyed e), then the
+    exchange variables, keyed ("in", v) or ("out", v).  Row i, named
+    ``rows[i]``, asks ``A[i] @ x`` to be ``senses[i]`` ("=", "<=" or ">=")
+    ``rhs[i]``.  The objective ``cost @ x`` is minimized or maximized by
+    ``sense``.  ``integral`` says every column is integral; the continuous
+    relaxation clears it.  ``flow_cap`` is the query's per-edge flow cap,
+    the big-M of the indicator form that ``export_lp_text`` writes, and
+    ``cuts`` are edge-id sets that no solution may use all of.
     """
 
     variables: tuple[str, ...]
-    bounds: dict[str, tuple[float, float]]
-    rows: tuple[Row, ...]
-    objective: dict[str, float]
+    keys: tuple
+    lo: np.ndarray
+    hi: np.ndarray
+    A: np.ndarray
+    rhs: np.ndarray
+    rows: tuple[str, ...]
+    senses: tuple[str, ...]
+    cost: np.ndarray
     sense: str  # "min" or "max"
-    integers: frozenset[str] = frozenset()
     flow_cap: int | None = None
-    flow_keys: dict[str, object] = field(default_factory=dict)
+    integral: bool = True
     cuts: tuple[frozenset[int], ...] = ()
-
-    def flow_from_values(self, values: dict[str, float]) -> dict:
-        """Convert solved variable values to a hyperflow dict with int values."""
-        flow = {}
-        for name, key in self.flow_keys.items():
-            flow[key] = int(round(values.get(name, 0.0)))
-        return flow
 
 
 def build_model(
@@ -197,10 +190,12 @@ def build_model(
 ) -> IlpModel:
     """Compile a query against a weighted hypergraph.
 
-    Variables are the flows by edge id, then the exchange variables.  Rows
+    Columns are the flows by edge id, then the exchange variables.  Rows
     are conservation for every vertex by id, then the optional total-inflow
     cap.  The cuts are kept in the order given.
     """
+    import numpy as np  # here, so that importing this module does not load numpy
+
     n_vertices = len(h.vertices)
     for vid in list(q.sources) + list(q.targets) + list(q.allowed_byproducts):
         if not (0 <= vid < n_vertices):
@@ -213,63 +208,47 @@ def build_model(
         raise ValueError(f"weights missing for edges {missing}")
 
     forbidden = set(q.forbidden_edges)
+    # (name, low, high, key) of each column
+    columns = [(flow_var(e.id), 0, 0 if e.id in forbidden else q.flow_cap, e.id) for e in h.edges]
+    columns += [(inflow_var(v), lo, hi, ("in", v)) for v, (lo, hi) in sorted(q.sources.items())]
+    columns += [(outflow_var(v), lo, hi, ("out", v)) for v, (lo, hi) in sorted(q.targets.items())]
+    columns += [(outflow_var(v), 0, cap, ("out", v)) for v, cap in sorted(q.allowed_byproducts.items())]
+    keys = tuple(key for *_, key in columns)
 
-    variables: list[str] = []
-    bounds: dict[str, tuple[float, float]] = {}
-    flow_keys: dict[str, object] = {}
-    for e in h.edges:
-        name = flow_var(e.id)
-        variables.append(name)
-        bounds[name] = (0, 0) if e.id in forbidden else (0, q.flow_cap)
-        flow_keys[name] = e.id
-
-    half_bounds: list[tuple[str, tuple[int, int], object]] = []
-    for vid, (lo, hi) in sorted(q.sources.items()):
-        half_bounds.append((inflow_var(vid), (lo, hi), ("in", vid)))
-    for vid, (lo, hi) in sorted(q.targets.items()):
-        half_bounds.append((outflow_var(vid), (lo, hi), ("out", vid)))
-    for vid, cap_out in sorted(q.allowed_byproducts.items()):
-        half_bounds.append((outflow_var(vid), (0, cap_out), ("out", vid)))
-    for name, rng, key in half_bounds:
-        variables.append(name)
-        bounds[name] = rng
-        flow_keys[name] = key
-
-    has_in = {vid for vid in q.sources}
-    has_out = set(q.targets) | set(q.allowed_byproducts)
-
-    rows: list[Row] = []
-    for v in h.vertices:
-        coeffs: dict[str, float] = {}
-        for e in h.edges:
-            net = e.products.get(v.id, 0) - e.reactants.get(v.id, 0)
-            if net:
-                coeffs[flow_var(e.id)] = float(net)
-        if v.id in has_in:
-            coeffs[inflow_var(v.id)] = 1.0
-        if v.id in has_out:
-            coeffs[outflow_var(v.id)] = -1.0
-        rows.append(Row(f"conserve_v{v.id}", coeffs, "=", 0.0))
+    rows = [f"conserve_v{v.id}" for v in h.vertices]
     if q.total_inflow_max is not None:
-        coeffs = {inflow_var(vid): 1.0 for vid in sorted(q.sources)}
-        rows.append(Row("total_inflow", coeffs, "<=", float(q.total_inflow_max)))
+        rows.append("total_inflow")
+    A = np.zeros((len(rows), len(columns)))
+    for e in h.edges:
+        for vid, mult in e.reactants.items():
+            A[vid, e.id] -= mult
+        for vid, mult in e.products.items():
+            A[vid, e.id] += mult
+    for j, key in enumerate(keys[len(h.edges):], start=len(h.edges)):
+        A[key[1], j] = 1.0 if key[0] == "in" else -1.0
+    rhs = np.zeros(len(rows))
+    if q.total_inflow_max is not None:
+        A[-1, len(h.edges):len(h.edges) + len(q.sources)] = 1.0
+        rhs[-1] = q.total_inflow_max
 
+    cost = np.zeros(len(columns))
     if q.maximize_outflow is not None:
-        objective = {outflow_var(q.maximize_outflow): 1.0}
-        sense = "max"
+        cost[keys.index(("out", q.maximize_outflow))] = 1.0
     else:
-        objective = {flow_var(e.id): model.coeff[e.id] for e in h.edges}
-        sense = "min"
+        cost[:len(h.edges)] = [model.coeff[e.id] for e in h.edges]
 
     compiled = IlpModel(
-        variables=tuple(variables),
-        bounds=bounds,
+        variables=tuple(name for name, *_ in columns),
+        keys=keys,
+        lo=np.array([lo for _, lo, _, _ in columns], dtype=float),
+        hi=np.array([hi for _, _, hi, _ in columns], dtype=float),
+        A=A,
+        rhs=rhs,
         rows=tuple(rows),
-        objective=objective,
-        sense=sense,
-        integers=frozenset(variables),
+        senses=("=",) * n_vertices + ("<=",) * (len(rows) - n_vertices),
+        cost=cost,
+        sense="min" if q.maximize_outflow is None else "max",
         flow_cap=q.flow_cap,
-        flow_keys=flow_keys,
     )
     for cut in cuts:
         compiled = add_cut(compiled, cut)
@@ -282,15 +261,15 @@ def add_cut(model: IlpModel, support: "frozenset[int] | set[int] | list[int]") -
     cut = frozenset(int(e) for e in support)
     if not cut:
         raise ValueError("an exclusion cut needs at least one edge")
-    unknown = sorted(cut.difference(key for key in model.flow_keys.values() if isinstance(key, int)))
+    unknown = sorted(cut.difference(key for key in model.keys if isinstance(key, int)))
     if unknown:
         raise ValueError(f"cut references unknown edge {unknown[0]}")
     return replace(model, cuts=model.cuts + (cut,))
 
 
 def relax(model: IlpModel) -> IlpModel:
-    """The continuous relaxation: no integral variables and no cuts."""
-    return replace(model, integers=frozenset(), cuts=())
+    """The continuous relaxation: no integral columns and no cuts."""
+    return replace(model, integral=False, cuts=())
 
 
 # ---------------------------------------------------------------------------
@@ -303,77 +282,65 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def _terms(coeffs: dict[str, float], variables: tuple[str, ...]) -> str:
-    parts: list[str] = []
-    for name in variables:
-        if name not in coeffs or coeffs[name] == 0:
-            continue
-        c = coeffs[name]
-        if not parts:
-            parts.append(f"{_fmt(c)} {name}" if c >= 0 else f"- {_fmt(-c)} {name}")
-        elif c >= 0:
-            parts.append(f"+ {_fmt(c)} {name}")
-        else:
-            parts.append(f"- {_fmt(-c)} {name}")
-    if not parts:
-        return f"0 {variables[0]}"
-    return " ".join(parts)
-
-
-def _indicator_form(model: IlpModel) -> tuple[tuple[str, ...], dict, list[Row], list[str]]:
-    """Variables, bounds, rows and binaries of an integer model with a use
-    indicator ``z_e`` per edge.  The indicators follow the flows, and
-    ``z_e`` is fixed at 0 where ``f_e`` is.  The rows ``f_e <= cap·z_e`` and
-    ``z_e <= f_e`` follow the conservation rows, edge by edge, and each cut
-    becomes a row over its edges' indicators after the model's own rows."""
-    flows = [name for name in model.variables if isinstance(model.flow_keys.get(name), int)]
-    binaries = [indicator_var(model.flow_keys[name]) for name in flows]
-    exchange = [name for name in model.variables if not isinstance(model.flow_keys.get(name), int)]
-    variables = tuple(flows + binaries + exchange)
-    bounds = dict(model.bounds)
-    links: list[Row] = []
-    for f, z in zip(flows, binaries):
-        bounds[z] = (0, 0) if model.bounds[f][1] == 0 else (0, 1)
-        eid = model.flow_keys[f]
-        links.append(Row(f"link_up_e{eid}", {f: 1.0, z: -float(model.flow_cap)}, "<=", 0.0))
-        links.append(Row(f"link_lo_e{eid}", {z: 1.0, f: -1.0}, "<=", 0.0))
-    conserve = [row for row in model.rows if row.name.startswith("conserve_")]
-    others = [row for row in model.rows if not row.name.startswith("conserve_")]
-    cuts = [
-        Row(f"cut_{i}", {indicator_var(eid): 1.0 for eid in cut}, "<=", float(len(cut) - 1))
-        for i, cut in enumerate(model.cuts)
-    ]
-    return variables, bounds, conserve + links + others + cuts, binaries
+def _terms(pairs: list[tuple[float, str]], first: str) -> str:
+    """``c name`` terms joined by their signs, zeros left out; ``0 first``
+    when every coefficient is zero."""
+    text = " ".join(f"{'-' if c < 0 else '+'} {_fmt(abs(c))} {name}" for c, name in pairs if c)
+    return text.removeprefix("+ ") or f"0 {first}"
 
 
 def export_lp_text(model: IlpModel) -> str:
     """Serialize a model in LP text format with a stable layout.
 
-    An integer model built for a query is written in its indicator form,
-    with the indicators as binaries.  The layout is deterministic, so
-    exporting the same model twice yields byte-identical text.
+    An integer model built for a query is written in its indicator form:
+    a use indicator ``z_e`` per edge after the flows, fixed at 0 where
+    ``f_e`` is; the rows ``f_e <= cap·z_e`` and ``z_e <= f_e`` after the
+    conservation rows, edge by edge; each cut as a row over its edges'
+    indicators after the model's own rows; and the indicators as binaries.
+    The layout is deterministic, so exporting the same model twice yields
+    byte-identical text.
     """
-    variables, bounds, rows, binaries = model.variables, model.bounds, model.rows, []
-    if model.integers and model.flow_cap is not None:
-        variables, bounds, rows, binaries = _indicator_form(model)
+    names = model.variables
+    lo, hi = model.lo.tolist(), model.hi.tolist()
+    rows = [
+        (name, list(zip(coeffs, names)), sense, rhs)
+        for name, coeffs, sense, rhs in zip(model.rows, model.A.tolist(), model.senses, model.rhs.tolist())
+    ]
+    bounds = list(zip(names, lo, hi))
+    binaries: list[str] = []
+    if model.integral and model.flow_cap is not None:
+        edges = [key for key in model.keys if isinstance(key, int)]
+        binaries = [indicator_var(eid) for eid in edges]
+        cap = float(model.flow_cap)
+        links = []
+        for eid, f, z in zip(edges, names, binaries):
+            links.append((f"link_up_e{eid}", [(1.0, f), (-cap, z)], "<=", 0.0))
+            links.append((f"link_lo_e{eid}", [(-1.0, f), (1.0, z)], "<=", 0.0))
+        cuts = [
+            (f"cut_{i}", [(1.0, indicator_var(eid)) for eid in sorted(cut)], "<=", float(len(cut) - 1))
+            for i, cut in enumerate(model.cuts)
+        ]
+        conserve = [row for row in rows if row[0].startswith("conserve_")]
+        others = [row for row in rows if not row[0].startswith("conserve_")]
+        rows = conserve + links + others + cuts
+        bounds[len(edges):len(edges)] = [(z, 0, 0 if hi[e] == 0 else 1) for e, z in enumerate(binaries)]
     out: list[str] = []
     out.append("Maximize" if model.sense == "max" else "Minimize")
-    out.append(f" obj: {_terms(model.objective, variables)}")
+    out.append(f" obj: {_terms(list(zip(model.cost.tolist(), names)), names[0])}")
     out.append("Subject To")
-    for row in rows:
-        out.append(f" {row.name}: {_terms(row.coeffs, variables)} {row.sense} {_fmt(row.rhs)}")
+    for name, pairs, sense, rhs in rows:
+        out.append(f" {name}: {_terms(pairs, names[0])} {sense} {_fmt(rhs)}")
     out.append("Bounds")
-    for name in variables:
-        lo, hi = bounds[name]
-        if lo == hi:
-            out.append(f" {name} = {_fmt(lo)}")
-        elif math.isinf(hi):
-            out.append(f" {name} >= {_fmt(lo)}")
+    for name, low, high in bounds:
+        if low == high:
+            out.append(f" {name} = {_fmt(low)}")
+        elif math.isinf(high):
+            out.append(f" {name} >= {_fmt(low)}")
         else:
-            out.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
-    if model.integers:
+            out.append(f" {_fmt(low)} <= {name} <= {_fmt(high)}")
+    if model.integral:
         out.append("Generals")
-        out.append(" " + " ".join(n for n in variables if n in model.integers))
+        out.append(" " + " ".join(names))
     if binaries:
         out.append("Binaries")
         out.append(" " + " ".join(binaries))

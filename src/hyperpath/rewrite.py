@@ -645,8 +645,9 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
     """Breadth-first closure of the seed molecules under the rules.
 
     Each iteration applies every rule (both directions for reversible ones)
-    to every not-yet-tried multiset of current molecules, sized from one up
-    to the rule's left-side component count.  Products join the network only
+    to every multiset of current molecules that holds a molecule new since
+    the last iteration (the others were tried then), sized from one up to
+    the rule's left-side component count.  Products join the network only
     if every product of the application passes the element-count ceilings
     and the right-side predicates; newly found molecules become hosts in the
     next iteration.  Stops early once an iteration adds nothing.
@@ -661,10 +662,10 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
         net.add_molecule(seed)
     directional = _directional_rules(rules)
     derivations: dict[int, list[DerivationRecord]] = {}
-    tried: set[tuple[int, tuple[bytes, ...]]] = set()
     history: list[tuple[int, int]] = []
     iterations_run = 0
     reached_fixpoint = False
+    tried_below = 0  # every multiset of the vertices below this id was tried
 
     for _ in range(config.max_iterations):
         current: list[Vertex] = list(net.vertices)
@@ -672,11 +673,9 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
         for ri, rule in enumerate(directional):
             for size in range(1, rule.left.component_count() + 1):
                 for combo in combinations_with_replacement(current, size):
-                    key = (ri, tuple(sorted(v.key for v in combo)))
-                    if key in tried:
-                        continue
-                    tried.add(key)
-                    tasks.append((ri, combo))
+                    if combo[-1].id >= tried_below:  # the highest id comes last
+                        tasks.append((ri, combo))
+        tried_below = len(current)
 
         before = (len(net.vertices), len(net.edges))
         for ri, combo in tasks:

@@ -1,25 +1,26 @@
 """Exact solvers for the pathway models.
 
-``simplex_solve`` is a dense-tableau bounded dual simplex over a model
-compiled to arrays: the tableau holds only the model's rows, each with a
-logical column, and a nonbasic column sits at its lower or upper bound, so
-every structural column needs finite bounds.  A solve starts from the
+Every solver here reads the arrays of an ``IlpModel``.  ``simplex_solve`` is
+a dense-tableau bounded dual simplex: the tableau holds only the model's
+rows, each with a logical column, and a nonbasic column sits at its lower or
+upper bound, so every column needs finite bounds.  A solve starts from the
 all-logical basis, or warm from an earlier solve's final basis whose bounds
 contain its own; either basis is dual feasible, and the dual simplex, with
 Bland's rule, restores the basic columns' bounds.
-``branch_and_bound`` compiles the model once, with its flows and exchange
-variables integral, so its depth-first search nodes differ only in their
-bounds, and each node re-solves from its parent's basis.  A cut ("not every
-edge of S") is not a row: an integral leaf that uses every edge of S becomes
-partition branches, one per edge of S (Lawler's k-best partition).  The
-optimum is then canonicalized, under an objective cutoff, to the
-lexicographically smallest optimal support, so runs and enumeration are
-deterministic.  It raises ``SolverError`` when an LP relaxation ends
-numerically or when the canonical support admits no optimum, rather than
-report a support it could not confirm.  ``enumerate_pathways`` compiles
-once, solves the root LP cold once, and peels off structurally distinct
-optima, each rank appending its support to the program's cuts, and
-``brute_force`` is an independent exhaustive oracle over the same model.
+``branch_and_bound`` searches depth first with every column integral; its
+nodes differ only in their bounds, and each node re-solves from its
+parent's basis.  A cut ("not every edge of S") is not a row: an integral
+leaf that uses every edge of S becomes partition branches, one per edge of
+S (Lawler's k-best partition).  The optimum is then canonicalized, under an
+objective cutoff, to the lexicographically smallest optimal support, so
+runs and enumeration are deterministic.  It raises ``SolverError`` when an
+LP relaxation ends numerically or when the canonical support admits no
+optimum, rather than report a support it could not confirm.
+``enumerate_pathways`` solves the root LP cold once and peels off
+structurally distinct optima, each rank appending its support to the
+model's cuts, and ``brute_force`` is an independent exhaustive oracle over
+the same model.  Every objective value is a sequential sum in column order,
+so that it is the same float wherever it is taken.
 """
 from __future__ import annotations
 
@@ -60,78 +61,44 @@ class IterationLimit(SolverError):
 @dataclass(frozen=True)
 class _Basis:
     """A solve's final tableau ``B⁻¹[A I]`` with the reduced costs as its last
-    row, the basic column of each row, and which columns sit at their upper
-    bound when nonbasic."""
+    row, the basic column of each row, which columns sit at their upper
+    bound when nonbasic, and the model's ``_logical_bounds``."""
 
     T: np.ndarray
     basic: np.ndarray
     upper: np.ndarray
+    logical_bounds: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
 class LpSolution:
     status: str  # optimal, infeasible or numerical
     objective: float | None = None
-    values: dict[str, float] | np.ndarray | None = None
+    values: np.ndarray | None = None  # in column order
     basis: _Basis | None = None  # the optimal basis, to warm-start tighter bounds from
 
 
-@dataclass(frozen=True)
-class _Program:
-    """A model as arrays: rows ``A x`` against ``rhs``, each row's logical
-    ``rhs - A x`` bounded by ``row_lo, row_hi`` (0 and inf for <=, -inf and 0
-    for >=, 0 and 0 for =), bounds ``lo, hi``, objective (column,
-    coefficient) terms in model order, the slack per unit of box width that
-    the search allows an LP bound (``price_tol``), integral columns, (edge
-    id, flow column) pairs in id order and cuts as flow columns."""
-
-    names: tuple[str, ...]
-    A: np.ndarray
-    rhs: np.ndarray
-    row_lo: np.ndarray
-    row_hi: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    objective: tuple[tuple[int, float], ...]
-    sign: float
-    price_tol: float
-    integral: np.ndarray
-    edges: tuple[tuple[int, int], ...]
-    cuts: tuple[np.ndarray, ...]
-
-
-def _compile(model: IlpModel) -> _Program:
-    """``model`` as arrays."""
-    names = model.variables
-    index = {name: j for j, name in enumerate(names)}
-    A = np.zeros((len(model.rows), len(names)))
-    for i, row in enumerate(model.rows):
-        for var, coef in row.coeffs.items():
-            A[i, index[var]] += coef
-    edges = sorted((key, index[n]) for n, key in model.flow_keys.items() if isinstance(key, int))
-    column = dict(edges)
-    return _Program(
-        names,
-        A,
-        np.array([float(row.rhs) for row in model.rows]),
-        np.array([-math.inf if row.sense == ">=" else 0.0 for row in model.rows]),
-        np.array([math.inf if row.sense == "<=" else 0.0 for row in model.rows]),
-        np.array([float(model.bounds[name][0]) for name in names]),
-        np.array([float(model.bounds[name][1]) for name in names]),
-        tuple((index[name], coef) for name, coef in model.objective.items()),
-        1.0 if model.sense == "min" else -1.0,
-        1e-9 * max([1.0] + [abs(coef) for coef in model.objective.values()]),
-        np.array([j for j, name in enumerate(names) if name in model.integers], dtype=int),
-        tuple(edges),
-        tuple(np.array([column[eid] for eid in sorted(cut)]) for cut in model.cuts),
+def _logical_bounds(model: IlpModel) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds of each row's logical ``rhs - A x``: 0 and inf for <=, -inf
+    and 0 for >=, 0 and 0 for =."""
+    return (
+        np.array([-math.inf if sense == ">=" else 0.0 for sense in model.senses]),
+        np.array([math.inf if sense == "<=" else 0.0 for sense in model.senses]),
     )
 
 
-def _violated(program: _Program, x: np.ndarray) -> bool:
-    """Whether ``x`` breaks a row by more than 1e-6 + 1e-9·|rhs|."""
-    logical = program.rhs - program.A @ x
-    tol = 1e-6 + 1e-9 * np.abs(program.rhs)
-    return bool(((logical < program.row_lo - tol) | (logical > program.row_hi + tol)).any())
+def _violated(model: IlpModel, x: np.ndarray, logical_bounds: tuple | None = None) -> bool:
+    """Whether ``x`` breaks a row by more than 1e-6 + 1e-9·|rhs|;
+    ``logical_bounds`` are the model's ``_logical_bounds`` when known."""
+    row_lo, row_hi = logical_bounds or _logical_bounds(model)
+    logical = model.rhs - model.A @ x
+    tol = 1e-6 + 1e-9 * np.abs(model.rhs)
+    return bool(((logical < row_lo - tol) | (logical > row_hi + tol)).any())
+
+
+def _objective(model: IlpModel, values: list) -> float:
+    """``cost @ values``, summed in column order."""
+    return float(sum(c * v for c, v in zip(model.cost.tolist(), values) if c))
 
 
 def _pivot(T: np.ndarray, basic: np.ndarray, i: int, j: int) -> None:
@@ -176,50 +143,47 @@ def _dual(T: np.ndarray, x: np.ndarray, basic: np.ndarray, lo: np.ndarray, hi: n
 
 
 def simplex_solve(
-    model: IlpModel | _Program, bounds: tuple | None = None, *, start: _Basis | None = None
+    model: IlpModel, bounds: tuple | None = None, *, start: _Basis | None = None
 ) -> LpSolution:
-    """Solve the continuous relaxation of a model.
+    """Solve the continuous relaxation of a model; its values come back as
+    an array in column order.
 
-    ``model`` is an ``IlpModel``, compiled on entry, whose values come back
-    by name, or a compiled ``_Program``, whose values come back as an array
-    in column order and whose bounds ``bounds = (lo, hi)`` may replace.
-    Every structural column needs finite bounds; one without raises
-    ValueError.
+    ``bounds = (lo, hi)`` may replace the model's column bounds.  Every
+    column needs finite bounds; one without raises ValueError.
 
     Bounds stay out of the tableau, which has one row per model row.  Cold,
     the solve starts from the all-logical basis with each nonbasic column at
     the bound its cost favours.  Warm, it starts from ``start``, the basis of
-    a solve of the same program whose bounds contain these: each nonbasic
+    a solve of the same model whose bounds contain these: each nonbasic
     column moves to the same side of its new bounds.  Either basis is dual
     feasible, so the dual simplex, restoring the basics' bounds, ends at an
     optimum.  The answer is checked against every row and bound; a solve
     that fails that check ends ``numerical``.  Raises ``IterationLimit`` when
     the dual simplex runs ``MAX_PIVOTS`` iterations.
     """
-    named = isinstance(model, IlpModel)
-    program = _compile(model) if named else model
-    lo, hi = (program.lo, program.hi) if bounds is None else bounds
+    lo, hi = (model.lo, model.hi) if bounds is None else bounds
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("every structural column needs finite bounds")
     if (lo > hi + 1e-12).any():
         return LpSolution("infeasible")
 
-    m, n = program.A.shape
-    full_lo = np.concatenate([lo, program.row_lo])
-    full_hi = np.concatenate([hi, program.row_hi])
+    m, n = model.A.shape
     if start is None:
         T = np.zeros((m + 1, n + m))
-        T[:m, :n] = program.A
+        T[:m, :n] = model.A
         T[:m, n:] = np.eye(m)
-        for j, coef in program.objective:
-            T[m, j] += program.sign * coef
+        T[m, :n] += (1.0 if model.sense == "min" else -1.0) * model.cost
         upper = T[m] < 0
         basic = np.arange(n, n + m)
+        logical_bounds = _logical_bounds(model)
     else:
         T, basic, upper = start.T.copy(), start.basic.copy(), start.upper
+        logical_bounds = start.logical_bounds
+    full_lo = np.concatenate([lo, logical_bounds[0]])
+    full_hi = np.concatenate([hi, logical_bounds[1]])
     x = np.where(upper, full_hi, full_lo)
     x[basic] = 0.0
-    x[basic] = T[:m, n:] @ (program.rhs - program.A @ x[:n] - x[n:])
+    x[basic] = T[:m, n:] @ (model.rhs - model.A @ x[:n] - x[n:])
 
     status = _dual(T, x, basic, full_lo, full_hi)
     if status != "optimal":
@@ -227,15 +191,10 @@ def simplex_solve(
 
     # verify the claimed optimum actually satisfies what was asked
     values = x[:n]
-    if _violated(program, values) or (values < lo - 1e-6).any() or (values > hi + 1e-6).any():
+    if _violated(model, values, logical_bounds) or (values < lo - 1e-6).any() or (values > hi + 1e-6).any():
         return LpSolution("numerical")
-
-    xs = values.tolist()
-    objective = float(sum(coef * xs[j] for j, coef in program.objective))
-    basis = _Basis(T, basic, x >= full_hi)
-    return LpSolution(
-        "optimal", objective, dict(zip(program.names, xs)) if named else values, basis
-    )
+    basis = _Basis(T, basic, x >= full_hi, logical_bounds)
+    return LpSolution("optimal", _objective(model, values.tolist()), values, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +205,6 @@ def simplex_solve(
 class IlpSolution:
     status: str  # optimal or infeasible
     objective: float | None = None
-    values: dict[str, int] | None = None
     flow: dict | None = None
     indicator: dict[int, int] | None = None
     support: list[int] = field(default_factory=list)
@@ -262,6 +220,11 @@ class _Search:
         self.nodes += 1
         if self.nodes > self.limit:
             raise NodeLimitExceeded(self.nodes)
+
+
+def _edge_count(model: IlpModel) -> int:
+    """How many columns are flows; the flow of edge e is column e."""
+    return sum(isinstance(key, int) for key in model.keys)
 
 
 def _cut_children(lo: np.ndarray, hi: np.ndarray, cut: np.ndarray) -> list[tuple]:
@@ -281,57 +244,57 @@ def _cut_children(lo: np.ndarray, hi: np.ndarray, cut: np.ndarray) -> list[tuple
 
 
 def _dfs(
-    program: _Program,
+    model: IlpModel,
     root: LpSolution,
     search: _Search,
     bounds: tuple | None = None,
     cutoff=math.inf,
     first_feasible=False,
 ):
-    """Depth-first search from the program's bounds, whose LP solution is
+    """Depth-first search from the model's bounds, whose LP solution is
     ``root``, or from the tighter ``bounds = (lo, hi)``; returns (objective,
     values as an array in column order) or None.
 
-    Every node but the program's own solves its LP warm from its parent's
+    Every node but the model's own solves its LP warm from its parent's
     basis (the root's, for the node at ``bounds``).  Branches on the most
     fractional integral column (ties to the earliest), floor side first.  An
-    integral leaf that uses every edge of one of ``program.cuts`` is replaced
+    integral leaf that uses every edge of one of ``model.cuts`` is replaced
     by that cut's partition children, first child explored first.  A leaf
     whose signed objective exceeds ``cutoff`` is not accepted, and a node is
-    pruned once its LP bound exceeds it by more than ``program.price_tol``
+    pruned once its LP bound exceeds it by more than 1e-9·max(1, |cost|)
     per unit of the node's box width.
     """
-    sign = program.sign
+    sign = 1.0 if model.sense == "min" else -1.0
+    price_tol = 1e-9 * max(1.0, float(np.abs(model.cost).max(initial=0.0)))
+    cuts = [np.array(sorted(cut)) for cut in model.cuts]
     best_signed = math.inf
     best: tuple[float, np.ndarray] | None = None
-    # a node is (lo, hi, the basis its LP starts from); the program's own has none
-    stack = [(program.lo, program.hi, None) if bounds is None else (*bounds, root.basis)]
+    # a node is (lo, hi, the basis its LP starts from); the model's own has none
+    stack = [(model.lo, model.hi, None) if bounds is None else (*bounds, root.basis)]
     while stack:
         lo, hi, parent = stack.pop()
         search.tick()
-        lp = root if parent is None else simplex_solve(program, (lo, hi), start=parent)
+        lp = root if parent is None else simplex_solve(model, (lo, hi), start=parent)
         if lp.status == "infeasible":
             continue
         if lp.status != "optimal":
             raise SolverError(f"relaxation came back {lp.status}")
         width = hi - lo
-        if sign * lp.objective - program.price_tol * width[np.isfinite(width)].sum() > cutoff:
+        if sign * lp.objective - price_tol * width[np.isfinite(width)].sum() > cutoff:
             continue
         prune_tol = 1e-6 + 1e-9 * abs(best_signed if best else 0.0)
         if best is not None and sign * lp.objective >= best_signed - prune_tol:
             continue
         x = lp.values
-        integral = x[program.integral]
-        frac = np.abs(integral - integral.round())
+        frac = np.abs(x - x.round()) if model.integral else x[:0]
         if frac.size == 0 or frac.max() <= INTEGRALITY_TOL:
             snapped = x.round()
-            if _violated(program, snapped):
+            if _violated(model, snapped, lp.basis.logical_bounds):
                 continue
-            values = snapped.tolist()
-            exact = float(sum(coef * values[j] for j, coef in program.objective))
+            exact = _objective(model, snapped.tolist())
             if sign * exact > cutoff:
                 continue
-            broken = next((cut for cut in program.cuts if (snapped[cut] >= 1).all()), None)
+            broken = next((cut for cut in cuts if (snapped[cut] >= 1).all()), None)
             if broken is not None:
                 children = _cut_children(lo, hi, broken)
                 stack.extend((*child, lp.basis) for child in reversed(children))
@@ -342,42 +305,41 @@ def _dfs(
                 if first_feasible:
                     return best
             continue
-        j = program.integral[int(np.argmax(frac))]
+        j = int(np.argmax(frac))
         ceil_lo, floor_hi = lo.copy(), hi.copy()
         ceil_lo[j], floor_hi[j] = math.ceil(x[j]), math.floor(x[j])
         stack += [(ceil_lo, hi, lp.basis), (lo, floor_hi, lp.basis)]
     return best
 
 
-def _support_bounds(program: _Program, chosen: set[int], free_above: int | None) -> tuple:
+def _support_bounds(model: IlpModel, chosen: set[int], free_above: int | None) -> tuple:
     """Pin flows to a support: at least 1 on chosen edges, 0 on the others up
     to ``free_above``."""
-    lo, hi = program.lo.copy(), program.hi.copy()
-    for eid, j in program.edges:
+    lo, hi = model.lo.copy(), model.hi.copy()
+    for eid in range(_edge_count(model)):
         if eid in chosen:
-            lo[j] = max(lo[j], 1.0)
+            lo[eid] = max(lo[eid], 1.0)
         elif free_above is None or eid <= free_above:
-            lo[j] = hi[j] = 0.0
+            lo[eid] = hi[eid] = 0.0
     return lo, hi
 
 
-def _finish(model: IlpModel, exact: float, values: dict[str, int], nodes: int) -> IlpSolution:
-    """A solution of the model; an edge is used exactly when it carries flow."""
-    flow = model.flow_from_values(values)
+def _finish(model: IlpModel, exact: float, values: list, nodes: int) -> IlpSolution:
+    """A solution of the model from its integral values in column order; an
+    edge is used exactly when it carries flow."""
+    flow = {key: int(value) for key, value in zip(model.keys, values)}
     indicator = {key: int(value >= 1) for key, value in flow.items() if isinstance(key, int)}
     support = sorted(eid for eid, z in indicator.items() if z)
-    return IlpSolution("optimal", exact, values, flow, indicator, support, nodes)
+    return IlpSolution("optimal", exact, flow, indicator, support, nodes)
 
 
 def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> IlpSolution:
     """Solve to optimality, then canonicalize the support.
 
-    The model is compiled once, with its flows and exchange variables
-    integral; search nodes differ only in their bounds, and each node
-    re-solves its LP from its parent's basis.  Support pins are flow bounds
-    (unused is f = 0, used is f >= 1), and each cut of ``model.cuts``
-    becomes partition branches at any integral leaf that uses all of its
-    edges.
+    Search nodes differ only in their bounds, and each node re-solves its LP
+    from its parent's basis.  Support pins are flow bounds (unused is
+    f = 0, used is f >= 1), and each cut of ``model.cuts`` becomes partition
+    branches at any integral leaf that uses all of its edges.
     Among all optima, within 1e-6 + 1e-9·|objective| of the first search's
     (a cutoff the later searches apply), the reported one uses the
     lexicographically smallest edge support: edges are admitted in id order
@@ -385,34 +347,33 @@ def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> I
     first optimum found on exactly the admitted edges, searched for before
     the first admission and after each, is the answer.  Raises SolverError
     when an LP relaxation ends numerically, or when no optimum is found on
-    the support chosen this way.  ``enumerate_pathways`` compiles once,
-    solves the root LP once, and runs this search on them for every rank.
+    the support chosen this way.  ``enumerate_pathways`` solves the root LP
+    once and runs this search from it for every rank.
     """
-    program = _compile(model)
-    return _optimum(model, program, node_limit, simplex_solve(program))
+    return _optimum(model, node_limit, simplex_solve(model))
 
 
-def _optimum(model: IlpModel, program: _Program, node_limit: int, root: LpSolution) -> IlpSolution:
-    """``branch_and_bound`` of ``model`` on its compiled ``program``, whose
-    LP solution at its own bounds is ``root``; every search starts from it."""
+def _optimum(model: IlpModel, node_limit: int, root: LpSolution) -> IlpSolution:
+    """``branch_and_bound`` of ``model``, whose LP solution at its own bounds
+    is ``root``; every search starts from it."""
     search = _Search(node_limit)
-    raw = _dfs(program, root, search)
+    raw = _dfs(model, root, search)
     if raw is None:
         return IlpSolution("infeasible", nodes=search.nodes)
-    cutoff = program.sign * raw[0] + 1e-6 + 1e-9 * abs(raw[0])
+    sign = 1.0 if model.sense == "min" else -1.0
+    cutoff = sign * raw[0] + 1e-6 + 1e-9 * abs(raw[0])
 
     chosen: set[int] = set()
-    final = _dfs(program, root, search, _support_bounds(program, chosen, None), cutoff)
-    for eid, _ in program.edges:
+    final = _dfs(model, root, search, _support_bounds(model, chosen, None), cutoff)
+    for eid in range(_edge_count(model)):
         if final is not None:
             break
-        if _dfs(program, root, search, _support_bounds(program, chosen | {eid}, eid), cutoff, True):
+        if _dfs(model, root, search, _support_bounds(model, chosen | {eid}, eid), cutoff, True):
             chosen.add(eid)
-            final = _dfs(program, root, search, _support_bounds(program, chosen, None), cutoff)
+            final = _dfs(model, root, search, _support_bounds(model, chosen, None), cutoff)
     if final is None:
         raise SolverError("no optimum has the canonical support that was found")
-    values = dict(zip(program.names, map(int, final[1].tolist())))
-    return _finish(model, final[0], values, search.nodes)
+    return _finish(model, final[0], final[1].tolist(), search.nodes)
 
 
 @dataclass
@@ -427,26 +388,22 @@ def enumerate_pathways(
     """Best pathway first, then repeatedly forbid the found support and
     re-solve, yielding up to ``k`` structurally distinct solutions.
 
-    The model is compiled once, as in ``branch_and_bound``, and each found
-    support is appended to the program's cuts, which the search turns into
-    partition branches; no model is rebuilt between ranks.  Cuts are not LP
-    rows, so the root LP is the same for every rank: it is solved cold once,
-    and every search of every rank starts from its basis."""
+    Each found support is appended to the model's cuts, which the search
+    turns into partition branches; nothing is rebuilt between ranks.  Cuts
+    are not LP rows, so the root LP is the same for every rank: it is solved
+    cold once, and every search of every rank starts from its basis."""
     if k < 1:
         raise ValueError("need k >= 1 pathways")
-    program = _compile(model)
-    root = simplex_solve(program)
-    column = dict(program.edges)
+    root = simplex_solve(model)
     solutions: list[IlpSolution] = []
     for _ in range(k):
-        solution = _optimum(model, program, node_limit, root)
+        solution = _optimum(model, node_limit, root)
         if solution.status != "optimal":
             break
         solutions.append(solution)
         if not solution.support:
             break
-        cut = np.array([column[eid] for eid in solution.support])
-        program = replace(program, cuts=program.cuts + (cut,))
+        model = replace(model, cuts=model.cuts + (frozenset(solution.support),))
     return RankedPathways(solutions, tuple(frozenset(s.support) for s in solutions if s.support))
 
 
@@ -457,16 +414,14 @@ def enumerate_pathways(
 def brute_force(model: IlpModel, grid_limit: int = 100_000_000) -> IlpSolution:
     """Independent reference solver: enumerate every integer assignment.
 
-    A cut holds where some edge of it carries no flow.  Ties on the
-    objective keep the lexicographically first assignment in model variable
-    order.
+    Each row is checked within 1e-9·(1 + |rhs|), and a cut holds where some
+    edge of it carries no flow.  Ties on the objective keep the
+    lexicographically first assignment in column order.
     """
-    names = model.variables
     lows = []
     sizes = []
-    for name in names:
-        lo, hi = model.bounds[name]
-        if not float(lo).is_integer() or not float(hi).is_integer():
+    for name, lo, hi in zip(model.variables, model.lo.tolist(), model.hi.tolist()):
+        if not lo.is_integer() or not hi.is_integer():
             raise ValueError(f"non-integer bounds on {name}")
         lo, hi = int(lo), int(hi)
         if hi < lo:
@@ -486,19 +441,8 @@ def brute_force(model: IlpModel, grid_limit: int = 100_000_000) -> IlpSolution:
     sizes_arr = np.array(sizes, dtype=np.int64).reshape(-1, 1)
     strides_arr = np.array(strides, dtype=np.int64).reshape(-1, 1)
 
-    index = {name: i for i, name in enumerate(names)}
-
-    def vector(coeffs: dict[str, float]) -> np.ndarray:
-        v = np.zeros(len(names))
-        for var, coef in coeffs.items():
-            v[index[var]] = coef
-        return v
-
-    row_data = [(vector(row.coeffs), row.sense, row.rhs) for row in model.rows]
-    obj = vector(model.objective)
     sign = 1.0 if model.sense == "min" else -1.0
-    column = {key: index[name] for name, key in model.flow_keys.items() if isinstance(key, int)}
-    cuts = [np.array([column[eid] for eid in sorted(cut)]) for cut in model.cuts]
+    cuts = [np.array(sorted(cut)) for cut in model.cuts]  # the flow of edge e is column e
 
     best_signed = math.inf
     best_column: np.ndarray | None = None
@@ -507,7 +451,7 @@ def brute_force(model: IlpModel, grid_limit: int = 100_000_000) -> IlpSolution:
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         X = (idx[np.newaxis, :] // strides_arr) % sizes_arr + lows_arr
         ok = np.ones(len(idx), dtype=bool)
-        for coeffs, sense, rhs in row_data:
+        for coeffs, sense, rhs in zip(model.A, model.senses, model.rhs.tolist()):
             value = coeffs @ X
             tol = 1e-9 * (1.0 + abs(rhs))
             if sense == "<=":
@@ -520,7 +464,7 @@ def brute_force(model: IlpModel, grid_limit: int = 100_000_000) -> IlpSolution:
             ok &= ~np.all(X[cut] >= 1, axis=0)
         if not ok.any():
             continue
-        objective = np.where(ok, sign * (obj @ X), math.inf)
+        objective = np.where(ok, sign * (model.cost @ X), math.inf)
         at = int(np.argmin(objective))
         if objective[at] < best_signed - 1e-12:
             best_signed = float(objective[at])
@@ -528,6 +472,5 @@ def brute_force(model: IlpModel, grid_limit: int = 100_000_000) -> IlpSolution:
 
     if best_column is None:
         return IlpSolution("infeasible", nodes=total)
-    values = {name: int(best_column[i]) for i, name in enumerate(names)}
-    exact = float(sum(coef * values.get(name, 0) for name, coef in model.objective.items()))
-    return _finish(model, exact, values, total)
+    values = best_column.tolist()
+    return _finish(model, _objective(model, values), values, total)

@@ -109,37 +109,34 @@ def count_matches_naive(rule, hosts) -> int:
     return count
 
 
-def max_row_violation(model, values: dict[str, float]) -> float:
-    """Largest constraint violation of an assignment against a model's rows."""
+def max_row_violation(model, values) -> float:
+    """Largest constraint violation of an assignment, in column order,
+    against a model's rows."""
     worst = 0.0
-    for row in model.rows:
-        lhs = sum(c * values.get(name, 0.0) for name, c in row.coeffs.items())
-        if row.sense == "<=":
-            worst = max(worst, lhs - row.rhs)
-        elif row.sense == ">=":
-            worst = max(worst, row.rhs - lhs)
+    for coeffs, sense, rhs in zip(model.A.tolist(), model.senses, model.rhs.tolist()):
+        lhs = sum(c * v for c, v in zip(coeffs, values))
+        if sense == "<=":
+            worst = max(worst, lhs - rhs)
+        elif sense == ">=":
+            worst = max(worst, rhs - lhs)
         else:
-            worst = max(worst, abs(lhs - row.rhs))
+            worst = max(worst, abs(lhs - rhs))
     return worst
 
 
 def enumerate_feasible(model, tol: float = 1e-9):
     """All feasible integer assignments of a small model, by nested loops.
 
-    Yields (values, objective) pairs.  Every variable must have finite
-    integer bounds; the grid must stay tiny (this is a test oracle).
+    Yields (values in column order, objective) pairs.  Every column must
+    have finite integer bounds; the grid must stay tiny (this is a test
+    oracle).  Cuts are not checked.
     """
-    names = list(model.variables)
-    ranges = []
-    for name in names:
-        lo, hi = model.bounds[name]
-        ranges.append(range(int(lo), int(hi) + 1))
-    for point in product(*ranges):
-        values = dict(zip(names, point))
+    ranges = [range(int(lo), int(hi) + 1) for lo, hi in zip(model.lo.tolist(), model.hi.tolist())]
+    cost = model.cost.tolist()
+    for values in product(*ranges):
         if max_row_violation(model, values) > tol:
             continue
-        objective = sum(c * values.get(name, 0) for name, c in model.objective.items())
-        yield values, objective
+        yield values, sum(c * v for c, v in zip(cost, values))
 
 
 def best_feasible(model, tol: float = 1e-9):

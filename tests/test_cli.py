@@ -923,17 +923,138 @@ def test_query_values_that_are_not_json_integers_exit_2(tmp_path, capsys, field,
     assert not out.exists()
 
 
-def test_cli_imports_no_test_oracle():
-    # the package needs numpy only: scipy, networkx and hypothesis serve the
-    # tests, and pytest runs them
+NETWORK_COMMANDS = {
+    "query": lambda network, files: [
+        "query", "--network", network, "--barriers", files["barriers"],
+        "--query", files["query"], "--output", files["out"] + ".json"],
+    "export-dot": lambda network, files: [
+        "export-dot", "--network", network, "--output", files["out"] + ".dot"],
+    "annotate-check": lambda network, files: [
+        "annotate-check", "--network", network, "--flow", files["flow"],
+        "--output", files["out"] + ".json"],
+}
+
+
+ODD_SIDES = {
+    "string": ("0", "2"),
+    "fraction": ("0", 1.7),
+    "bool": ("0", True),
+    "above-cap": ("0", 1001),
+    "leading-zero": ("00", 2),
+    "huge": ("0", 10**400),
+}
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        pytest.param(command, *ODD_SIDES[case], id=f"{command}-{case}")
+        for command in NETWORK_COMMANDS
+        for case in ODD_SIDES
+        # at 10**400 ``export-dot`` used to draw arrows without end
+        if not (command == "export-dot" and case == "huge")
+    ],
+)
+def test_network_multiplicities_that_are_not_small_json_integers_exit_2(
+    tmp_path, capsys, command, key, value
+):
+    net, network, barriers, query = flux_setup(tmp_path)
+    data = net.to_json()
+    data["edges"][0]["reactants"] = {key: value}
+    odd = tmp_path / "odd-network.json"
+    odd.write_text(json.dumps(data))
+    flow = tmp_path / "flow.json"
+    flow.write_text("{}")
+    files = {"barriers": barriers, "query": query, "flow": str(flow), "out": str(tmp_path / "out")}
+    assert main(NETWORK_COMMANDS[command](str(odd), files)) == 2
+    err = capsys.readouterr().err
+    assert "not a valid network document: edge 0: " in err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("flow", "0", 10**400),
+        ("flow", "0", 2**53 + 1),
+        ("flow", "0", 1.7),
+        ("flow", "0", True),
+        ("flow", "0", "1"),
+        ("flow", "00", 1),
+        ("inflow", "0", 2.0),
+        ("outflow", "03", 1),
+    ],
+    ids=["huge", "above-2**53", "fraction", "bool", "string", "leading-zero", "float", "outflow-key"],
+)
+def test_flow_values_that_are_not_json_integers_exit_2(tmp_path, capsys, block, key, value):
+    net, network, barriers, _ = flux_setup(tmp_path)
+    data = {"flow": {"0": 1}, "inflow": {"0": 2}, "outflow": {"3": 1}}
+    data[block] = {key: value}
+    flow = tmp_path / "odd-flow.json"
+    flow.write_text(json.dumps(data))
+    assert main(["annotate-check", "--network", network, "--flow", str(flow),
+                 "--barriers", barriers]) == 2
+    assert "not a valid flow document" in capsys.readouterr().err
+    # a solutions file carries its flows the same way
+    solutions = tmp_path / "odd-solutions.json"
+    solutions.write_text(json.dumps({"solutions": [{"rank": 1, **data}]}))
+    drawn = tmp_path / "drawn.dot"
+    assert main(["export-dot", "--network", network, "--solutions", str(solutions),
+                 "--output", str(drawn)]) == 2
+    assert "not a valid solutions document" in capsys.readouterr().err
+    assert not drawn.exists()
+
+
+@pytest.mark.parametrize(
+    "module, unwanted",
+    [
+        # the package needs numpy only: scipy, networkx and hypothesis serve
+        # the tests, and pytest runs them
+        ("hyperpath.cli", {"scipy", "networkx", "hypothesis", "pytest"}),
+        # the benchmark imports pathopt during its set-up and solve only in
+        # its first timed operation; numpy's import cost belongs to the latter
+        ("hyperpath.pathopt", {"numpy"}),
+    ],
+    ids=["hyperpath.cli", "hyperpath.pathopt"],
+)
+def test_cli_imports_no_test_oracle(module, unwanted):
     src = Path(hyperpath.__file__).resolve().parents[1]
     code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import hyperpath.cli; "
-        "print(sorted({m.split('.')[0] for m in sys.modules} "
-        "& {'scipy', 'networkx', 'hypothesis', 'pytest'}))"
+        f"import sys; sys.path.insert(0, {str(src)!r}); import {module}; "
+        f"print(sorted({{m.split('.')[0] for m in sys.modules}} & set({sorted(unwanted)!r})))"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_sees_the_model_and_the_solves():
+    # bench/tracing.py wraps build_model, add_cut, simplex_solve,
+    # branch_and_bound and enumerate_pathways by name and reads the built
+    # model's len(variables) and len(rows)
+    root = Path(hyperpath.__file__).resolve().parents[2]
+    code = "\n".join([
+        "import sys",
+        f"sys.path[:0] = {[str(root / 'src'), str(root / 'bench'), str(root / 'tests')]!r}",
+        "import tracing",
+        "tracer = tracing.Tracer()",
+        "tracer.install()",
+        "import nets",
+        "from hyperpath.kinetics import BarrierTable, Thermo, objective_coefficients",
+        "from hyperpath.pathopt import build_model",
+        "from hyperpath.solve import enumerate_pathways",
+        "net, query = nets.flux_demo()",
+        "table = BarrierTable.from_kj(nets.uniform_barriers(net))",
+        "model = build_model(net, objective_coefficients(table, Thermo(), net), query)",
+        "ranked = enumerate_pathways(model, 3)",
+        "print(len(ranked.solutions), __import__('json').dumps(tracer.metrics()))",
+    ])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    ranks, metrics = done.stdout.split(" ", 1)
+    metrics = json.loads(metrics)
+    assert ranks == "3" and metrics["solve.ranks"] == 3
+    assert (metrics["pathopt.model_vars"], metrics["pathopt.model_rows"]) == (7, 5)
+    assert metrics["pathopt.build_calls"] == 1
+    assert metrics["solve.lp_calls"] > 0
 
 
 # -- inputs that cannot crash --------------------------------------------------
@@ -1025,10 +1146,18 @@ def test_query_json_parses_or_raises_value_error(fuzz_files, text):
 @given(text=json_texts(nets.flux_demo()[0].to_json()))
 def test_network_json_parses_or_raises_a_shape_error(fuzz_files, text):
     parsed = decodes(Hypergraph.from_json, text, SHAPE_ERRORS)
-    network = fuzz_files["root"] / "fuzzed-network.json"
+    root = fuzz_files["root"]
+    network = root / "fuzzed-network.json"
     network.write_text(text)
     code = main(["annotate-check", "--network", str(network), "--flow", fuzz_files["flow"]])
     assert code == (0 if parsed else 2)
+    if parsed:
+        # drawn in full, and queried unless the barriers or the query name
+        # edges or vertices the network lacks
+        assert main(["export-dot", "--network", str(network), "--output", str(root / "fuzzed.dot")]) == 0
+        code = main(["query", "--network", str(network), "--barriers", fuzz_files["barriers"],
+                     "--query", fuzz_files["query"], "--output", str(root / "fuzzed-solutions.json")])
+        assert code in (0, 2)
 
 
 CSV_CELLS = st.one_of(

@@ -7,7 +7,7 @@ import helpers
 import molecules
 import nets
 from hyperpath.molgraph import make_graph
-from hyperpath.netcore import Hypergraph
+from hyperpath.netcore import MAX_MULTIPLICITY, Hypergraph
 
 
 def test_add_molecule_deduplicates_isomorphs():
@@ -200,6 +200,47 @@ def test_json_rejects_malformed_edges(tamper, message):
     tamper(data["edges"])
     with pytest.raises(ValueError, match=message):
         Hypergraph.from_json(data)
+
+
+def edge_side(value, key="1"):
+    return lambda data: data["edges"][2].update(reactants={key: value})
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        # values that used to be coerced: a string of digits, a fraction, a bool
+        (edge_side("2"), "edge 2: multiplicity for vertex 1 must be positive"),
+        (edge_side(1.7), "edge 2: multiplicity for vertex 1 must be positive"),
+        (edge_side(True), "edge 2: multiplicity for vertex 1 must be positive"),
+        # a zero used to be dropped, and there was no upper bound
+        (edge_side(0), "edge 2: multiplicity for vertex 1 must be positive"),
+        (edge_side(MAX_MULTIPLICITY + 1), "of at most 1000, not 1001"),
+        (edge_side(10**400), "edge 2: multiplicity for vertex 1 must be positive"),
+        # a vertex id is written one way only, so two keys cannot name one vertex
+        (edge_side(1, key="01"), "edge 2: bad vertex id '01'"),
+        (edge_side(1, key=" 1"), "edge 2: bad vertex id ' 1'"),
+        # ids that equal the derived one only as Python numbers
+        (lambda data: data["vertices"][1].update(id=True), "vertex True is vertex 1"),
+        (lambda data: data["edges"][2].update(id=2.0), "edge 2.0 is edge 2"),
+        (lambda data: data["edges"][1].update(reverse_of=False), "is not the derived 0"),
+    ],
+    ids=["string", "fraction", "bool", "zero", "above-cap", "huge", "leading-zero",
+         "space", "bool-vertex-id", "float-edge-id", "bool-reverse-of"],
+)
+def test_json_takes_only_integer_multiplicities_and_plain_ids(tamper, message):
+    net = nets.placeholder_net(3, [({0: 1}, {1: 1}), ({1: 1}, {0: 1}), ({1: 1}, {2: 1})])
+    data = net.to_json()
+    tamper(data)
+    with pytest.raises(ValueError, match=message):
+        Hypergraph.from_json(data)
+
+
+def test_json_takes_multiplicities_up_to_the_cap():
+    net = nets.placeholder_net(2, [({0: MAX_MULTIPLICITY}, {1: 1})])
+    data = net.to_json()
+    assert Hypergraph.from_json(data).to_json() == data
+    assert net.to_dot().count("v0 -> e0") == MAX_MULTIPLICITY
 
 
 def test_dot_output_structure():

@@ -1,10 +1,11 @@
 """Query validation, ILP compilation, relaxation, and LP text export."""
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 import helpers
 import nets
+from hyperpath import solve
 from hyperpath.kinetics import BarrierTable, Thermo, WeightModel, objective_coefficients
 from hyperpath.pathopt import (
     PathwayQuery,
@@ -139,14 +140,12 @@ def test_build_model_variable_layout():
         "in_0", "in_1", "in_2",
         "out_3",
     )
-    assert model.bounds["f_0"] == (0, 3)
-    assert model.bounds["in_1"] == (0, 3)
-    assert model.bounds["out_3"] == (1, 10)
-    assert model.integers == frozenset({"f_0", "f_1", "f_2", "in_0", "in_1", "in_2", "out_3"})
+    assert (model.lo[0], model.hi[0]) == (0, 3)  # f_0
+    assert (model.lo[4], model.hi[4]) == (0, 3)  # in_1
+    assert (model.lo[6], model.hi[6]) == (1, 10)  # out_3
+    assert model.integral  # every column
     assert model.flow_cap == 3
-    assert model.flow_keys["f_1"] == 1
-    assert model.flow_keys["in_2"] == ("in", 2)
-    assert model.flow_keys["out_3"] == ("out", 3)
+    assert model.keys == (0, 1, 2, ("in", 0), ("in", 1), ("in", 2), ("out", 3))
     # the export places one binary indicator per edge after the flows
     lines = export_lp_text(model).splitlines()
     bounds = lines[lines.index("Bounds") + 1:lines.index("Generals")]
@@ -163,19 +162,20 @@ def test_build_model_variable_layout():
 def test_build_model_row_layout():
     net, query = nets.flux_demo()
     model = build_model(net, weighted(net), query)
-    names = [row.name for row in model.rows]
-    assert names == [
+    assert model.rows == (
         "conserve_v0", "conserve_v1", "conserve_v2", "conserve_v3",
         "total_inflow",
+    )
+    assert model.senses == ("=", "=", "=", "=", "<=")
+    assert model.rhs.tolist() == [0.0, 0.0, 0.0, 0.0, 3.0]
+    # columns f_0 f_1 f_2 in_0 in_1 in_2 out_3
+    assert model.A.tolist() == [
+        [-2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, -2.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, -2.0, 0.0, 0.0, 1.0, 0.0],
+        [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, -1.0],
+        [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0],
     ]
-    v0 = model.rows[0]
-    assert v0.sense == "=" and v0.rhs == 0.0
-    assert v0.coeffs == {"f_0": -2.0, "in_0": 1.0}
-    v3 = model.rows[3]
-    assert v3.coeffs == {"f_0": 1.0, "f_1": 1.0, "f_2": 1.0, "out_3": -1.0}
-    cap_row = model.rows[-1]
-    assert cap_row.coeffs == {"in_0": 1.0, "in_1": 1.0, "in_2": 1.0}
-    assert cap_row.sense == "<=" and cap_row.rhs == 3.0
     # the export places the two linking rows per edge after the conservation rows
     lines = export_lp_text(model).splitlines()
     rows = lines[lines.index("Subject To") + 1:lines.index("Bounds")]
@@ -195,20 +195,20 @@ def test_build_model_objective_modes():
     w = weighted(net)
     outflow_model = build_model(net, w, query)
     assert outflow_model.sense == "max"
-    assert outflow_model.objective == {"out_3": 1.0}
+    assert outflow_model.cost.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]  # out_3
     cost_query = PathwayQuery(sources=query.sources, targets=query.targets, flow_cap=3)
     cost_model = build_model(net, w, cost_query)
     assert cost_model.sense == "min"
-    assert cost_model.objective == {f"f_{e}": w.coeff[e] for e in (0, 1, 2)}
+    assert cost_model.cost.tolist() == [w.coeff[0], w.coeff[1], w.coeff[2], 0.0, 0.0, 0.0, 0.0]
 
 
 def test_build_model_byproduct_bounds():
     net, query = nets.cascade_network()
     model = build_model(net, weighted(net), query)
-    assert model.bounds["out_1"] == (0, 5)
-    assert model.flow_keys["out_1"] == ("out", 1)
-    conserve_v1 = model.rows[1]
-    assert conserve_v1.coeffs.get("out_1") == -1.0
+    j = model.variables.index("out_1")
+    assert (model.lo[j], model.hi[j]) == (0, 5)
+    assert model.keys[j] == ("out", 1)
+    assert model.rows[1] == "conserve_v1" and model.A[1, j] == -1.0
 
 
 def test_build_model_forbidden_edges_pin_to_zero():
@@ -220,19 +220,19 @@ def test_build_model_forbidden_edges_pin_to_zero():
         flow_cap=3,
     )
     model = build_model(net, weighted(net), q)
-    assert model.bounds["f_1"] == (0, 0)
-    assert model.bounds["f_0"] == (0, 3)
+    assert (model.lo[1], model.hi[1]) == (0, 0)  # f_1
+    assert (model.lo[0], model.hi[0]) == (0, 3)  # f_0
     assert " z_1 = 0" in export_lp_text(model).splitlines()
 
 
 def test_build_model_every_vertex_conserved():
     net, query = nets.cascade_network()
     model = build_model(net, weighted(net), query)
-    conserve = [row for row in model.rows if row.name.startswith("conserve_v")]
-    assert len(conserve) == len(net.vertices)
+    conserve = [i for i, name in enumerate(model.rows) if name.startswith("conserve_v")]
+    assert conserve == list(range(len(net.vertices)))
     # vertex 4 is made by edges 1 and 3, consumed by 4 and the reverses 11, 13
-    row4 = conserve[4]
-    assert row4.coeffs == {
+    row4 = {model.variables[j]: c for j, c in enumerate(model.A[4].tolist()) if c}
+    assert row4 == {
         "f_1": 1.0,
         "f_3": 1.0,
         "f_4": -1.0,
@@ -263,7 +263,8 @@ def test_cut_rows_appended_in_order():
         net, weighted(net), query, cuts=(frozenset({0, 2}), frozenset({1}))
     )
     assert model.cuts == (frozenset({0, 2}), frozenset({1}))
-    assert model.rows == build_model(net, weighted(net), query).rows
+    plain = build_model(net, weighted(net), query)
+    assert model.rows == plain.rows and model.A.tolist() == plain.A.tolist()
     lines = export_lp_text(model).splitlines()
     bounds_at = lines.index("Bounds")
     assert lines[bounds_at - 2] == " cut_0: 1 z_0 + 1 z_2 <= 1"
@@ -276,7 +277,7 @@ def test_add_cut_returns_new_model():
     cut = add_cut(base, {0})
     assert base.cuts == ()
     assert cut.cuts == (frozenset({0}),)
-    assert cut.rows == base.rows
+    assert cut.rows == base.rows and cut.A is base.A
     lines = export_lp_text(cut).splitlines()
     assert lines[lines.index("Bounds") - 1] == " cut_0: 1 z_0 <= 0"
     with pytest.raises(ValueError):
@@ -297,29 +298,30 @@ def test_relax_drops_integrality_machinery():
     net, query = nets.flux_demo()
     model = build_model(net, weighted(net), query, cuts=(frozenset({0}),))
     lp = relax(model)
-    assert lp.integers == frozenset() and lp.cuts == ()
-    assert lp == replace(model, integers=frozenset(), cuts=())
-    assert [row.name for row in lp.rows] == [
+    assert not lp.integral and lp.cuts == ()
+    assert model.integral and model.cuts == (frozenset({0}),)
+    # every other field is the model's own
+    assert all(
+        getattr(lp, f.name) is getattr(model, f.name)
+        for f in fields(model) if f.name not in ("integral", "cuts")
+    )
+    assert lp.rows == (
         "conserve_v0", "conserve_v1", "conserve_v2", "conserve_v3", "total_inflow",
-    ]
-    assert lp.bounds["f_0"] == (0.0, 3.0)
-    assert lp.flow_keys["out_3"] == ("out", 3)
-    assert set(lp.objective) <= set(lp.variables)
+    )
+    assert (lp.lo[0], lp.hi[0]) == (0.0, 3.0)  # f_0
+    assert lp.keys[6] == ("out", 3)
+    assert len(lp.cost) == len(lp.variables) == lp.A.shape[1]
     text = export_lp_text(lp)
     assert "z_0" not in text and "link_" not in text and "cut_" not in text
 
 
-def test_flow_from_values_rounds_and_maps():
+def test_solution_flow_maps_columns_through_keys():
     net, query = nets.flux_demo()
     model = build_model(net, weighted(net), query)
-    flow = model.flow_from_values(
-        {"f_0": 1.0000002, "f_1": 0.0, "z_0": 1.0, "in_0": 2.0, "out_3": 0.9999999}
-    )
-    assert flow[0] == 1
-    assert flow[1] == 0
-    assert flow[("in", 0)] == 2
-    assert flow[("out", 3)] == 1
-    assert "z_0" not in flow and all(not isinstance(k, str) for k in flow)
+    found = solve._finish(model, 1.0, [1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 1.0], 1)
+    assert found.flow == {0: 1, 1: 0, 2: 0, ("in", 0): 2, ("in", 1): 0, ("in", 2): 0, ("out", 3): 1}
+    assert all(type(value) is int for value in found.flow.values())
+    assert found.indicator == {0: 1, 1: 0, 2: 0} and found.support == [0]
 
 
 def test_export_lp_grammar():

@@ -16,7 +16,6 @@ from hyperpath.molgraph import parse_molecules
 from hyperpath.pathopt import (
     IlpModel,
     PathwayQuery,
-    Row,
     add_cut,
     build_model,
     flow_var,
@@ -40,13 +39,23 @@ def weighted(net, kj=20.0):
     return objective_coefficients(table, Thermo(), net)
 
 
-def lp(variables, bounds, rows, objective, sense):
+def lp(bounds, rows, cost, sense):
+    """A continuous LP over columns x0, x1, ...: ``bounds`` are their (lo,
+    hi) pairs, ``rows`` (coefficients, sense, rhs) triples and ``cost`` the
+    objective's coefficients."""
+    names = tuple(f"x{j}" for j in range(len(bounds)))
     return IlpModel(
-        variables=tuple(variables),
-        bounds=bounds,
-        rows=tuple(rows),
-        objective=objective,
+        variables=names,
+        keys=names,
+        lo=np.array([lo for lo, _ in bounds], dtype=float),
+        hi=np.array([hi for _, hi in bounds], dtype=float),
+        A=np.array([coeffs for coeffs, _, _ in rows], dtype=float).reshape(len(rows), len(names)),
+        rhs=np.array([rhs for _, _, rhs in rows], dtype=float),
+        rows=tuple(f"r{i}" for i in range(len(rows))),
+        senses=tuple(sense for _, sense, _ in rows),
+        cost=np.array(cost, dtype=float),
         sense=sense,
+        integral=False,
     )
 
 
@@ -63,94 +72,64 @@ def indicator_consistent(solution, cap):
 
 
 def test_simplex_single_variable():
-    m = lp(["x"], {"x": (0.0, 5.0)}, [Row("r", {"x": 1.0}, "<=", 3.0)], {"x": 1.0}, "max")
+    m = lp([(0.0, 5.0)], [([1.0], "<=", 3.0)], [1.0], "max")
     out = simplex_solve(m)
     assert out.status == "optimal"
     assert out.objective == pytest.approx(3.0)
-    assert out.values["x"] == pytest.approx(3.0)
+    assert out.values.tolist() == [pytest.approx(3.0)]
 
 
 def test_simplex_equality_and_min():
-    m = lp(
-        ["x", "y"],
-        {"x": (0.0, 10.0), "y": (0.0, 10.0)},
-        [Row("sum", {"x": 1.0, "y": 1.0}, "=", 4.0)],
-        {"x": 3.0, "y": 1.0},
-        "min",
-    )
+    m = lp([(0.0, 10.0), (0.0, 10.0)], [([1.0, 1.0], "=", 4.0)], [3.0, 1.0], "min")
     out = simplex_solve(m)
     assert out.status == "optimal"
     assert out.objective == pytest.approx(4.0)
-    assert out.values == {"x": pytest.approx(0.0), "y": pytest.approx(4.0)}
+    assert out.values.tolist() == [pytest.approx(0.0), pytest.approx(4.0)]
 
 
 def test_simplex_infeasible():
-    m = lp(
-        ["x"],
-        {"x": (0.0, 1.0)},
-        [Row("need", {"x": 1.0}, ">=", 2.0)],
-        {"x": 1.0},
-        "min",
-    )
+    m = lp([(0.0, 1.0)], [([1.0], ">=", 2.0)], [1.0], "min")
     assert simplex_solve(m).status == "infeasible"
 
 
 def test_simplex_infeasible_crossed_bounds():
-    m = lp(["x"], {"x": (3.0, 1.0)}, [], {"x": 1.0}, "min")
+    m = lp([(3.0, 1.0)], [], [1.0], "min")
     assert simplex_solve(m).status == "infeasible"
 
 
 def test_simplex_unbounded():
     # a column without finite bounds cannot be posed, so neither can an
     # unbounded LP
-    m = lp(["x"], {"x": (0.0, math.inf)}, [], {"x": 1.0}, "max")
+    m = lp([(0.0, math.inf)], [], [1.0], "max")
     with pytest.raises(ValueError, match="finite bounds"):
         simplex_solve(m)
-    boxed = lp(
-        ["x", "y"],
-        {"x": (0.0, 2.0), "y": (0.0, 2.0)},
-        [Row("r", {"x": 1.0, "y": 1.0}, ">=", 1.0)],
-        {"x": 1.0, "y": 2.0},
-        "min",
-    )
+    boxed = lp([(0.0, 2.0), (0.0, 2.0)], [([1.0, 1.0], ">=", 1.0)], [1.0, 2.0], "min")
     assert simplex_solve(boxed).objective == pytest.approx(1.0)
-    program = solve._compile(boxed)
     for low, high in [(-math.inf, math.inf), (-math.inf, 0.0), (0.0, math.inf)]:
         with pytest.raises(ValueError, match="finite bounds"):
-            simplex_solve(replace(boxed, bounds={**boxed.bounds, "y": (low, high)}))
-        # bounds handed to a compiled program are checked the same way
+            simplex_solve(replace(boxed, lo=np.array([0.0, low]), hi=np.array([2.0, high])))
+        # bounds handed to a solve are checked the same way
         with pytest.raises(ValueError, match="finite bounds"):
-            simplex_solve(program, (np.array([0.0, low]), np.array([2.0, high])))
+            simplex_solve(boxed, (np.array([0.0, low]), np.array([2.0, high])))
 
 
 def test_simplex_nonzero_lower_bounds():
-    m = lp(
-        ["x", "y"],
-        {"x": (2.0, 6.0), "y": (1.0, 6.0)},
-        [Row("sum", {"x": 1.0, "y": 1.0}, "<=", 5.0)],
-        {"x": 1.0, "y": 1.0},
-        "max",
-    )
+    m = lp([(2.0, 6.0), (1.0, 6.0)], [([1.0, 1.0], "<=", 5.0)], [1.0, 1.0], "max")
     out = simplex_solve(m)
     assert out.status == "optimal"
     assert out.objective == pytest.approx(5.0)
-    assert out.values["x"] >= 2.0 - 1e-9 and out.values["y"] >= 1.0 - 1e-9
+    assert out.values[0] >= 2.0 - 1e-9 and out.values[1] >= 1.0 - 1e-9
 
 
 def test_simplex_bound_overrides_and_extra_rows():
-    m = lp(
-        ["x", "y"],
-        {"x": (0.0, 5.0), "y": (0.0, 5.0)},
-        [Row("sum", {"x": 1.0, "y": 1.0}, "<=", 6.0)],
-        {"x": 1.0, "y": 2.0},
-        "max",
-    )
+    box = [(0.0, 5.0), (0.0, 5.0)]
+    m = lp(box, [([1.0, 1.0], "<=", 6.0)], [1.0, 2.0], "max")
     assert simplex_solve(m).objective == pytest.approx(11.0)
-    pinned = simplex_solve(replace(m, bounds={**m.bounds, "y": (0.0, 1.0)}))
+    pinned = simplex_solve(replace(m, hi=np.array([5.0, 1.0])))
     assert pinned.objective == pytest.approx(7.0)
-    constrained = simplex_solve(replace(m, rows=m.rows + (Row("pin", {"x": 1.0}, ">=", 4.0),)))
+    constrained = simplex_solve(lp(box, [([1.0, 1.0], "<=", 6.0), ([1.0, 0.0], ">=", 4.0)], [1.0, 2.0], "max"))
     assert constrained.objective == pytest.approx(8.0)
-    assert constrained.values["x"] == pytest.approx(4.0)
+    assert constrained.values[0] == pytest.approx(4.0)
 
 
 def test_simplex_flux_demo_relaxation():
@@ -163,17 +142,16 @@ def test_simplex_flux_demo_relaxation():
 def test_simplex_free_columns_and_both_row_senses():
     # x may go negative, but within a box wide enough that only the rows bind
     m = lp(
-        ["x", "y"],
-        {"x": (-10.0, 10.0), "y": (0.0, 4.0)},
-        [Row("a", {"x": 1.0, "y": 1.0}, ">=", 3.0), Row("b", {"x": 1.0, "y": -1.0}, "<=", 1.0)],
-        {"x": 1.0, "y": 2.0},
+        [(-10.0, 10.0), (0.0, 4.0)],
+        [([1.0, 1.0], ">=", 3.0), ([1.0, -1.0], "<=", 1.0)],
+        [1.0, 2.0],
         "min",
     )
     out = simplex_solve(m)
     assert out.status == "optimal"
     assert out.objective == pytest.approx(4.0)
-    assert out.values == {"x": pytest.approx(2.0), "y": pytest.approx(1.0)}
-    m = replace(m, objective={"x": 1.0}, sense="max")
+    assert out.values.tolist() == [pytest.approx(2.0), pytest.approx(1.0)]
+    m = replace(m, cost=np.array([1.0, 0.0]), sense="max")
     assert simplex_solve(m).objective == pytest.approx(5.0)
 
 
@@ -184,39 +162,37 @@ def test_simplex_matches_highs_on_random_lps():
     compared = 0
     while compared < 300:
         n, rows = rng.randint(1, 5), rng.randint(0, 4)
-        names = [f"x{j}" for j in range(n)]
-        bounds = {}
-        for name in names:
+        bounds = []
+        for _ in range(n):
             low = rng.choice([0.0, -2.0, -math.inf, 1.0])
-            bounds[name] = (low, rng.choice([math.inf, max(low, 0.0) + rng.randint(0, 4)]))
+            bounds.append((low, rng.choice([math.inf, max(low, 0.0) + rng.randint(0, 4)])))
         model_rows = []
-        for i in range(rows):
-            coeffs = {v: float(rng.randint(-3, 3)) for v in rng.sample(names, rng.randint(1, n))}
+        for _ in range(rows):
+            coeffs = [0.0] * n
+            for j in rng.sample(range(n), rng.randint(1, n)):
+                coeffs[j] = float(rng.randint(-3, 3))
             sense = rng.choice(["<=", ">=", "="])
-            model_rows.append(Row(f"r{i}", coeffs, sense, float(rng.randint(-4, 6))))
-        objective = {v: float(rng.randint(-3, 3)) for v in names}
-        model = lp(names, bounds, model_rows, objective, rng.choice(["min", "max"]))
-        if not all(map(math.isfinite, itertools.chain(*bounds.values()))):
+            model_rows.append((coeffs, sense, float(rng.randint(-4, 6))))
+        cost = [float(rng.randint(-3, 3)) for _ in range(n)]
+        model = lp(bounds, model_rows, cost, rng.choice(["min", "max"]))
+        if not all(map(math.isfinite, itertools.chain(*bounds))):
             with pytest.raises(ValueError, match="finite bounds"):
                 simplex_solve(model)
             continue
         compared += 1
         out = simplex_solve(model)
         sign = 1.0 if model.sense == "min" else -1.0
-        A = np.array([[row.coeffs.get(v, 0.0) for v in names] for row in model_rows])
-        A = A.reshape(rows, n)
-        senses = [row.sense for row in model.rows]
-        rhs = np.array([row.rhs for row in model.rows])
+        A, senses, rhs = model.A, model.senses, model.rhs
         ub_rows = [i for i, sense in enumerate(senses) if sense != "="]
         flip = np.array([1.0 if senses[i] == "<=" else -1.0 for i in ub_rows])
         eq_rows = [i for i, sense in enumerate(senses) if sense == "="]
         ref = optimize.linprog(
-            [sign * model.objective[v] for v in names],
+            [sign * c for c in cost],
             A_ub=(A[ub_rows] * flip[:, None]) if ub_rows else None,
             b_ub=(rhs[ub_rows] * flip) if ub_rows else None,
             A_eq=A[eq_rows] if eq_rows else None,
             b_eq=rhs[eq_rows] if eq_rows else None,
-            bounds=[bounds[v] for v in names],
+            bounds=bounds,
         )
         expected = {0: "optimal", 2: "infeasible"}[ref.status]
         assert out.status == expected, (model, ref.message)
@@ -276,7 +252,7 @@ def test_bnb_empty_query_only_zero_flow():
     assert out.status == "optimal"
     assert out.objective == pytest.approx(0.0)
     assert out.support == []
-    assert all(v == 0 for v in out.values.values())
+    assert all(v == 0 for v in out.flow.values())
 
 
 def test_bnb_infeasible_demand():
@@ -406,19 +382,24 @@ def test_enumerate_stops_on_infeasibility():
 
 
 def test_enumerate_compiles_once_for_all_ranks(monkeypatch):
-    calls = []
-    real_compile = solve._compile
+    # the model is searched as built, and its root LP is solved cold once
+    # for all ranks; every other solve starts from a basis
+    cold = []
+    real_solve = solve.simplex_solve
 
-    def counting_compile(*args):
-        calls.append(args)
-        return real_compile(*args)
+    def counting_solve(*args, **kwargs):
+        if kwargs.get("start") is None:
+            cold.append(args)
+        return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(solve, "_compile", counting_compile)
+    monkeypatch.setattr(solve, "simplex_solve", counting_solve)
     net, query = nets.flux_demo()
-    ranked = enumerate_pathways(build_model(net, weighted(net), query), 2)
+    model = build_model(net, weighted(net), query)
+    ranked = enumerate_pathways(model, 2)
     assert [s.support for s in ranked.solutions] == [[0], [1]]
     assert ranked.cuts == (frozenset({0}), frozenset({1}))
-    assert len(calls) == 1
+    assert len(cold) == 1 and cold[0][0] is model
+    assert model.cuts == ()  # each rank's cut goes on a copy
 
 
 # -- exhaustive search -------------------------------------------------------
@@ -494,17 +475,20 @@ def test_bnb_matches_brute_force_on_random_instances():
 
 
 def edge_ids(model):
-    return sorted(key for key in model.flow_keys.values() if isinstance(key, int))
+    """The edges of a built model; the flow of edge e is column e."""
+    return [key for key in model.keys if isinstance(key, int)]
 
 
 def pinned_to_support(model, support):
     """The model with every edge pinned: used (flow >= 1) on ``support``,
     unused elsewhere."""
-    bounds = dict(model.bounds)
+    lo, hi = model.lo.copy(), model.hi.copy()
     for eid in edge_ids(model):
-        f = flow_var(eid)
-        bounds[f] = (max(bounds[f][0], 1), bounds[f][1]) if eid in support else (0, 0)
-    return replace(model, bounds=bounds)
+        if eid in support:
+            lo[eid] = max(lo[eid], 1.0)
+        else:
+            lo[eid] = hi[eid] = 0.0
+    return replace(model, lo=lo, hi=hi)
 
 
 def oracle_optimal_supports(model):
@@ -515,7 +499,7 @@ def oracle_optimal_supports(model):
     canonical support is the smallest one among those near-ties.
     """
     found = {}
-    edges = [eid for eid in edge_ids(model) if model.bounds[flow_var(eid)][1] >= 1]
+    edges = [eid for eid in edge_ids(model) if model.hi[eid] >= 1]
     for size in range(len(edges) + 1):
         for support in itertools.combinations(edges, size):
             out = brute_force(pinned_to_support(model, support))
@@ -542,7 +526,7 @@ def check_canonical_optimum(model):
     assert abs(fast.objective - best) <= 1e-6 + 1e-9 * abs(best)
     assert fast.support == min(supports)
     assert not any(cut <= set(fast.support) for cut in model.cuts)
-    indicator_consistent(fast, cap=max(model.bounds[flow_var(e)][1] for e in edge_ids(model)))
+    indicator_consistent(fast, cap=max(model.hi[e] for e in edge_ids(model)))
     return fast
 
 
@@ -617,45 +601,46 @@ def test_canonical_optimum_rank_by_rank_on_hard_draws(stream, draw, k):
         if not found.support:
             break
         model = add_cut(model, found.support)
-    # one compiled program with appended cuts answers as a rebuild per rank does
+    # enumeration, appending each rank's cut to one model, answers as a
+    # rebuild per rank does
     assert [(s.objective, s.support, s.flow) for s in ranked.solutions] == [
         (s.objective, s.support, s.flow) for s in by_rank
     ]
 
 
-def tightened_box(program, rng, lo, hi):
+def tightened_box(model, rng, lo, hi):
     """``(lo, hi)`` tightened once the way the search tightens a box: a floor
     or ceil split, support pins, or one Lawler child of a random cut."""
     lo, hi = lo.copy(), hi.copy()
     move = rng.choice(["split", "pins", "cut"])
-    if move == "split" and program.integral.size:
-        j = int(rng.choice(program.integral))
+    edges = edge_ids(model)
+    if move == "split" and model.integral and model.variables:
+        j = rng.choice(range(len(model.variables)))
         if hi[j] > lo[j]:
             point = rng.randint(int(lo[j]), int(hi[j]) - 1)
             if rng.random() < 0.5:
                 hi[j] = point
             else:
                 lo[j] = point + 1
-    elif move == "pins" and program.edges:
-        edges = [eid for eid, _ in program.edges]
+    elif move == "pins" and edges:
         chosen = set(rng.sample(edges, rng.randint(0, len(edges))))
-        pin_lo, pin_hi = solve._support_bounds(program, chosen, rng.choice([None] + edges))
+        pin_lo, pin_hi = solve._support_bounds(model, chosen, rng.choice([None] + edges))
         lo, hi = np.maximum(lo, pin_lo), np.minimum(hi, pin_hi)
-    elif move == "cut" and program.edges:
-        cut = rng.sample(program.edges, rng.randint(1, len(program.edges)))
-        children = solve._cut_children(lo, hi, np.array(sorted(j for _, j in cut)))
+    elif move == "cut" and edges:
+        cut = rng.sample(edges, rng.randint(1, len(edges)))
+        children = solve._cut_children(lo, hi, np.array(sorted(cut)))
         if children:
             lo, hi = rng.choice(children)
     return lo, hi
 
 
-def assert_warm_agrees_with_cold(program, lo, hi, start):
-    warm = simplex_solve(program, (lo, hi), start=start)
-    cold = simplex_solve(program, (lo, hi))
+def assert_warm_agrees_with_cold(model, lo, hi, start):
+    warm = simplex_solve(model, (lo, hi), start=start)
+    cold = simplex_solve(model, (lo, hi))
     assert warm.status == cold.status
     if cold.status == "optimal":
         assert abs(warm.objective - cold.objective) <= 1e-6 + 1e-9 * abs(cold.objective)
-        assert not solve._violated(program, warm.values)
+        assert not solve._violated(model, warm.values)
         assert (warm.values >= lo - 1e-6).all() and (warm.values <= hi + 1e-6).all()
     return warm
 
@@ -671,18 +656,17 @@ def test_warm_solves_agree_with_cold_solves_of_the_same_box():
     models += [build_model(net, weighted(net), replace(query, flow_cap=cap)) for cap in (1, 3, 10)]
     warm_optimal = 0
     for model in models:
-        program = solve._compile(model)
-        root = simplex_solve(program)
+        root = simplex_solve(model)
         if root.status != "optimal":
             continue
         for _ in range(4):
             # a chain of tightenings, each solved warm from the root's basis
             # and from its parent's, as the search does
-            lo, hi, parent = program.lo, program.hi, root
+            lo, hi, parent = model.lo, model.hi, root
             for _ in range(rng.randint(1, 6)):
-                lo, hi = tightened_box(program, rng, lo, hi)
-                assert_warm_agrees_with_cold(program, lo, hi, root.basis)
-                found = assert_warm_agrees_with_cold(program, lo, hi, parent.basis)
+                lo, hi = tightened_box(model, rng, lo, hi)
+                assert_warm_agrees_with_cold(model, lo, hi, root.basis)
+                found = assert_warm_agrees_with_cold(model, lo, hi, parent.basis)
                 if found.status != "optimal":
                     break
                 parent = found
@@ -711,11 +695,10 @@ def test_cut_children_partition_what_the_cut_leaves():
     # unused lies in exactly one child; one that uses every edge lies in none
     net, query = nets.cascade_network()
     flows = relax(build_model(net, weighted(net), query))
-    program = solve._compile(flows)
     cut = (0, 5, 7, 8)
     columns = np.array([flows.variables.index(flow_var(eid)) for eid in cut])
     for pins in ({}, {7: (0, 2)}, {5: (1, 3)}):
-        lo, hi = program.lo.copy(), program.hi.copy()
+        lo, hi = flows.lo.copy(), flows.hi.copy()
         for eid, (pin_lo, pin_hi) in pins.items():
             j = flows.variables.index(flow_var(eid))
             lo[j], hi[j] = pin_lo, pin_hi
@@ -757,34 +740,22 @@ def highs_optimum(model):
     """Objective of the ILP at the optimum scipy's HiGHS finds, or None."""
     optimize = pytest.importorskip("scipy.optimize")
     assert not model.cuts  # cuts are not rows; HiGHS would not see them
-    index = {name: i for i, name in enumerate(model.variables)}
-    A = np.zeros((len(model.rows), len(index)))
-    lb = np.full(len(model.rows), -np.inf)
-    ub = np.full(len(model.rows), np.inf)
-    for i, row in enumerate(model.rows):
-        for name, coef in row.coeffs.items():
-            A[i, index[name]] = coef
-        if row.sense in ("<=", "="):
-            ub[i] = row.rhs
-        if row.sense in (">=", "="):
-            lb[i] = row.rhs
+    lb = np.array([rhs if sense in (">=", "=") else -np.inf for sense, rhs in zip(model.senses, model.rhs)])
+    ub = np.array([rhs if sense in ("<=", "=") else np.inf for sense, rhs in zip(model.senses, model.rhs)])
     sign = 1.0 if model.sense == "min" else -1.0
-    c = np.zeros(len(index))
-    for name, coef in model.objective.items():
-        c[index[name]] = sign * coef / 1000.0  # kJ/mol keeps HiGHS well scaled
     res = optimize.milp(
-        c,
-        constraints=optimize.LinearConstraint(A, lb, ub),
-        integrality=np.ones(len(index)),
-        bounds=optimize.Bounds(*zip(*(model.bounds[name] for name in model.variables))),
+        sign * model.cost / 1000.0,  # kJ/mol keeps HiGHS well scaled
+        constraints=optimize.LinearConstraint(model.A, lb, ub),
+        integrality=np.ones(len(model.variables)),
+        bounds=optimize.Bounds(model.lo, model.hi),
         options={"mip_rel_gap": 0.0},
     )
     if res.status == 2:
         return None
     assert res.status == 0, res.message
-    values = {name: int(round(res.x[i])) for name, i in index.items()}
+    values = [int(round(x)) for x in res.x]
     assert helpers.max_row_violation(model, values) <= 1e-9
-    return sum(coef * values[name] for name, coef in model.objective.items())
+    return sum(c * v for c, v in zip(model.cost.tolist(), values))
 
 
 def test_paper_scale_glycolic_acid_at_cap_10_fits_its_node_budget():
@@ -815,7 +786,7 @@ def test_paper_scale_glycolic_acid_at_cap_10_fits_its_node_budget():
     model = build_model(net, objective_coefficients(table, Thermo(), net), query)
     # bounds stay out of the tableau: one row per conservation row, one for
     # the reduced costs, and one logical column per row
-    root = simplex_solve(solve._compile(model))
+    root = simplex_solve(model)
     assert root.basis.T.shape == (41 + 1, len(model.variables) + 41)
     # searching on the indicators ran out of these 45 nodes
     out = branch_and_bound(model, node_limit=45)
