@@ -365,6 +365,8 @@ def _checked(cast, ok, rule: str):
 
 _COUNT = _checked(int, lambda v: v >= 1, "at least 1")
 _ITERATIONS = _checked(int, lambda v: v >= 0, "at least 0")
+#: a query file's flow cap is a JSON integer, so at most 2**53, as is this flag's
+_FLOW_CAP = _checked(int, lambda v: v >= 1 and is_json_integer(v), "from 1 to 2**53")
 _KELVIN = _checked(float, lambda v: 0 < v * GAS_CONSTANT < math.inf, "above 0 with R*T finite")
 
 
@@ -405,7 +407,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("-k", "--rank", type=_COUNT, default=1, help="how many pathways to enumerate")
     p.add_argument("--temperature-k", type=_KELVIN, default=DEFAULT_TEMPERATURE)
-    p.add_argument("--flow-cap", type=_COUNT, default=None, help="override the query's per-edge cap")
+    p.add_argument(
+        "--flow-cap", type=_FLOW_CAP, default=None, help="override the query's per-edge cap"
+    )
     p.add_argument("--relax", action="store_true", help="solve the continuous relaxation instead")
     p.add_argument("--node-limit", type=_COUNT, default=DEFAULT_NODE_LIMIT)
     p.add_argument("--profiles", action="store_true", help="write an energy profile CSV per solution")

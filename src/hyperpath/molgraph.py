@@ -121,10 +121,11 @@ def make_graph(atoms, bonds=()) -> MolecularGraph:
 def component_specs(atoms: list, bonds: list) -> list[tuple[list, list]]:
     """Split atom specs and bond triples into connected components.
 
-    The integer-level half of ``make_components``: each component is its
-    atom specs and bond triples, in input order, with no graph built, so a
-    caller can refuse a part (say, by its element counts) before paying for
-    its ``MolecularGraph``.  Components come smallest atom id first.
+    Each atom spec starts with its atom id.  Each component is its atom
+    specs and bond triples, in input order, with no graph built, so a caller
+    can refuse a part (say, by its element counts) before paying for its
+    ``MolecularGraph``.  Components come smallest atom id first.  This is
+    the one component walk; ``connected_components`` builds its graphs.
     """
     adj: dict[int, list[int]] = {spec[0]: [] for spec in atoms}
     for a, b, _ in bonds:
@@ -149,15 +150,6 @@ def component_specs(atoms: list, bonds: list) -> list[tuple[list, list]]:
     for bond in bonds:
         parts[part_of[bond[0]]][1].append(bond)
     return parts
-
-
-def make_components(atoms: list, bonds: list) -> list[MolecularGraph]:
-    """Like ``make_graph``, but one graph per connected component.
-
-    Components come smallest atom id first and keep their atom ids; see
-    ``component_specs`` for the split without the graphs.
-    """
-    return [make_graph(a, b) for a, b in component_specs(atoms, bonds)]
 
 
 def element_counts(g: MolecularGraph) -> dict[str, int]:
@@ -375,7 +367,8 @@ def canonical_form(g: MolecularGraph) -> CanonicalForm:
 
 
 def connected_components(g: MolecularGraph) -> list[MolecularGraph]:
-    """Split into connected components, each a standalone molecule."""
-    return make_components(
-        [(a.id, a.element, a.charge) for a in g.atoms], [(b.a, b.b, b.order) for b in g.bonds]
-    )
+    """Split into connected components, smallest atom id first, each a
+    standalone molecule that keeps its atom ids."""
+    atoms = [(a.id, a.element, a.charge) for a in g.atoms]
+    bonds = [(b.a, b.b, b.order) for b in g.bonds]
+    return [make_graph(a, b) for a, b in component_specs(atoms, bonds)]

@@ -236,7 +236,7 @@ class Hypergraph:
 
     # -- visualization -------------------------------------------------------
 
-    def to_dot(self, flow: dict | None = None, name: str = "network") -> str:
+    def to_dot(self, flow: dict | None = None) -> str:
         """Bipartite DOT drawing: round molecule nodes, square reaction nodes.
 
         Each unit of stoichiometric multiplicity gets its own arrow.  When a
@@ -245,7 +245,7 @@ class Hypergraph:
         """
         flow = flow or {}
         support = set(self.support(flow))
-        out = [f"digraph {name} {{", "  rankdir=LR;"]
+        out = ["digraph network {", "  rankdir=LR;"]
         for v in self.vertices:
             label = f"v{v.id}\\n{_formula(v.graph)}"
             out.append(f'  v{v.id} [shape=circle, label="{label}"];')

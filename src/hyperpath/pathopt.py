@@ -182,17 +182,12 @@ class IlpModel:
     cuts: tuple[frozenset[int], ...] = ()
 
 
-def build_model(
-    h: Hypergraph,
-    model: WeightModel,
-    q: PathwayQuery,
-    cuts: tuple[frozenset[int], ...] = (),
-) -> IlpModel:
-    """Compile a query against a weighted hypergraph.
+def build_model(h: Hypergraph, model: WeightModel, q: PathwayQuery) -> IlpModel:
+    """Compile a query against a weighted hypergraph, with no cuts.
 
     Columns are the flows by edge id, then the exchange variables.  Rows
     are conservation for every vertex by id, then the optional total-inflow
-    cap.  The cuts are kept in the order given.
+    cap.  ``add_cut`` adds cuts.
     """
     import numpy as np  # here, so that importing this module does not load numpy
 
@@ -237,7 +232,7 @@ def build_model(
     else:
         cost[:len(h.edges)] = [model.coeff[e.id] for e in h.edges]
 
-    compiled = IlpModel(
+    return IlpModel(
         variables=tuple(name for name, *_ in columns),
         keys=keys,
         lo=np.array([lo for _, lo, _, _ in columns], dtype=float),
@@ -250,9 +245,6 @@ def build_model(
         sense="min" if q.maximize_outflow is None else "max",
         flow_cap=q.flow_cap,
     )
-    for cut in cuts:
-        compiled = add_cut(compiled, cut)
-    return compiled
 
 
 def add_cut(model: IlpModel, support: "frozenset[int] | set[int] | list[int]") -> IlpModel:

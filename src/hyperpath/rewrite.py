@@ -91,19 +91,8 @@ class PatternGraph:
         return adj
 
     def component_count(self) -> int:
-        adj = self.adjacency()
-        unvisited = {a.id for a in self.atoms}
-        n = 0
-        while unvisited:
-            n += 1
-            stack = [unvisited.pop()]
-            while stack:
-                v = stack.pop()
-                for u, _ in adj[v]:
-                    if u in unvisited:
-                        unvisited.discard(u)
-                        stack.append(u)
-        return n
+        atoms = [(a.id,) for a in self.atoms]
+        return len(component_specs(atoms, [(b.a, b.b, b.order) for b in self.bonds]))
 
 
 def _bond_key(b: PatternBond) -> tuple[int, int, str]:
@@ -302,32 +291,31 @@ def load_default_rules() -> list[Rule]:
 # ---------------------------------------------------------------------------
 # Matching
 
-Node = tuple[int, int]  # (copy index, atom id) in a disjoint union of hosts
-
 
 class _Union:
-    """Disjoint union of host molecules.
+    """Disjoint union of host molecules: the one numbering of a rewrite.
 
-    Its atoms are numbered 0..n-1 in (copy index, atom id) order: ``nodes[i]``
-    is the handle of atom i, ``atoms[i]`` is ``(i, element, charge)``, and
-    ``bonds`` maps each pair ``(i, j)`` with ``i < j`` to its bond order.
-    ``valence[i]`` is atom i's bond-order sum, and ``over_valence`` the atoms
-    already past their ceiling; both are made on first use.
+    Its atoms are numbered 0..n-1, host by host in ``hosts`` order and by atom
+    id within a host: ``host_of[i]`` is the position in ``hosts`` of atom i's
+    molecule, ``atoms[i]`` is ``(i, element, charge)``, and ``bonds`` maps
+    each pair ``(i, j)`` with ``i < j`` to its bond order.  ``valence[i]`` is
+    atom i's bond-order sum, and ``over_valence`` the atoms already past
+    their ceiling; both are made on first use.
     """
 
     def __init__(self, hosts: tuple[MolecularGraph, ...]):
-        self.nodes: list[Node] = []
+        self.hosts = hosts
+        self.host_of: list[int] = []
         self.atoms: list[tuple[int, str, int]] = []
-        self.index: dict[Node, int] = {}
         self.bonds: dict[tuple[int, int], str] = {}
         for copy, host in enumerate(hosts):
+            local: dict[int, int] = {}  # the host's atom ids to table indices
             for atom in sorted(host.atoms, key=lambda a: a.id):
-                i = len(self.nodes)
-                self.index[(copy, atom.id)] = i
-                self.nodes.append((copy, atom.id))
+                i = local[atom.id] = len(self.atoms)
+                self.host_of.append(copy)
                 self.atoms.append((i, atom.element, atom.charge))
             for bond in host.bonds:
-                i, j = self.index[(copy, bond.a)], self.index[(copy, bond.b)]
+                i, j = local[bond.a], local[bond.b]
                 self.bonds[(i, j) if i < j else (j, i)] = bond.order
 
     @functools.cached_property
@@ -350,9 +338,11 @@ def _over_valence(element: str, valence: float) -> bool:
 
 @dataclass
 class Match:
-    assignment: dict[int, Node]
+    """One embedding of a rule's left side: ``assignment`` maps each pattern
+    atom id to an atom index of ``table``, the host table it was found in."""
+
+    assignment: dict[int, int]
     class_binding: dict[str, str]
-    #: the host table the match was found in, which ``apply_rule`` rewrites
     table: _Union = field(repr=False, compare=False)
 
 
@@ -399,9 +389,8 @@ def find_matches(rule: Rule, hosts: tuple[MolecularGraph, ...]) -> list[Match]:
 
     def extend(depth: int):
         if depth == len(order):
-            placed = {pid: union.nodes[i] for pid, i in assignment.items()}
-            if len({node[0] for node in placed.values()}) == len(hosts):
-                matches.append(Match(placed, dict(binding), union))
+            if len({union.host_of[i] for i in assignment.values()}) == len(hosts):
+                matches.append(Match(dict(assignment), dict(binding), union))
             return
         pid = order[depth]
         label = atom_label[pid]
@@ -446,28 +435,28 @@ class DerivationRecord:
 def apply_rule(
     rule: Rule,
     match: Match,
-    hosts: tuple[MolecularGraph, ...],
     admit: Callable[[MolecularGraph], bool] | None = None,
     *,
     max_element_counts: dict[str, int] | None = None,
 ) -> tuple[list[MolecularGraph], DerivationRecord]:
     """Rewrite the matched bonds, returning the product molecules.
 
-    ``match`` comes from ``find_matches(rule, hosts)`` and carries the host
-    table it rewrites.  Raises RuleApplicationError when the rewrite would
-    create a parallel bond or push an atom past its valence ceiling, when a
-    product holds more atoms of an element than ``max_element_counts``
-    allows, or when ``admit`` (a predicate on one product molecule) refuses
-    a product.  These checks run cheapest first: bonds, valences and element
-    caps on the rewritten integer tables, before any ``MolecularGraph`` is
-    built; ``admit`` on the built products, before any canonical key is
-    computed.  A refused application so costs no graph if a cap refuses it,
-    and no key in any case.
+    ``match`` comes from ``find_matches`` and fixes the rewrite: its table
+    numbers the atoms rewritten, and the table's hosts are the reactants.
+    Raises RuleApplicationError when the rewrite would create a parallel
+    bond or push an atom past its valence ceiling, when a product holds
+    more atoms of an element than ``max_element_counts`` allows, or when
+    ``admit`` (a predicate on one product molecule) refuses a product.
+    These checks run cheapest first: bonds, valences and element caps on
+    the rewritten integer tables, before any ``MolecularGraph`` is built;
+    ``admit`` on the built products, before any canonical key is computed.
+    A refused application so costs no graph if a cap refuses it, and no key
+    in any case.
     """
     union = match.table
     atoms = union.atoms
     bonds = dict(union.bonds)
-    at = {p: union.index[node] for p, node in match.assignment.items()}
+    at = match.assignment
     # only matched atoms change bonds; bond-order sums of 1, 2, 3 and 1.5
     # are exact in binary, so updating the hosts' sums equals a recount
     valence = {i: union.valence[i] for i in at.values()}
@@ -512,7 +501,7 @@ def apply_rule(
     record = DerivationRecord(
         rule=rule.name,
         class_binding=tuple(sorted(match.class_binding.items())),
-        reactant_keys=tuple(sorted(canonical_form(h).key for h in hosts)),
+        reactant_keys=tuple(sorted(canonical_form(h).key for h in union.hosts)),
         product_keys=tuple(sorted(canonical_form(p).key for p in products)),
     )
     return products, record
@@ -597,8 +586,11 @@ class ExpansionResult:
     network: Hypergraph
     derivations: dict[int, list[DerivationRecord]]
     history: list[tuple[int, int]]
-    iterations_run: int
     reached_fixpoint: bool
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.history)
 
 
 def _directional_rules(rules: list[Rule]) -> list[Rule]:
@@ -629,9 +621,7 @@ def _derive(
     seen: set[tuple[bytes, ...]] = set()
     for match in find_matches(rule, hosts):
         try:
-            products, record = apply_rule(
-                rule, match, hosts, admit, max_element_counts=max_element_counts
-            )
+            products, record = apply_rule(rule, match, admit, max_element_counts=max_element_counts)
         except RuleApplicationError:
             continue
         if record.product_keys in seen:
@@ -663,7 +653,6 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
     directional = _directional_rules(rules)
     derivations: dict[int, list[DerivationRecord]] = {}
     history: list[tuple[int, int]] = []
-    iterations_run = 0
     reached_fixpoint = False
     tried_below = 0  # every multiset of the vertices below this id was tried
 
@@ -688,13 +677,12 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
                 derivations.setdefault(eid, [])
                 if record not in derivations[eid]:
                     derivations[eid].append(record)
-        iterations_run += 1
         history.append((len(net.vertices), len(net.edges)))
         if (len(net.vertices), len(net.edges)) == before:
             reached_fixpoint = True
             break
 
-    return ExpansionResult(net, derivations, history, iterations_run, reached_fixpoint)
+    return ExpansionResult(net, derivations, history, reached_fixpoint)
 
 
 def expand_network(config: ExpansionConfig, rules: list[Rule]) -> Hypergraph:

@@ -87,10 +87,10 @@ def _logical_bounds(model: IlpModel) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _violated(model: IlpModel, x: np.ndarray, logical_bounds: tuple | None = None) -> bool:
+def _violated(model: IlpModel, x: np.ndarray, logical_bounds: tuple) -> bool:
     """Whether ``x`` breaks a row by more than 1e-6 + 1e-9·|rhs|;
-    ``logical_bounds`` are the model's ``_logical_bounds`` when known."""
-    row_lo, row_hi = logical_bounds or _logical_bounds(model)
+    ``logical_bounds`` are the model's ``_logical_bounds``."""
+    row_lo, row_hi = logical_bounds
     logical = model.rhs - model.A @ x
     tol = 1e-6 + 1e-9 * np.abs(model.rhs)
     return bool(((logical < row_lo - tol) | (logical > row_hi + tol)).any())
@@ -279,8 +279,7 @@ def _dfs(
             continue
         if lp.status != "optimal":
             raise SolverError(f"relaxation came back {lp.status}")
-        width = hi - lo
-        if sign * lp.objective - price_tol * width[np.isfinite(width)].sum() > cutoff:
+        if sign * lp.objective - price_tol * (hi - lo).sum() > cutoff:
             continue
         prune_tol = 1e-6 + 1e-9 * abs(best_signed if best else 0.0)
         if best is not None and sign * lp.objective >= best_signed - prune_tol:

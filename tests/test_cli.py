@@ -423,6 +423,13 @@ def test_query_flow_cap_override(tmp_path, capsys):
     assert all(v <= 1 for v in tight_best["flow"].values())
     # the cost objective equals the reported score in minimization mode
     assert tight_best["objective_j_per_mol"] == pytest.approx(tight_best["score_j_per_mol"])
+    # the largest cap a query file may give is the largest the flag takes
+    widest = tmp_path / "widest.json"
+    assert main(
+        ["query", "--network", network, "--barriers", barriers, "--query", query,
+         "--flow-cap", str(2**53), "--output", str(widest)]
+    ) == 0
+    assert json.loads(widest.read_text())["solutions"][0]["support"] == [0]
 
 
 def test_query_node_limit_flag(tmp_path, capsys):
@@ -509,6 +516,9 @@ def test_query_iteration_limit_exit_4(tmp_path, capsys, monkeypatch, relax):
         ("query", "-k", "0"),
         ("query", "--node-limit", "0"),
         ("query", "--flow-cap", "0"),
+        # a query file's flow cap is at most 2**53, and so is the flag's
+        ("query", "--flow-cap", str(2**53 + 1)),
+        pytest.param("query", "--flow-cap", "9" * 400, id="query---flow-cap-400-digits"),
         ("query", "--temperature-k", "0"),
         ("query", "--temperature-k", "nan"),
         ("query", "--temperature-k", "inf"),

@@ -249,9 +249,9 @@ def test_build_model_validation():
     with pytest.raises(ValueError):
         build_model(net, w, PathwayQuery(forbidden_edges=(9,)))
     with pytest.raises(ValueError):
-        build_model(net, w, query, cuts=(frozenset(),))
+        add_cut(build_model(net, w, query), frozenset())
     with pytest.raises(ValueError):
-        build_model(net, w, query, cuts=(frozenset({55}),))
+        add_cut(build_model(net, w, query), frozenset({55}))
     partial = WeightModel(Thermo(), 0.0, {0: 1.0})
     with pytest.raises(ValueError):
         build_model(net, partial, query)
@@ -259,9 +259,7 @@ def test_build_model_validation():
 
 def test_cut_rows_appended_in_order():
     net, query = nets.flux_demo()
-    model = build_model(
-        net, weighted(net), query, cuts=(frozenset({0, 2}), frozenset({1}))
-    )
+    model = add_cut(add_cut(build_model(net, weighted(net), query), {0, 2}), {1})
     assert model.cuts == (frozenset({0, 2}), frozenset({1}))
     plain = build_model(net, weighted(net), query)
     assert model.rows == plain.rows and model.A.tolist() == plain.A.tolist()
@@ -286,17 +284,18 @@ def test_add_cut_returns_new_model():
         add_cut(base, {55})
 
 
-def test_add_cut_matches_building_with_the_cut():
+def test_add_cut_adds_only_its_row_to_the_export():
     net, query = nets.cascade_network()
-    w = weighted(net)
-    cut = frozenset({0, 5, 7})
-    appended = add_cut(build_model(net, w, query), cut)
-    assert export_lp_text(appended) == export_lp_text(build_model(net, w, query, cuts=(cut,)))
+    base = build_model(net, weighted(net), query)
+    lines = export_lp_text(base).splitlines()
+    at = lines.index("Bounds")
+    expected = lines[:at] + [" cut_0: 1 z_0 + 1 z_5 + 1 z_7 <= 2"] + lines[at:]
+    assert export_lp_text(add_cut(base, frozenset({0, 5, 7}))).splitlines() == expected
 
 
 def test_relax_drops_integrality_machinery():
     net, query = nets.flux_demo()
-    model = build_model(net, weighted(net), query, cuts=(frozenset({0}),))
+    model = add_cut(build_model(net, weighted(net), query), {0})
     lp = relax(model)
     assert not lp.integral and lp.cuts == ()
     assert model.integral and model.cuts == (frozenset({0}),)
@@ -326,7 +325,7 @@ def test_solution_flow_maps_columns_through_keys():
 
 def test_export_lp_grammar():
     net, query = nets.flux_demo()
-    model = build_model(net, weighted(net), query, cuts=(frozenset({0, 1}),))
+    model = add_cut(build_model(net, weighted(net), query), {0, 1})
     helpers.check_lp_grammar(export_lp_text(model))
     helpers.check_lp_grammar(export_lp_text(relax(model)))
     big_net, big_query = nets.cascade_network()
@@ -366,9 +365,9 @@ def test_export_lp_shows_pinned_variables():
 
 def test_export_lp_byte_identical():
     net, query = nets.cascade_network()
-    model = build_model(net, weighted(net), query, cuts=(frozenset({0, 5, 7}),))
+    model = add_cut(build_model(net, weighted(net), query), {0, 5, 7})
     assert export_lp_text(model) == export_lp_text(model)
-    rebuilt = build_model(net, weighted(net), query, cuts=(frozenset({0, 5, 7}),))
+    rebuilt = add_cut(build_model(net, weighted(net), query), {0, 5, 7})
     assert export_lp_text(rebuilt) == export_lp_text(model)
 
 
@@ -508,5 +507,7 @@ End
 def test_export_lp_text_is_pinned(forbidden, cuts, texts):
     net, query = nets.flux_demo()
     assert query.total_inflow_max is not None
-    model = build_model(net, weighted(net), replace(query, forbidden_edges=forbidden), cuts=cuts)
+    model = build_model(net, weighted(net), replace(query, forbidden_edges=forbidden))
+    for cut in cuts:
+        model = add_cut(model, cut)
     assert (export_lp_text(model), export_lp_text(relax(model))) == texts

@@ -640,7 +640,7 @@ def assert_warm_agrees_with_cold(model, lo, hi, start):
     assert warm.status == cold.status
     if cold.status == "optimal":
         assert abs(warm.objective - cold.objective) <= 1e-6 + 1e-9 * abs(cold.objective)
-        assert not solve._violated(model, warm.values)
+        assert not solve._violated(model, warm.values, solve._logical_bounds(model))
         assert (warm.values >= lo - 1e-6).all() and (warm.values <= hi + 1e-6).all()
     return warm
 
