@@ -127,16 +127,15 @@ class Hypergraph:
         edge = Hyperedge(len(self.edges), dict(reactants), dict(products))
         self.edges.append(edge)
         self._by_bags[bags] = edge.id
-        swapped = (bags[1], bags[0])
-        partner_id = self._by_bags.get(swapped)
+        # bags are unique, so the edge with the swapped bags (this edge itself
+        # when the two bags are equal) has no partner yet
+        partner_id = self._by_bags.get((bags[1], bags[0]))
         if partner_id is not None:
             partner = self.edges[partner_id]
-            if partner.reverse_of is None or partner_id == edge.id:
-                self.edges[edge.id] = Hyperedge(edge.id, edge.reactants, edge.products, partner_id)
-                if partner_id != edge.id:
-                    self.edges[partner_id] = Hyperedge(
-                        partner.id, partner.reactants, partner.products, edge.id
-                    )
+            self.edges[partner_id] = Hyperedge(
+                partner.id, partner.reactants, partner.products, edge.id
+            )
+            self.edges[edge.id] = Hyperedge(edge.id, edge.reactants, edge.products, partner_id)
         return edge.id
 
     # -- hyperflow checks ----------------------------------------------------

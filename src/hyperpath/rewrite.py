@@ -1,8 +1,10 @@
 """Graph-rewriting rules and breadth-first network expansion.
 
-A rule is a span L <- K -> R over one shared atom set: applying it to a
-multiset of host molecules deletes the matched left-side bonds, adds the
-right-side bonds, and keeps everything else.  Matches are injective and
+A rule is a span L <- K -> R over one atom set: one tuple of pattern atoms
+and three bond lists, the left, context (kept) and right bonds, parsed from
+the rule DSL one ``rule`` block at a time.  Applying it to a multiset of
+host molecules deletes the matched left-side bonds, adds the right-side
+bonds, and keeps everything else.  Matches are injective and
 label-compatible, map each connected pattern component into one host
 molecule, and must touch every molecule of the multiset.  Expansion applies
 all rules breadth-first over growing strata of molecules, recording every
@@ -17,7 +19,7 @@ import functools
 import re
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from itertools import combinations_with_replacement
 
@@ -63,38 +65,6 @@ class PatternBond:
     order: str
 
 
-@dataclass(frozen=True)
-class PatternGraph:
-    atoms: tuple[PatternAtom, ...]
-    bonds: tuple[PatternBond, ...]
-
-    def __post_init__(self):
-        ids = {a.id for a in self.atoms}
-        if len(ids) != len(self.atoms):
-            raise ValueError("duplicate pattern atom id")
-        pairs = set()
-        for b in self.bonds:
-            if b.order not in BOND_ORDERS:
-                raise ValueError(f"bad bond order {b.order!r}")
-            if b.a == b.b or b.a not in ids or b.b not in ids:
-                raise ValueError(f"bad bond endpoints {b.a}-{b.b}")
-            pair = (b.a, b.b) if b.a < b.b else (b.b, b.a)
-            if pair in pairs:
-                raise ValueError(f"parallel pattern bond {pair[0]}-{pair[1]}")
-            pairs.add(pair)
-
-    def adjacency(self) -> dict[int, list[tuple[int, str]]]:
-        adj: dict[int, list[tuple[int, str]]] = {a.id: [] for a in self.atoms}
-        for b in self.bonds:
-            adj[b.a].append((b.b, b.order))
-            adj[b.b].append((b.a, b.order))
-        return adj
-
-    def component_count(self) -> int:
-        atoms = [(a.id,) for a in self.atoms]
-        return len(component_specs(atoms, [(b.a, b.b, b.order) for b in self.bonds]))
-
-
 def _bond_key(b: PatternBond) -> tuple[int, int, str]:
     lo, hi = (b.a, b.b) if b.a < b.b else (b.b, b.a)
     return (lo, hi, b.order)
@@ -102,35 +72,53 @@ def _bond_key(b: PatternBond) -> tuple[int, int, str]:
 
 @dataclass(frozen=True)
 class Rule:
-    """Span of pattern graphs over one atom set, plus element-class bindings."""
+    """A span L <- K -> R over one atom set, plus element-class bindings.
+
+    ``atoms`` serve all three sides; ``left``, ``context`` and ``right`` are
+    each side's bonds, sorted.  Left bonds are matched and deleted, right
+    bonds added, and context bonds, kept, are on both sides.  A class binds
+    one of its elements per match.  It may not take the name of an element
+    in ``VALENCE_CAP``, which it would re-label in the rule.
+    """
 
     name: str
-    left: PatternGraph
-    context: PatternGraph
-    right: PatternGraph
+    atoms: tuple[PatternAtom, ...]
+    left: tuple[PatternBond, ...]
+    context: tuple[PatternBond, ...]
+    right: tuple[PatternBond, ...]
     label_classes: dict[str, tuple[str, ...]] = field(default_factory=dict)
     reversible: bool = False
 
     def __post_init__(self):
-        left_ids = {a.id: a.label for a in self.left.atoms}
-        for side, pattern in (("context", self.context), ("right", self.right)):
-            labels = {a.id: a.label for a in pattern.atoms}
-            if labels != left_ids:
-                raise ValueError(f"{side} atoms of rule {self.name!r} differ from left")
-        left_bonds = {_bond_key(b) for b in self.left.bonds}
-        right_bonds = {_bond_key(b) for b in self.right.bonds}
-        for b in self.context.bonds:
-            if _bond_key(b) not in left_bonds or _bond_key(b) not in right_bonds:
+        ids = {a.id for a in self.atoms}
+        if len(ids) != len(self.atoms):
+            raise ValueError("duplicate pattern atom id")
+        for bonds in (self.left, self.context, self.right):
+            pairs = set()
+            for b in bonds:
+                if b.order not in BOND_ORDERS:
+                    raise ValueError(f"bad bond order {b.order!r}")
+                if b.a == b.b or b.a not in ids or b.b not in ids:
+                    raise ValueError(f"bad bond endpoints {b.a}-{b.b}")
+                pair = _bond_key(b)[:2]
+                if pair in pairs:
+                    raise ValueError(f"parallel pattern bond {pair[0]}-{pair[1]}")
+                pairs.add(pair)
+        kept = {_bond_key(b) for b in self.left} & {_bond_key(b) for b in self.right}
+        for b in self.context:
+            if _bond_key(b) not in kept:
                 raise ValueError(
                     f"context bond {b.a}-{b.b} of rule {self.name!r} must appear on both sides"
                 )
         for cls, elements in self.label_classes.items():
+            if cls in VALENCE_CAP:
+                raise ValueError(f"class {cls!r} of rule {self.name!r} is named like an element")
             if not elements:
                 raise ValueError(f"class {cls!r} of rule {self.name!r} is empty")
             for el in elements:
                 if el not in PERIODIC_TABLE:
                     raise ValueError(f"class {cls!r} lists unknown element {el!r}")
-        for atom in self.left.atoms:
+        for atom in self.atoms:
             if atom.label not in self.label_classes and atom.label not in PERIODIC_TABLE:
                 raise ValueError(
                     f"label {atom.label!r} in rule {self.name!r} is neither an element nor a class"
@@ -141,17 +129,23 @@ class Rule:
             return self.label_classes[label]
         return (label,)
 
+    def adjacency(self) -> dict[int, list[tuple[int, str]]]:
+        """Each atom's neighbours on the left side, with the bond orders."""
+        adj: dict[int, list[tuple[int, str]]] = {a.id: [] for a in self.atoms}
+        for b in self.left:
+            adj[b.a].append((b.b, b.order))
+            adj[b.b].append((b.a, b.order))
+        return adj
+
+    def component_count(self) -> int:
+        """Connected parts of the left side: the most hosts one match joins."""
+        atoms = [(a.id,) for a in self.atoms]
+        return len(component_specs(atoms, [(b.a, b.b, b.order) for b in self.left]))
+
 
 def reverse_rule(rule: Rule) -> Rule:
-    """Swap the two sides; the interface and classes are unchanged."""
-    return Rule(
-        name=f"{rule.name}-rev",
-        left=rule.right,
-        context=rule.context,
-        right=rule.left,
-        label_classes=rule.label_classes,
-        reversible=rule.reversible,
-    )
+    """Swap the two sides; the atoms, context and classes are unchanged."""
+    return replace(rule, name=f"{rule.name}-rev", left=rule.right, right=rule.left)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +160,8 @@ def parse_rules(text: str) -> list[Rule]:
     Grammar per rule: a ``rule <name>`` line, optional ``classes: X = {A, B}``
     lines, a ``left:`` section of atom/bond lines, optional ``context:`` and
     ``right:`` bond sections, and an optional bare ``reversible`` line.
-    Atoms are declared once under ``left:`` and shared by all three patterns.
+    Atoms are declared once under ``left:`` and shared by all three sides.
+    The text is split into rule blocks, and each block parses to one rule.
     Rule names must be distinct, also from the ``<name>-rev`` names that
     reversible rules give their reverses, because derivation records name
     the rule that made them.
@@ -174,86 +169,69 @@ def parse_rules(text: str) -> list[Rule]:
     rules: list[Rule] = []
     #: each rule name and reverse name taken so far, with its rule's line
     taken: dict[str, int] = {}
-    name: str | None = None
-    classes: dict[str, tuple[str, ...]] = {}
-    atoms: list[PatternAtom] = []
-    bonds: dict[str, list[PatternBond]] = {"left": [], "context": [], "right": []}
-    section: str | None = None
-    reversible = False
-    start_line = 0
-
-    def flush(ln: int):
-        nonlocal name, classes, atoms, bonds, section, reversible
-        if name is None:
-            return
-        if not atoms:
-            raise RuleError(f"rule {name!r} declares no atoms", start_line)
-        atom_tuple = tuple(sorted(atoms))
-        try:
-            rule = Rule(
-                name=name,
-                left=PatternGraph(atom_tuple, tuple(sorted(bonds["left"]))),
-                context=PatternGraph(atom_tuple, tuple(sorted(bonds["context"]))),
-                right=PatternGraph(atom_tuple, tuple(sorted(bonds["right"]))),
-                label_classes=dict(classes),
-                reversible=reversible,
-            )
-        except ValueError as exc:
-            raise RuleError(str(exc), start_line) from None
-        names = [rule.name] + ([reverse_rule(rule).name] if reversible else [])
+    for start, name, lines in _rule_blocks(text):
+        rule = _parse_rule_block(start, name, lines)
+        names = [rule.name] + ([reverse_rule(rule).name] if rule.reversible else [])
         for taken_name in names:
             if taken_name in taken:
                 raise RuleError(
                     f"rule name {taken_name!r} is already taken by the rule on line "
                     f"{taken[taken_name]}",
-                    start_line,
+                    start,
                 )
-        taken.update((n, start_line) for n in names)
+        taken.update((n, start) for n in names)
         rules.append(rule)
-        name, classes, atoms = None, {}, []
-        bonds = {"left": [], "context": [], "right": []}
-        section, reversible = None, False
+    if not rules:
+        raise RuleError("no rules found")
+    return rules
 
+
+def _rule_blocks(text: str) -> list[tuple[int, str, list[tuple[int, str]]]]:
+    """Split rule text at its ``rule <name>`` lines: each block is its start
+    line, its name and its other statements as (line number, line) pairs."""
+    blocks: list[tuple[int, str, list[tuple[int, str]]]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("rule "):
-            flush(ln)
-            name = line[5:].strip()
-            if not name:
-                raise RuleError("rule needs a name", ln)
-            start_line = ln
-            continue
-        if name is None:
+            blocks.append((ln, line[5:].strip(), []))
+        elif not blocks:
             raise RuleError(f"statement outside any rule: {line!r}", ln)
+        else:
+            blocks[-1][2].append((ln, line))
+    return blocks
+
+
+def _parse_rule_block(start: int, name: str, lines: list[tuple[int, str]]) -> Rule:
+    """One rule from the statements of its block; ``start`` is the line of
+    its ``rule`` statement, which errors of the rule as a whole carry."""
+    classes: dict[str, tuple[str, ...]] = {}
+    atoms: list[PatternAtom] = []
+    bonds: dict[str, list[PatternBond]] = {"left": [], "context": [], "right": []}
+    section: str | None = None
+    reversible = False
+    for ln, line in lines:
         m = _CLASS_RE.match(line)
-        if m:
-            cls = m.group(1)
-            elements = tuple(e.strip() for e in m.group(2).split(",") if e.strip())
-            if cls in classes:
-                raise RuleError(f"class {cls!r} declared twice", ln)
-            classes[cls] = elements
-            continue
-        if line in ("left:", "context:", "right:"):
-            section = line[:-1]
-            continue
-        if line == "reversible":
-            reversible = True
-            continue
         fields = line.split()
-        if fields[0] == "atom":
+        if m:
+            if m.group(1) in classes:
+                raise RuleError(f"class {m.group(1)!r} declared twice", ln)
+            classes[m.group(1)] = tuple(e.strip() for e in m.group(2).split(",") if e.strip())
+        elif line in ("left:", "context:", "right:"):
+            section = line[:-1]
+        elif line == "reversible":
+            reversible = True
+        elif fields[0] == "atom":
             if section != "left":
                 raise RuleError("atoms must be declared in the left: section", ln)
             if len(fields) != 3:
                 raise RuleError("atom line needs 'atom <id> <label>'", ln)
             try:
-                pid = int(fields[1])
+                atoms.append(PatternAtom(int(fields[1]), fields[2]))
             except ValueError:
                 raise RuleError(f"bad atom id {fields[1]!r}", ln) from None
-            atoms.append(PatternAtom(pid, fields[2]))
-            continue
-        if fields[0] == "bond":
+        elif fields[0] == "bond":
             if section is None:
                 raise RuleError("bond line outside left:/context:/right:", ln)
             if len(fields) != 4:
@@ -265,12 +243,15 @@ def parse_rules(text: str) -> list[Rule]:
             if fields[3] not in BOND_ORDERS:
                 raise RuleError(f"bond order must be one of 1,2,3,a not {fields[3]!r}", ln)
             bonds[section].append(PatternBond(a, b, fields[3]))
-            continue
-        raise RuleError(f"unrecognized statement {line!r}", ln)
-    flush(len(text.splitlines()) + 1)
-    if not rules:
-        raise RuleError("no rules found")
-    return rules
+        else:
+            raise RuleError(f"unrecognized statement {line!r}", ln)
+    if not atoms:
+        raise RuleError(f"rule {name!r} declares no atoms", start)
+    sides = (tuple(sorted(bonds[side])) for side in ("left", "context", "right"))
+    try:
+        return Rule(name, tuple(sorted(atoms)), *sides, classes, reversible)
+    except ValueError as exc:
+        raise RuleError(str(exc), start) from None
 
 
 def parse_rule(text: str) -> Rule:
@@ -349,8 +330,8 @@ class Match:
 def _pattern_order(rule: Rule, candidates: dict[int, list]) -> list[int]:
     # rarest label first, then greedily extend along pattern bonds so that
     # each later atom is checked against as many placed neighbors as possible
-    adj = rule.left.adjacency()
-    remaining = {a.id for a in rule.left.atoms}
+    adj = rule.adjacency()
+    remaining = {a.id for a in rule.atoms}
     order: list[int] = []
     placed: set[int] = set()
     while remaining:
@@ -376,12 +357,12 @@ def find_matches(rule: Rule, hosts: tuple[MolecularGraph, ...]) -> list[Match]:
     union = _Union(hosts)
     # each pattern atom's label-compatible host atoms, in host table order
     candidates: dict[int, list[tuple[int, str]]] = {}
-    for atom in rule.left.atoms:
+    for atom in rule.atoms:
         allowed = rule.allowed_elements(atom.label)
         candidates[atom.id] = [(i, el) for i, el, _ in union.atoms if el in allowed]
     order = _pattern_order(rule, candidates)
-    adj = rule.left.adjacency()
-    atom_label = {a.id: a.label for a in rule.left.atoms}
+    adj = rule.adjacency()
+    atom_label = {a.id: a.label for a in rule.atoms}
     matches: list[Match] = []
     assignment: dict[int, int] = {}
     used: set[int] = set()
@@ -465,12 +446,12 @@ def apply_rule(
         i, j = at[p], at[q]
         return (i, j) if i < j else (j, i)
 
-    for b in rule.left.bonds:
+    for b in rule.left:
         key = edge(b.a, b.b)
         del bonds[key]
         valence[key[0]] -= ORDER_VALUE[b.order]
         valence[key[1]] -= ORDER_VALUE[b.order]
-    for b in rule.right.bonds:
+    for b in rule.right:
         key = edge(b.a, b.b)
         if key in bonds:
             raise RuleApplicationError(
@@ -640,7 +621,9 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
     the rule's left-side component count.  Products join the network only
     if every product of the application passes the element-count ceilings
     and the right-side predicates; newly found molecules become hosts in the
-    next iteration.  Stops early once an iteration adds nothing.
+    next iteration.  Stops early once an iteration adds nothing.  Each seed
+    must be one connected molecule, as every product is; ValueError names a
+    seed that is not.
     """
     predicates = [right_predicate(s) for s in config.right_predicates]
 
@@ -648,7 +631,11 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
         return all(pred(graph) for pred in predicates)
 
     net = Hypergraph()
-    for seed in config.seed_molecules:
+    for n, seed in enumerate(config.seed_molecules, start=1):
+        bonds = [(b.a, b.b, b.order) for b in seed.bonds]
+        parts = len(component_specs([(a.id,) for a in seed.atoms], bonds))
+        if parts > 1:
+            raise ValueError(f"seed {n} is not one molecule: its atoms form {parts} connected parts")
         net.add_molecule(seed)
     directional = _directional_rules(rules)
     derivations: dict[int, list[DerivationRecord]] = {}
@@ -660,7 +647,7 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
         current: list[Vertex] = list(net.vertices)
         tasks: list[tuple[int, tuple[Vertex, ...]]] = []
         for ri, rule in enumerate(directional):
-            for size in range(1, rule.left.component_count() + 1):
+            for size in range(1, rule.component_count() + 1):
                 for combo in combinations_with_replacement(current, size):
                     if combo[-1].id >= tried_below:  # the highest id comes last
                         tasks.append((ri, combo))

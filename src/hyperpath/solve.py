@@ -25,11 +25,11 @@ so that it is the same float wherever it is taken.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pathopt import IlpModel
+from .pathopt import IlpModel, add_cut
 
 PIVOT_TOL = 1e-10
 INTEGRALITY_TOL = 1e-6
@@ -402,7 +402,7 @@ def enumerate_pathways(
         solutions.append(solution)
         if not solution.support:
             break
-        model = replace(model, cuts=model.cuts + (frozenset(solution.support),))
+        model = add_cut(model, solution.support)
     return RankedPathways(solutions, tuple(frozenset(s.support) for s in solutions if s.support))
 
 

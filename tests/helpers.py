@@ -71,8 +71,8 @@ def count_matches_naive(rule, hosts) -> int:
             key = tuple(sorted(((copy, bond.a), (copy, bond.b))))
             orders[key] = bond.order
 
-    pattern_ids = [a.id for a in rule.left.atoms]
-    labels = {a.id: a.label for a in rule.left.atoms}
+    pattern_ids = [a.id for a in rule.atoms]
+    labels = {a.id: a.label for a in rule.atoms}
     count = 0
     for chosen in permutations(nodes, len(pattern_ids)):
         assignment = dict(zip(pattern_ids, chosen))
@@ -96,7 +96,7 @@ def count_matches_naive(rule, hosts) -> int:
                 break
         if not ok:
             continue
-        for bond in rule.left.bonds:
+        for bond in rule.left:
             key = tuple(sorted((assignment[bond.a], assignment[bond.b])))
             if orders.get(key) != bond.order:
                 ok = False

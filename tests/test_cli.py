@@ -186,6 +186,21 @@ def test_expand_rules_with_a_taken_name_exit_2_without_traceback(tmp_path, capsy
     assert not out.exists()
 
 
+def test_expand_refuses_a_disconnected_seed(tmp_path, capsys):
+    # one seed block holding C#N and a separate O-H: expanded as one
+    # molecule, it would make reactions with a two-part "molecule" in them
+    seeds = tmp_path / "seeds.mgf"
+    seeds.write_text(
+        molecules.WATER_MGF
+        + "---\natom 0 C\natom 1 N\natom 2 O\natom 3 H\nbond 0 1 3\nbond 2 3 1\n"
+    )
+    out = tmp_path / "net.json"
+    assert main(["expand", "--seeds", str(seeds), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed 2 is not one molecule") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_annotate_check_conserved(tmp_path, capsys):
     net, network, barriers, _ = flux_setup(tmp_path)
     flow = tmp_path / "flow.json"

@@ -25,7 +25,6 @@ from hyperpath.rewrite import (
     ExpansionConfig,
     PatternAtom,
     PatternBond,
-    PatternGraph,
     Rule,
     RuleApplicationError,
     RuleError,
@@ -145,10 +144,10 @@ def test_parse_rule_fields():
     assert rule.name == "nitrile-addition"
     assert not rule.reversible
     assert rule.label_classes == {}
-    assert len(rule.left.atoms) == 4
-    assert {(b.a, b.b, b.order) for b in rule.left.bonds} == {(0, 1, "3"), (2, 3, "1")}
-    assert len(rule.right.bonds) == 3
-    assert rule.context.bonds == ()
+    assert len(rule.atoms) == 4
+    assert {(b.a, b.b, b.order) for b in rule.left} == {(0, 1, "3"), (2, 3, "1")}
+    assert len(rule.right) == 3
+    assert rule.context == ()
 
 
 def test_parse_rule_classes_and_reversible():
@@ -177,6 +176,14 @@ def test_parse_rules_comments_and_blank_lines():
         ("rule x\nright:\n  atom 0 C\n", "left: section"),
         ("rule x\nleft:\n  atom 0 Qq\n", "neither an element nor a class"),
         ("rule x\nleft:\n  atom 0 C\n  bond 0 1 7\n", "bond order"),
+        ("rule x\nleft:\n  atom 0 C\n  atom 0 O\n", "duplicate pattern atom id"),
+        # each side's bonds are checked, not only the left side's
+        ("rule x\nleft:\n  atom 0 C\ncontext:\n  bond 0 0 1\n", "bad bond endpoints 0-0"),
+        ("rule x\nleft:\n  atom 0 C\nright:\n  bond 0 1 1\n", "bad bond endpoints 0-1"),
+        (
+            "rule x\nleft:\n  atom 0 C\n  atom 1 O\nright:\n  bond 0 1 1\n  bond 1 0 2\n",
+            "parallel pattern bond 0-1",
+        ),
         (
             "rule x\nleft:\n  atom 0 C\n  atom 1 C\ncontext:\n  bond 0 1 1\n",
             "both sides",
@@ -184,6 +191,8 @@ def test_parse_rules_comments_and_blank_lines():
         ("rule x\nclasses: X = {C}\nclasses: X = {N}\nleft:\n  atom 0 X\n", "twice"),
         ("rule x\nclasses: X = {}\nleft:\n  atom 0 X\n", "empty"),
         ("rule x\nclasses: X = {C, Qq}\nleft:\n  atom 0 X\n", "unknown element"),
+        # a class named like an element would re-label that element
+        ("rule x\nclasses: C = {O}\nleft:\n  atom 0 C\n", "named like an element"),
         ("rule x\nleft:\n  widget 0\n", "unrecognized"),
         ("# nothing\n", "no rules"),
     ],
@@ -243,13 +252,6 @@ def test_rule_error_carries_line_number():
     assert err.value.line == 4
 
 
-def test_rule_atom_sets_must_agree():
-    left = parse_rule(HH_BREAK).left
-    other = parse_rule(PAIR_BOND).left
-    with pytest.raises(ValueError):
-        Rule(name="bad", left=left, context=left, right=other)
-
-
 def test_reverse_rule_swaps_sides():
     rule = parse_rule(NITRILE_ADDITION)
     rev = reverse_rule(rule)
@@ -263,21 +265,23 @@ def test_reverse_rule_swaps_sides():
 
 def test_pattern_component_count():
     atoms = tuple(PatternAtom(i, "C") for i in range(4))
-    chain = PatternGraph(
-        atoms, (PatternBond(0, 1, "1"), PatternBond(1, 2, "1"), PatternBond(2, 3, "2"))
-    )
-    two_parts = PatternGraph(atoms, (PatternBond(0, 3, "1"), PatternBond(1, 2, "1")))
-    one_isolated = PatternGraph(atoms, (PatternBond(0, 1, "1"), PatternBond(1, 2, "1")))
+
+    def left_side(atoms, *bonds):
+        return Rule("r", atoms, tuple(PatternBond(*b) for b in bonds), (), ())
+
+    chain = left_side(atoms, (0, 1, "1"), (1, 2, "1"), (2, 3, "2"))
+    two_parts = left_side(atoms, (0, 3, "1"), (1, 2, "1"))
+    one_isolated = left_side(atoms, (0, 1, "1"), (1, 2, "1"))
     assert chain.component_count() == 1
     assert two_parts.component_count() == 2
     assert one_isolated.component_count() == 2
-    assert PatternGraph(atoms[:1], ()).component_count() == 1
+    assert left_side(atoms[:1]).component_count() == 1
 
 
 def test_default_rules_left_side_component_counts():
     # how many host molecules each directional default rule may join
     directional = rewrite._directional_rules(load_default_rules())
-    assert [rule.left.component_count() for rule in directional] == [2, 1, 2, 1, 1, 1]
+    assert [rule.component_count() for rule in directional] == [2, 1, 2, 1, 1, 1]
 
 
 def test_find_matches_symmetry_count():
@@ -418,9 +422,9 @@ def reference_apply_rule(rule, match, hosts, admit, caps):
         i, j = match.assignment[p], match.assignment[q]
         return (min(i, j), max(i, j))
 
-    for b in rule.left.bonds:
+    for b in rule.left:
         del bonds[edge(b.a, b.b)]
-    for b in rule.right.bonds:
+    for b in rule.right:
         if edge(b.a, b.b) in bonds:
             return "parallel bond"
         bonds[edge(b.a, b.b)] = b.order
