@@ -10,7 +10,8 @@ command succeeds and wrote at least one file, ``main`` writes that record as
 or ``annotate-check`` without ``--output``, writes no manifest.
 
 Exit codes: 0 success (an infeasible query is still a success, the answer
-is in the output), 1 usage errors, 2 unreadable or invalid inputs, 3 search
+is in the output), 1 usage errors, 2 unreadable or invalid inputs (also an
+input so deep that a recursive search runs out of stack), 3 search
 limits exhausted, 4 solver failure (an LP relaxation ended numerically or
 ran into the simplex's iteration limit, or no optimum was found on the
 canonical support).
@@ -452,6 +453,10 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except (InputError, MgfError, RuleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # a seed or a rule so large that a recursive search runs out of stack
+        print("error: an input is too deep to process: a search ran out of stack", file=sys.stderr)
         return 2
     except NodeLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

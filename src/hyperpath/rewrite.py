@@ -30,6 +30,7 @@ from .molgraph import (
     MolecularGraph,
     canonical_form,
     component_specs,
+    element_counts,
     make_graph,
 )
 from .netcore import Hypergraph, Vertex
@@ -78,7 +79,7 @@ class Rule:
     each side's bonds, sorted.  Left bonds are matched and deleted, right
     bonds added, and context bonds, kept, are on both sides.  A class binds
     one of its elements per match.  It may not take the name of an element
-    in ``VALENCE_CAP``, which it would re-label in the rule.
+    of ``PERIODIC_TABLE``, which it would re-label in the rule.
     """
 
     name: str
@@ -111,7 +112,7 @@ class Rule:
                     f"context bond {b.a}-{b.b} of rule {self.name!r} must appear on both sides"
                 )
         for cls, elements in self.label_classes.items():
-            if cls in VALENCE_CAP:
+            if cls in PERIODIC_TABLE:
                 raise ValueError(f"class {cls!r} of rule {self.name!r} is named like an element")
             if not elements:
                 raise ValueError(f"class {cls!r} of rule {self.name!r} is empty")
@@ -139,8 +140,20 @@ class Rule:
 
     def component_count(self) -> int:
         """Connected parts of the left side: the most hosts one match joins."""
-        atoms = [(a.id,) for a in self.atoms]
-        return len(component_specs(atoms, [(b.a, b.b, b.order) for b in self.left]))
+        return _part_count(self.atoms, self.left)
+
+    def joins_every_atom(self) -> bool:
+        """True when the right side connects all the rule's atoms.
+
+        Then an application to connected hosts, each given at least one
+        pattern atom, makes one product: all the hosts' atoms.
+        """
+        return _part_count(self.atoms, self.right) == 1
+
+
+def _part_count(atoms: tuple[PatternAtom, ...], bonds: tuple[PatternBond, ...]) -> int:
+    """Connected parts of the rule's atoms under one side's bonds."""
+    return len(component_specs([(a.id,) for a in atoms], [(b.a, b.b, b.order) for b in bonds]))
 
 
 def reverse_rule(rule: Rule) -> Rule:
@@ -624,6 +637,14 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
     next iteration.  Stops early once an iteration adds nothing.  Each seed
     must be one connected molecule, as every product is; ValueError names a
     seed that is not.
+
+    A multiset is never matched when every application must break an
+    element cap.  That holds when the rule's right side joins all its atoms
+    (``Rule.joins_every_atom``): each host is connected and receives a
+    pattern atom, so the one product holds all the hosts' atoms, and its
+    element counts are the hosts' summed counts.  When a sum is over its
+    cap, every match would be refused, so the multiset is skipped.  A rule
+    whose right side is not connected is matched as before.
     """
     predicates = [right_predicate(s) for s in config.right_predicates]
 
@@ -638,18 +659,31 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
             raise ValueError(f"seed {n} is not one molecule: its atoms form {parts} connected parts")
         net.add_molecule(seed)
     directional = _directional_rules(rules)
+    caps = list((config.max_element_counts or {}).items())
+    joins = [rule.joins_every_atom() for rule in directional]
+    #: each vertex's counts of the capped elements, by vertex id
+    capped_counts: list[tuple[int, ...]] = []
     derivations: dict[int, list[DerivationRecord]] = {}
     history: list[tuple[int, int]] = []
     reached_fixpoint = False
     tried_below = 0  # every multiset of the vertices below this id was tried
 
+    def breaks_a_cap(combo: tuple[Vertex, ...]) -> bool:
+        return any(
+            sum(capped_counts[v.id][k] for v in combo) > cap for k, (_, cap) in enumerate(caps)
+        )
+
     for _ in range(config.max_iterations):
         current: list[Vertex] = list(net.vertices)
+        for vertex in current[len(capped_counts):]:
+            counts = element_counts(vertex.graph)
+            capped_counts.append(tuple(counts.get(element, 0) for element, _ in caps))
         tasks: list[tuple[int, tuple[Vertex, ...]]] = []
         for ri, rule in enumerate(directional):
             for size in range(1, rule.component_count() + 1):
                 for combo in combinations_with_replacement(current, size):
-                    if combo[-1].id >= tried_below:  # the highest id comes last
+                    # the highest id comes last
+                    if combo[-1].id >= tried_below and not (joins[ri] and breaks_a_cap(combo)):
                         tasks.append((ri, combo))
         tried_below = len(current)
 

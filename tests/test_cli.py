@@ -1,6 +1,7 @@
 """End-to-end command line behavior, run in process."""
 import itertools
 import json
+import random
 import subprocess
 import sys
 import warnings
@@ -23,6 +24,7 @@ from hyperpath.kinetics import (
     objective_coefficients,
     pathway_score,
 )
+from hyperpath.molgraph import PERIODIC_TABLE
 from hyperpath.netcore import Hypergraph
 from hyperpath.pathopt import PathwayQuery
 
@@ -198,6 +200,35 @@ def test_expand_refuses_a_disconnected_seed(tmp_path, capsys):
     assert main(["expand", "--seeds", str(seeds), "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: seed 2 is not one molecule") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["star seed", "chain rule"])
+def test_expand_too_deep_for_a_recursive_search_exit_2(tmp_path, capsys, case):
+    # canonical keys and rule matching recurse once per atom: an iron with
+    # 1100 hydrogens, or a rule that matches a chain of 1100 atoms, runs out
+    # of stack
+    seeds = tmp_path / "seeds.mgf"
+    argv = ["expand", "--seeds", str(seeds), "--max-iterations", "1"]
+    if case == "star seed":
+        seeds.write_text(
+            "atom 0 Fe\n" + "".join(f"atom {i} H\nbond 0 {i} 1\n" for i in range(1, 1101))
+        )
+    else:
+        # mixed elements key in a few refinement rounds; a chain of one
+        # element takes one round per atom pair and seconds to key
+        rng = random.Random(0)
+        elements = sorted(PERIODIC_TABLE)
+        atoms = [f"atom {i} {rng.choice(elements)}" for i in range(1100)]
+        bonds = [f"bond {i} {i + 1} 1" for i in range(1099)]
+        seeds.write_text("\n".join(atoms + bonds) + "\n")
+        rules = tmp_path / "rules.dsl"
+        rules.write_text("\n".join(["rule chain", "left:", *atoms, *bonds, "right:", *bonds]))
+        argv += ["--rules", str(rules)]
+    out = tmp_path / "net.json"
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: an input is too deep to process: a search ran out of stack\n"
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 import dataclasses
 import random
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -80,10 +81,10 @@ right:
 PAIR_XY = """\
 rule pair-xy
 classes: X = {C, N, O}
-classes: Y = {C, N, O}
+classes: Z = {C, N, O}
 left:
   atom 0 X
-  atom 1 Y
+  atom 1 Z
 right:
   bond 0 1 1
 """
@@ -91,10 +92,10 @@ right:
 PROTON_SHIFT = """\
 rule proton-shift
 classes: X = {N, O}
-classes: Y = {N, O}
+classes: Z = {N, O}
 left:
   atom 0 X
-  atom 1 Y
+  atom 1 Z
   atom 2 H
   bond 0 2 1
 right:
@@ -153,7 +154,7 @@ def test_parse_rule_fields():
 def test_parse_rule_classes_and_reversible():
     rule = parse_rule(PROTON_SHIFT)
     assert rule.reversible
-    assert rule.label_classes == {"X": ("N", "O"), "Y": ("N", "O")}
+    assert rule.label_classes == {"X": ("N", "O"), "Z": ("N", "O")}
     assert rule.allowed_elements("X") == ("N", "O")
     assert rule.allowed_elements("H") == ("H",)
 
@@ -193,6 +194,8 @@ def test_parse_rules_comments_and_blank_lines():
         ("rule x\nclasses: X = {C, Qq}\nleft:\n  atom 0 X\n", "unknown element"),
         # a class named like an element would re-label that element
         ("rule x\nclasses: C = {O}\nleft:\n  atom 0 C\n", "named like an element"),
+        # so would any element's symbol, not only those of the valence table
+        ("rule x\nclasses: B = {N}\nleft:\n  atom 0 B\n", "named like an element"),
         ("rule x\nleft:\n  widget 0\n", "unrecognized"),
         ("# nothing\n", "no rules"),
     ],
@@ -284,6 +287,16 @@ def test_default_rules_left_side_component_counts():
     assert [rule.component_count() for rule in directional] == [2, 1, 2, 1, 1, 1]
 
 
+def test_default_rules_right_sides_joining_every_atom():
+    # an application of such a rule makes one product of all its hosts' atoms
+    directional = rewrite._directional_rules(load_default_rules())
+    assert [rule.joins_every_atom() for rule in directional] == [
+        True, False, True, False, True, True
+    ]
+    assert not parse_rule(PROTON_SHIFT).joins_every_atom()
+    assert parse_rule(PAIR_BOND).joins_every_atom()
+
+
 def test_find_matches_symmetry_count():
     rule = parse_rule(HH_BREAK)
     h2 = make_graph([(0, "H"), (1, "H")], [(0, 1, 1)])
@@ -339,8 +352,8 @@ def test_find_matches_independent_classes():
     # O donates either of 2 H to N, or N donates any of 3 H to O
     assert len(found) == 5
     for m in found:
-        assert set(m.class_binding) == {"X", "Y"}
-        assert m.class_binding["X"] != m.class_binding["Y"]
+        assert set(m.class_binding) == {"X", "Z"}
+        assert m.class_binding["X"] != m.class_binding["Z"]
     assert len(found) == helpers.count_matches_naive(
         rule, (molecules.water(), molecules.ammonia())
     )
@@ -474,11 +487,8 @@ def compare_with_reference(tried, caps, filters) -> Counter:
     return outcomes
 
 
-def test_apply_rule_refuses_exactly_where_the_build_first_reference_does(monkeypatch):
-    # every (rule, host multiset) the first 4 iterations of criterion 8's
-    # closure try, with every match of each
-    caps = {"C": 2, "N": 4, "O": 4}
-    filters = ("no-rings-le=3", "no-cumulated-doubles")
+def record_find_matches(monkeypatch) -> list:
+    """Every (rule, hosts) that ``run_expansion`` gives ``find_matches``."""
     tried = []
     find = rewrite.find_matches
 
@@ -487,14 +497,57 @@ def test_apply_rule_refuses_exactly_where_the_build_first_reference_does(monkeyp
         return find(rule, hosts)
 
     monkeypatch.setattr(rewrite, "find_matches", recording)
+    return tried
+
+
+def every_task(result, seeds, rules) -> list:
+    """Each (rule, hosts) an expansion would try if it skipped none: per
+    iteration, every multiset of the vertices it began with, sized up to the
+    rule's left-side component count, that holds a vertex new since the
+    iteration before."""
+    directional = []
+    for rule in rules:
+        directional += [rule, reverse_rule(rule)] if rule.reversible else [rule]
+    vertices = result.network.vertices
+    starts = [len(seeds)] + [n for n, _ in result.history[:-1]]
+    tasks = []
+    for old, start in zip([0] + starts, starts):
+        for rule in directional:
+            for size in range(1, rule.component_count() + 1):
+                for combo in combinations_with_replacement(vertices[:start], size):
+                    if combo[-1].id >= old:
+                        tasks.append((rule, tuple(v.graph for v in combo)))
+    return tasks
+
+
+def task_key(task):
+    rule, hosts = task
+    return (rule.name, tuple(canonical_form(h).key for h in hosts))
+
+
+def test_apply_rule_refuses_exactly_where_the_build_first_reference_does(monkeypatch):
+    # every (rule, host multiset) the first 4 iterations of criterion 8's
+    # closure would try without skipping any, with every match of each
+    caps = {"C": 2, "N": 4, "O": 4}
+    filters = ("no-rings-le=3", "no-cumulated-doubles")
+    tried = record_find_matches(monkeypatch)
+    seeds = (molecules.water(), molecules.glycolonitrile())
     config = ExpansionConfig(
-        (molecules.water(), molecules.glycolonitrile()),
-        max_iterations=4,
-        max_element_counts=caps,
-        right_predicates=filters,
+        seeds, max_iterations=4, max_element_counts=caps, right_predicates=filters
     )
-    assert run_expansion(config, load_default_rules()).history[-1] == (17, 26)
-    outcomes = compare_with_reference(tried, caps, filters)
+    rules = load_default_rules()
+    result = run_expansion(config, rules)
+    assert result.history[-1] == (17, 26)
+    full = every_task(result, seeds, rules)
+    # the tasks matched are the full list with some left out, in its order
+    tried_keys = [task_key(t) for t in tried]
+    assert [task_key(t) for t in full if task_key(t) in tried_keys] == tried_keys
+    skipped = [t for t in full if task_key(t) not in tried_keys]
+    assert (len(full), len(tried), len(skipped)) == (144, 88, 56)
+    # a skipped multiset is one that a cap refuses in every match
+    skipped_outcomes = compare_with_reference(skipped, caps, filters)
+    assert skipped_outcomes == {"element cap": 117}
+    outcomes = compare_with_reference(tried, caps, filters) + skipped_outcomes
     assert set(outcomes) == {"kept", "element cap", "filter", "parallel bond"}
 
 
@@ -653,6 +706,59 @@ def test_expansion_element_caps_block_growth():
     assert result.network.edges == []
 
 
+def test_expansion_never_matches_a_multiset_a_cap_refuses(monkeypatch):
+    # the two methyls join into one product of 2 carbons, over a cap of 1
+    tried = record_find_matches(monkeypatch)
+    config = ExpansionConfig(
+        seed_molecules=(methyl(),), max_iterations=1, max_element_counts={"C": 1}
+    )
+    run_expansion(config, [parse_rule(PAIR_BOND)])
+    assert [len(hosts) for _, hosts in tried] == [1]
+    tried.clear()
+    run_expansion(dataclasses.replace(config, max_element_counts={"C": 2}), [parse_rule(PAIR_BOND)])
+    assert [len(hosts) for _, hosts in tried] == [1, 2]
+
+
+def test_expansion_matches_a_split_right_side_over_the_summed_caps(monkeypatch):
+    # water gives a proton to a lone oxygen: the hosts hold 2 oxygens
+    # together, over the cap of 1, but the right side leaves the donor apart,
+    # so the products are two hydroxyls of 1 oxygen each
+    tried = record_find_matches(monkeypatch)
+    oxygen = make_graph([(0, "O")])
+    config = ExpansionConfig(
+        seed_molecules=(molecules.water(), oxygen),
+        max_iterations=1,
+        max_element_counts={"O": 1},
+    )
+    result = run_expansion(config, [parse_rule(PROTON_SHIFT)])
+    assert any(hosts == (molecules.water(), oxygen) for _, hosts in tried)
+    hydroxyl = result.network.find_vertex(make_graph([(0, "O"), (1, "H")], [(0, 1, 1)]))
+    assert hydroxyl is not None
+    assert result.network.edges[0].reactants == {0: 1, 1: 1}
+    assert result.network.edges[0].products == {hydroxyl.id: 2}
+
+
+def test_expansion_skipping_cap_refused_multisets_changes_no_output(monkeypatch):
+    # criterion 8's closure, with the skip and with every rule treated as
+    # one whose right side may split, which matches every multiset
+    config = ExpansionConfig(
+        (molecules.water(), molecules.glycolonitrile()),
+        max_iterations=11,
+        max_element_counts={"C": 2, "N": 4, "O": 4},
+        right_predicates=("no-rings-le=3", "no-cumulated-doubles"),
+    )
+    tried = record_find_matches(monkeypatch)
+    skipping = run_expansion(config, load_default_rules())
+    matched_when_skipping = len(tried)
+    monkeypatch.setattr(Rule, "joins_every_atom", lambda self: False)
+    tried.clear()
+    full = run_expansion(config, load_default_rules())
+    assert skipping.history == full.history and full.history[-1] == (41, 116)
+    assert skipping.network.to_json() == full.network.to_json()
+    assert skipping.derivations == full.derivations
+    assert matched_when_skipping < len(tried)
+
+
 def test_expansion_seeds_are_exempt_from_caps():
     config = ExpansionConfig(
         seed_molecules=(molecules.ethanol(),),
@@ -702,12 +808,12 @@ def test_expansion_deterministic_across_runs():
 
 def test_carbon_four_closure_history():
     # the closure of water and glycolonitrile with up to four carbons and the
-    # product filters of criterion 8, 4 iterations
+    # product filters of criterion 8, 5 iterations
     config = ExpansionConfig(
         (molecules.water(), molecules.glycolonitrile()),
-        max_iterations=4,
+        max_iterations=5,
         max_element_counts={"C": 4, "N": 4, "O": 4},
         right_predicates=("no-rings-le=3", "no-cumulated-doubles"),
     )
     result = run_expansion(config, load_default_rules())
-    assert result.history == [(4, 2), (17, 19), (57, 128), (175, 466)]
+    assert result.history == [(4, 2), (17, 19), (57, 128), (175, 466), (384, 1420)]
