@@ -36,12 +36,11 @@ from .kinetics import (
     objective_coefficients,
     pathway_score,
 )
-from .molgraph import PERIODIC_TABLE, MgfError, parse_molecules
+from .molgraph import PERIODIC_TABLE, parse_molecules, read_integer
 from .netcore import Hypergraph, is_json_id, is_json_integer
 from .pathopt import PathwayQuery, build_model, export_lp_text, relax
 from .rewrite import (
     ExpansionConfig,
-    RuleError,
     load_default_rules,
     parse_rules,
     right_predicate,
@@ -125,7 +124,7 @@ class _Run:
 
 def _parse_max_elements(spec: str | None) -> dict[str, int] | None:
     """Element ceilings like ``C=2,N=4``: each names a known element once,
-    with a count of at least 0."""
+    with a count of at least 0, spelled as an id is (``read_integer``)."""
     if not spec:
         return None
     caps: dict[str, int] = {}
@@ -134,9 +133,10 @@ def _parse_max_elements(spec: str | None) -> dict[str, int] | None:
         if not part:
             continue
         element, _, value = (text.strip() for text in part.partition("="))
-        if element not in PERIODIC_TABLE or element in caps or not value.isdecimal():
+        count = read_integer(value)
+        if element not in PERIODIC_TABLE or element in caps or count is None:
             raise InputError(f"bad element cap {part!r}, expected a known element once, like C=2")
-        caps[element] = int(value)
+        caps[element] = count
     return caps
 
 
@@ -451,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
         if code == 0 and run.outputs:
             run.write_manifest(args.command, argv, started)
         return code
-    except (InputError, MgfError, RuleError, ValueError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -8,9 +8,11 @@ additive edge costs used by the pathway optimizer.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 
+from .molgraph import TextError, read_integer
 from .netcore import Hypergraph
 
 GAS_CONSTANT = 8.314462618  # J/(mol*K)
@@ -23,6 +25,8 @@ CSV_HEADER = "edge_id,barrier_kj_per_mol"
 #: any chemical barrier, and small enough that the solver's tolerances
 #: (relative to the whole objective) still tell pathways apart
 MAX_BARRIER_KJ = 1e4
+#: a barrier: an ASCII decimal or exponent literal, as ``repr(float)`` writes
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,8 @@ def load_barriers(text: str, h: Hypergraph) -> BarrierTable:
     The header must be exactly ``edge_id,barrier_kj_per_mol`` and every edge
     of ``h`` must be covered exactly once.  Barriers must lie within
     ``MAX_BARRIER_KJ`` (1e4 kJ/mol) in magnitude; negative ones are accepted
-    with a warning.
+    with a warning.  Edge ids are read as MGF reads atom ids, barriers as
+    decimal or exponent literals, and a bad row's error names its line.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
@@ -77,21 +82,17 @@ def load_barriers(text: str, h: Hypergraph) -> BarrierTable:
             continue
         fields = [f.strip() for f in row.split(",")]
         if len(fields) != 2:
-            raise ValueError(f"line {ln}: expected 'edge_id,barrier' not {row!r}")
-        try:
-            eid = int(fields[0])
-        except ValueError:
-            raise ValueError(f"line {ln}: bad edge id {fields[0]!r}") from None
-        try:
-            kj = float(fields[1])
-        except ValueError:
-            kj = math.nan  # reported below, with the out-of-range values
+            raise TextError(f"expected 'edge_id,barrier' not {row!r}", ln)
+        eid = read_integer(fields[0])
+        if eid is None:
+            raise TextError(f"bad edge id {fields[0]!r}", ln)
+        kj = float(fields[1]) if _DECIMAL.fullmatch(fields[1]) else math.nan
         if not abs(kj) <= MAX_BARRIER_KJ:  # also catches nan
-            raise ValueError(f"line {ln}: bad barrier value {fields[1]!r}")
+            raise TextError(f"bad barrier value {fields[1]!r}", ln)
         if eid not in known:
-            raise ValueError(f"line {ln}: edge {eid} does not exist in the network")
+            raise TextError(f"edge {eid} does not exist in the network", ln)
         if eid in barriers:
-            raise ValueError(f"line {ln}: duplicate entry for edge {eid}")
+            raise TextError(f"duplicate entry for edge {eid}", ln)
         if kj < 0:
             warnings.warn(f"negative activation barrier {kj} kJ/mol on edge {eid}")
         barriers[eid] = kj * 1000.0

@@ -11,6 +11,7 @@ the two is an automorphism and so leaves the smallest certificate unchanged.
 from __future__ import annotations
 
 import functools
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -28,14 +29,47 @@ PERIODIC_TABLE = frozenset(
 )
 
 
-class MgfError(ValueError):
-    """Raised for malformed molecule text; carries a 1-based line number."""
+class TextError(ValueError):
+    """Malformed input text; carries a 1-based line number."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class MgfError(TextError):
+    """Malformed molecule text."""
+
+
+#: the integer grammar of every text reader: ASCII digits without leading
+#: zeros, so no two spellings name one number; only a signed one takes +/-
+_INTEGER = re.compile(r"([+-]?)(0|[1-9][0-9]*)")
+
+
+def read_integer(token: str, signed: bool = False) -> int | None:
+    """The integer ``token`` spells, or None; only a charge is ``signed``."""
+    m = _INTEGER.fullmatch(token)
+    if m is None or (m[1] and not signed):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
+
+
+def read_bond(fields: list[str], line: int, error: type[TextError]) -> tuple[int, int, str]:
+    """A ``bond <a> <b> <order>`` statement's endpoints and order; a malformed
+    statement raises ``error``, the caller's subclass of ``TextError``."""
+    if len(fields) != 4:
+        raise error("bond line needs 'bond <id1> <id2> <order>'", line)
+    a, b = read_integer(fields[1]), read_integer(fields[2])
+    if a is None or b is None:
+        raise error("bond endpoints must be atom ids", line)
+    if fields[3] not in BOND_ORDERS:
+        raise error(f"bond order must be one of 1,2,3,a not {fields[3]!r}", line)
+    return a, b, fields[3]
 
 
 @dataclass(frozen=True, order=True)
@@ -161,18 +195,10 @@ def element_counts(g: MolecularGraph) -> dict[str, int]:
 # MGF text format
 
 
-def _iter_logical_lines(text: str):
-    """Yield (line_number, content) pairs; ';' separates statements in a line."""
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        for piece in raw.split(";"):
-            stripped = piece.strip()
-            if stripped:
-                yield ln, stripped
-
-
-def _parse_block(lines: list[tuple[int, str]]) -> MolecularGraph:
-    atoms: list[Atom] = []
-    bonds: list[tuple[int, int, str]] = []
+def _parse_block(lines: list[tuple[int, str]]) -> MolecularGraph | None:
+    """A block's molecule, or None for comments only; bonds are checked last."""
+    atoms: dict[int, Atom] = {}
+    bonds: list[tuple[int, tuple[int, int, str]]] = []
     for ln, content in lines:
         if content.startswith("#"):
             continue
@@ -181,69 +207,54 @@ def _parse_block(lines: list[tuple[int, str]]) -> MolecularGraph:
         if kind == "atom":
             if len(fields) not in (3, 4):
                 raise MgfError("atom line needs 'atom <id> <element> [charge]'", ln)
-            try:
-                aid = int(fields[1])
-            except ValueError:
-                raise MgfError(f"bad atom id {fields[1]!r}", ln) from None
+            aid = read_integer(fields[1])
+            if aid is None:
+                raise MgfError(f"bad atom id {fields[1]!r}", ln)
             element = fields[2]
             if element not in PERIODIC_TABLE:
                 raise MgfError(f"unknown element symbol {element!r}", ln)
-            charge = 0
-            if len(fields) == 4:
-                try:
-                    charge = int(fields[3])
-                except ValueError:
-                    raise MgfError(f"bad charge {fields[3]!r}", ln) from None
-            if any(a.id == aid for a in atoms):
+            charge = read_integer(fields[3], signed=True) if len(fields) == 4 else 0
+            if charge is None:
+                raise MgfError(f"bad charge {fields[3]!r}", ln)
+            if aid in atoms:
                 raise MgfError(f"duplicate atom id {aid}", ln)
-            atoms.append(Atom(aid, element, charge))
+            atoms[aid] = Atom(aid, element, charge)
         elif kind == "bond":
-            if len(fields) != 4:
-                raise MgfError("bond line needs 'bond <id1> <id2> <order>'", ln)
-            try:
-                a, b = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise MgfError("bond endpoints must be atom ids", ln) from None
-            order = fields[3]
-            if order not in BOND_ORDERS:
-                raise MgfError(f"bond order must be one of 1,2,3,a not {order!r}", ln)
-            bonds.append((a, b, order))
+            bonds.append((ln, read_bond(fields, ln, MgfError)))
         else:
             raise MgfError(f"unknown directive {kind!r}", ln)
     if not atoms:
-        raise MgfError("molecule block has no atoms", lines[0][0] if lines else None)
-    known = {a.id for a in atoms}
-    for ln, content in lines:
-        if content.startswith("bond"):
-            fields = content.split()
-            try:
-                a, b = int(fields[1]), int(fields[2])
-            except (ValueError, IndexError):
-                continue
-            if a not in known or b not in known:
-                raise MgfError(f"bond references missing atom {a if a not in known else b}", ln)
-            if a == b:
-                raise MgfError(f"self bond on atom {a}", ln)
-    try:
-        return make_graph([(a.id, a.element, a.charge) for a in atoms], bonds)
-    except ValueError as exc:
-        raise MgfError(str(exc)) from None
+        if not bonds:
+            return None
+        raise MgfError("molecule block has no atoms", lines[0][0])
+    pairs: dict[tuple[int, int], str] = {}
+    for ln, (a, b, order) in bonds:
+        if a not in atoms or b not in atoms:
+            raise MgfError(f"bond references missing atom {a if a not in atoms else b}", ln)
+        if a == b:
+            raise MgfError(f"self bond on atom {a}", ln)
+        pair = (a, b) if a < b else (b, a)
+        if pair in pairs:
+            raise MgfError(f"parallel bond {pair[0]}-{pair[1]}", ln)
+        pairs[pair] = order
+    return MolecularGraph(
+        tuple(sorted(atoms.values())),
+        tuple(sorted(Bond(a, b, order) for (a, b), order in pairs.items())),
+    )
 
 
 def parse_molecules(text: str) -> list[MolecularGraph]:
-    """Parse molecule text; '---' lines separate molecules in one document."""
+    """Parse molecule text: ``atom <id> <element> [charge]`` and ``bond <a>
+    <b> <order>`` statements split by lines or ';', '#' comments, and '---'
+    lines between molecules; errors name their line."""
     blocks: list[list[tuple[int, str]]] = [[]]
-    for ln, content in _iter_logical_lines(text):
-        if content.startswith("---"):
-            blocks.append([])
-        else:
-            blocks[-1].append((ln, content))
-    graphs = []
-    for block in blocks:
-        meaningful = [(ln, c) for ln, c in block if not c.startswith("#")]
-        if not meaningful:
-            continue
-        graphs.append(_parse_block(block))
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        for piece in map(str.strip, raw.split(";")):
+            if piece.startswith("---"):
+                blocks.append([])
+            elif piece:
+                blocks[-1].append((ln, piece))
+    graphs = [g for g in map(_parse_block, blocks) if g is not None]
     if not graphs:
         raise MgfError("no molecules found")
     return graphs

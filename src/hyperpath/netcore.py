@@ -7,11 +7,11 @@ for hyperflows, JSON round-tripping, and DOT export.
 """
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .molgraph import MolecularGraph, canonical_form, element_counts, parse_molecule, serialize_molecule
+from .molgraph import read_integer
 
 #: a hyperflow maps edge ids to integers plus ("in", v) / ("out", v) half-edges
 HalfEdge = tuple[str, int]
@@ -30,7 +30,7 @@ def is_json_integer(raw, limit: int = 2**53) -> bool:
 def is_json_id(key) -> bool:
     """Whether a JSON object key is an id: a decimal numeral without leading
     zeros, so that no two keys name one id ("03" would alias "3")."""
-    return re.fullmatch(r"0|[1-9][0-9]*", str(key)) is not None
+    return read_integer(str(key)) is not None
 
 
 def _same(raw, derived) -> bool:

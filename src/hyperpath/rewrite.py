@@ -28,10 +28,13 @@ from .molgraph import (
     ORDER_VALUE,
     PERIODIC_TABLE,
     MolecularGraph,
+    TextError,
     canonical_form,
     component_specs,
     element_counts,
     make_graph,
+    read_bond,
+    read_integer,
 )
 from .netcore import Hypergraph, Vertex
 
@@ -39,14 +42,8 @@ from .netcore import Hypergraph, Vertex
 VALENCE_CAP = {"C": 4, "N": 3, "O": 2, "H": 1}
 
 
-class RuleError(ValueError):
-    """Raised for malformed rule text; carries a 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+class RuleError(TextError):
+    """Malformed rule text."""
 
 
 class RuleApplicationError(Exception):
@@ -174,7 +171,10 @@ def parse_rules(text: str) -> list[Rule]:
     lines, a ``left:`` section of atom/bond lines, optional ``context:`` and
     ``right:`` bond sections, and an optional bare ``reversible`` line.
     Atoms are declared once under ``left:`` and shared by all three sides.
-    The text is split into rule blocks, and each block parses to one rule.
+    ``atom <id> <label>`` and ``bond <a> <b> <order>`` lines are read as
+    MGF reads them (``molgraph.read_integer``, ``read_bond``), and an error
+    names its line.  The text is split into rule blocks, and each block
+    parses to one rule.
     Rule names must be distinct, also from the ``<name>-rev`` names that
     reversible rules give their reverses, because derivation records name
     the rule that made them.
@@ -240,22 +240,14 @@ def _parse_rule_block(start: int, name: str, lines: list[tuple[int, str]]) -> Ru
                 raise RuleError("atoms must be declared in the left: section", ln)
             if len(fields) != 3:
                 raise RuleError("atom line needs 'atom <id> <label>'", ln)
-            try:
-                atoms.append(PatternAtom(int(fields[1]), fields[2]))
-            except ValueError:
-                raise RuleError(f"bad atom id {fields[1]!r}", ln) from None
+            aid = read_integer(fields[1])
+            if aid is None:
+                raise RuleError(f"bad atom id {fields[1]!r}", ln)
+            atoms.append(PatternAtom(aid, fields[2]))
         elif fields[0] == "bond":
             if section is None:
                 raise RuleError("bond line outside left:/context:/right:", ln)
-            if len(fields) != 4:
-                raise RuleError("bond line needs 'bond <id1> <id2> <order>'", ln)
-            try:
-                a, b = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise RuleError("bond endpoints must be atom ids", ln) from None
-            if fields[3] not in BOND_ORDERS:
-                raise RuleError(f"bond order must be one of 1,2,3,a not {fields[3]!r}", ln)
-            bonds[section].append(PatternBond(a, b, fields[3]))
+            bonds[section].append(PatternBond(*read_bond(fields, ln, RuleError)))
         else:
             raise RuleError(f"unrecognized statement {line!r}", ln)
     if not atoms:
@@ -340,22 +332,18 @@ class Match:
     table: _Union = field(repr=False, compare=False)
 
 
-def _pattern_order(rule: Rule, candidates: dict[int, list]) -> list[int]:
-    # rarest label first, then greedily extend along pattern bonds so that
-    # each later atom is checked against as many placed neighbors as possible
-    adj = rule.adjacency()
-    remaining = {a.id for a in rule.atoms}
+def _pattern_order(adj: dict[int, list[tuple[int, str]]], candidates: dict[int, list]) -> list[int]:
+    # rarest label first, then greedily extend along pattern bonds so that each
+    # later atom is checked against as many placed neighbors (``linked``) as possible
+    linked = dict.fromkeys(adj, 0)
     order: list[int] = []
-    placed: set[int] = set()
-    while remaining:
-        def rank(pid: int):
-            linked = sum(1 for u, _ in adj[pid] if u in placed)
-            return (-linked, len(candidates[pid]), pid)
-
-        best = min(remaining, key=rank)
+    while linked:
+        best = min(linked, key=lambda pid: (-linked[pid], len(candidates[pid]), pid))
         order.append(best)
-        placed.add(best)
-        remaining.discard(best)
+        del linked[best]
+        for u, _ in adj[best]:
+            if u in linked:
+                linked[u] += 1
     return order
 
 
@@ -373,8 +361,8 @@ def find_matches(rule: Rule, hosts: tuple[MolecularGraph, ...]) -> list[Match]:
     for atom in rule.atoms:
         allowed = rule.allowed_elements(atom.label)
         candidates[atom.id] = [(i, el) for i, el, _ in union.atoms if el in allowed]
-    order = _pattern_order(rule, candidates)
     adj = rule.adjacency()
+    order = _pattern_order(adj, candidates)
     atom_label = {a.id: a.label for a in rule.atoms}
     matches: list[Match] = []
     assignment: dict[int, int] = {}
@@ -551,10 +539,9 @@ def right_predicate(name: str):
     if name == "no-cumulated-doubles":
         return right_predicate_no_cumulated_doubles
     if name.startswith("no-rings-le="):
-        try:
-            limit = int(name.split("=", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad ring size in filter {name!r}") from None
+        limit = read_integer(name.split("=", 1)[1])
+        if limit is None:
+            raise ValueError(f"bad ring size in filter {name!r}")
         return lambda g: right_predicate_no_small_rings(g, limit)
     raise ValueError(f"unknown product filter {name!r}")
 

@@ -801,9 +801,12 @@ def test_overflowing_json_number_exit_2(tmp_path, capsys, document):
     assert not list(tmp_path.glob("*.manifest.json"))
 
 
-@pytest.mark.parametrize("caps", ["c=2,N=4,O=4", "C=2,C=9", "C=-1"])
+@pytest.mark.parametrize(
+    "caps", ["c=2,N=4,O=4", "C=2,C=9", "C=-1", "C=02", "C=1_0", "C=\u0663", "C=+2"]
+)
 def test_expand_rejects_bad_element_caps(tmp_path, capsys, caps):
-    # a lower-case symbol, a repeated element and a negative cap used to pass
+    # a lower-case symbol, a repeated element and a negative cap used to pass;
+    # a count is spelled as an id is: ASCII digits, no leading zero, no sign
     seeds = tmp_path / "seeds.mgf"
     seeds.write_text(molecules.WATER_MGF)
     out = tmp_path / "network.json"
@@ -840,6 +843,57 @@ def test_query_non_finite_barrier_exit_2(tmp_path, capsys):
     assert "line 2: bad barrier value" in capsys.readouterr().err
     assert not out.exists()
     assert not list(tmp_path.glob("*.manifest.json"))
+
+
+#: where a text input holds a number: the input, its text ({} marks the
+#: number), and the error a refused spelling there gives
+ID_SITES = {
+    "seed atom id": ("seeds", "atom 0 O\natom {} H\n", "line 2: bad atom id"),
+    "seed bond endpoint": (
+        "seeds", "atom 0 O\natom 1 H\nbond 0 {} 1\n", "line 3: bond endpoints must be atom ids"
+    ),
+    "seed charge": ("seeds", "atom 0 O {}\n", "line 1: bad charge"),
+    "rule atom id": ("rules", "rule x\nleft:\n  atom {} O\n", "line 3: bad atom id"),
+    "rule bond endpoint": (
+        "rules", "rule x\nleft:\n  atom 0 O\n  atom 1 H\n  bond 0 {} 1\n",
+        "line 5: bond endpoints must be atom ids",
+    ),
+    "barrier edge id": (
+        "barriers", "edge_id,barrier_kj_per_mol\n0,20\n{},20\n", "line 3: bad edge id"
+    ),
+    "barrier value": ("barriers", "edge_id,barrier_kj_per_mol\n0,{}\n", "line 2: bad barrier value"),
+}
+
+
+@pytest.mark.parametrize(
+    "site, token",
+    [(site, token)
+     for site in ("seed atom id", "seed bond endpoint", "rule atom id", "rule bond endpoint",
+                  "barrier edge id")
+     for token in ("1_0", "\u0663", "03", "+1", "-0")]
+    + [("seed charge", token) for token in ("1_0", "\u0663", "01")]
+    + [("barrier value", token) for token in ("1_0.5", "\u0663", "\u0663.5")],
+)
+def test_refused_spelling_is_bad_input_with_its_line(tmp_path, capsys, site, token):
+    # int() and float() read these as numbers; the text readers refuse them
+    kind, template, message = ID_SITES[site]
+    path = tmp_path / kind
+    path.write_text(template.format(token))
+    if kind == "barriers":
+        _, network, _, query = flux_setup(tmp_path)
+        argv = ["query", "--network", network, "--barriers", str(path), "--query", query]
+    elif kind == "seeds":
+        argv = ["expand", "--seeds", str(path)]
+    else:
+        seeds = tmp_path / "water.mgf"
+        seeds.write_text(molecules.WATER_MGF)
+        argv = ["expand", "--seeds", str(seeds), "--rules", str(path)]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_query_out_of_range_barrier_exit_2(tmp_path, capsys):

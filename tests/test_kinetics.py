@@ -117,6 +117,15 @@ def test_load_barriers_happy_path():
     assert table.barrier_j(2) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("kj", [20.0, 1e-05, 1.5e-07, 9999.999999999998, 0.1, 1e4, 0.0])
+def test_load_barriers_reads_what_repr_writes(kj):
+    net, _ = nets.flux_demo()
+    text = CSV_HEADER + f"\n0,{kj!r}\n1,.5\n2,+2.5E+1\n"
+    table = load_barriers(text, net)
+    assert table.barrier_kj(0) == kj
+    assert (table.barrier_kj(1), table.barrier_kj(2)) == (0.5, 25.0)
+
+
 def test_load_barriers_tolerates_blank_lines():
     net, _ = nets.flux_demo()
     text = CSV_HEADER + "\n\n0,20\n1,20\n\n2,20\n\n"
@@ -137,6 +146,16 @@ def test_load_barriers_rejects_wrong_header():
     [
         ("0,20,extra", "line 2"),
         ("zz,20", "bad edge id"),
+        # an edge id is read as an MGF atom id: ASCII digits, no leading zero
+        # or sign; a barrier is an ASCII decimal or exponent literal
+        ("1_0,20", "line 2: bad edge id '1_0'"),
+        ("\u0661,20", "line 2: bad edge id"),
+        ("01,20", "line 2: bad edge id '01'"),
+        ("+1,20", "line 2: bad edge id '+1'"),
+        ("0,1_0.5", "line 2: bad barrier value '1_0.5'"),
+        ("0,\u0663", "line 2: bad barrier value"),
+        ("0,0x10", "line 2: bad barrier value '0x10'"),
+        ("0,", "line 2: bad barrier value ''"),
         ("0,zz", "bad barrier value"),
         ("0,nan", "line 2: bad barrier value"),
         ("0,inf", "line 2: bad barrier value"),

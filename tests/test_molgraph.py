@@ -89,6 +89,20 @@ def test_parse_molecule_rejects_multi_document():
         ("atom 0 C zz\n", "bad charge"),
         ("atom zz C\n", "bad atom id"),
         ("# only a comment\n", "no molecules"),
+        # an id is ASCII digits without leading zeros or a sign, so no two
+        # spellings name one atom; a charge may also take a sign
+        ("atom 0 C\natom 1_0 C\n", "line 2: bad atom id '1_0'"),
+        ("atom \u0663 C\n", "line 1: bad atom id"),
+        ("atom 03 C\n", "line 1: bad atom id '03'"),
+        ("atom -1 C\n", "line 1: bad atom id '-1'"),
+        ("atom +1 C\n", "line 1: bad atom id '+1'"),
+        ("atom 0 C\natom 1 C\nbond 0 01 1\n", "line 3: bond endpoints must be atom ids"),
+        ("atom 0 C\natom 1 C\nbond 1_0 1 1\n", "line 3: bond endpoints must be atom ids"),
+        ("atom 0 C\nbond 0 -1 1\n", "line 2: bond endpoints must be atom ids"),
+        ("atom 0 C 1_0\n", "line 1: bad charge '1_0'"),
+        ("atom 0 C \u0663\n", "line 1: bad charge"),
+        ("atom 0 C 01\n", "line 1: bad charge '01'"),
+        ("atom 0 C +-1\n", "line 1: bad charge '+-1'"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -102,6 +116,18 @@ def test_parse_error_carries_line_number():
         parse_molecule("atom 0 C\natom 1 Xx\n")
     assert err.value.line == 2
     assert "line 2" in str(err.value)
+    # a bond is checked against the others once every atom is known, and
+    # still names its own line
+    with pytest.raises(MgfError) as err:
+        parse_molecule("atom 0 C\natom 1 C\nbond 0 1 1\nbond 1 0 2\natom 2 C\n")
+    assert err.value.line == 4
+    assert str(err.value) == "line 4: parallel bond 0-1"
+
+
+@pytest.mark.parametrize("token, charge", [("+1", 1), ("-1", -1), ("1", 1), ("0", 0), ("-0", 0)])
+def test_parse_reads_a_signed_charge(token, charge):
+    g = parse_molecule(f"atom 0 N {token}\n")
+    assert g.atoms[0].charge == charge
 
 
 #: fragments of molecule text, some valid and some not, that the generated

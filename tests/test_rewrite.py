@@ -198,6 +198,15 @@ def test_parse_rules_comments_and_blank_lines():
         ("rule x\nclasses: B = {N}\nleft:\n  atom 0 B\n", "named like an element"),
         ("rule x\nleft:\n  widget 0\n", "unrecognized"),
         ("# nothing\n", "no rules"),
+        # ids are read as MGF reads them: ASCII digits, no leading zero, no sign
+        ("rule x\nleft:\n  atom 1_0 C\n", "line 3: bad atom id '1_0'"),
+        ("rule x\nleft:\n  atom \u0663 C\n", "line 3: bad atom id"),
+        ("rule x\nleft:\n  atom 03 C\n", "line 3: bad atom id '03'"),
+        ("rule x\nleft:\n  atom +0 C\n", "line 3: bad atom id '+0'"),
+        ("rule x\nleft:\n  atom 0 C\n  atom 1 C\n  bond 0 01 1\n",
+         "line 5: bond endpoints must be atom ids"),
+        ("rule x\nleft:\n  atom 0 C\n  atom 1 C\nright:\n  bond -0 1 1\n",
+         "line 6: bond endpoints must be atom ids"),
     ],
 )
 def test_parse_rule_errors(text, fragment):
@@ -649,8 +658,10 @@ def test_right_predicate_dispatch():
     assert right_predicate("no-cumulated-doubles") is right_predicate_no_cumulated_doubles
     with pytest.raises(ValueError):
         right_predicate("no-such-filter")
-    with pytest.raises(ValueError):
-        right_predicate("no-rings-le=x")
+    # the ring size is read as an id is: ASCII digits, no leading zero, no sign
+    for size in ("x", "-1", "+3", "03", "1_0", "\u0663"):
+        with pytest.raises(ValueError, match="bad ring size"):
+            right_predicate(f"no-rings-le={size}")
 
 
 def test_default_rules_load():
