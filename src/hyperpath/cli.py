@@ -35,6 +35,7 @@ from .kinetics import (
     load_barriers,
     objective_coefficients,
     pathway_score,
+    read_decimal,
 )
 from .molgraph import PERIODIC_TABLE, parse_molecules, read_integer
 from .netcore import Hypergraph, is_json_id, is_json_integer
@@ -350,25 +351,29 @@ def _cmd_export_dot(args, run: _Run) -> int:
 # Parser
 
 
-def _checked(cast, ok, rule: str):
-    """An argparse type: ``cast`` the text, then require ``ok(value)``, so
-    that a value out of range is a usage error."""
+def _checked(read, ok, rule: str):
+    """An argparse type: ``read`` the text as the input files read numbers
+    (None for a bad spelling), then require ``ok(value)``, so that a bad
+    spelling or a value out of range is a usage error."""
 
     def parse(text: str):
-        value = cast(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, not {text}")
+        value = read(text)
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, not {text!r}")
         return value
 
-    parse.__name__ = cast.__name__  # argparse names the type in its messages
     return parse
 
 
-_COUNT = _checked(int, lambda v: v >= 1, "at least 1")
-_ITERATIONS = _checked(int, lambda v: v >= 0, "at least 0")
+_COUNT = _checked(read_integer, lambda v: v >= 1, "an integer of at least 1")
+_ITERATIONS = _checked(read_integer, lambda v: v >= 0, "an integer of at least 0")
 #: a query file's flow cap is a JSON integer, so at most 2**53, as is this flag's
-_FLOW_CAP = _checked(int, lambda v: v >= 1 and is_json_integer(v), "from 1 to 2**53")
-_KELVIN = _checked(float, lambda v: 0 < v * GAS_CONSTANT < math.inf, "above 0 with R*T finite")
+_FLOW_CAP = _checked(
+    read_integer, lambda v: v >= 1 and is_json_integer(v), "an integer from 1 to 2**53"
+)
+_KELVIN = _checked(
+    read_decimal, lambda v: 0 < v * GAS_CONSTANT < math.inf, "a decimal above 0 with R*T finite"
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:

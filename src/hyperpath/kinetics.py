@@ -1,9 +1,9 @@
 """Transition-state kinetics on top of a reaction hypergraph.
 
 Every hyperedge carries an activation barrier (kJ/mol at the interfaces,
-J/mol internally).  Barriers turn into rate constants, into normalized
-selection probabilities across the whole network, and into the non-negative
-additive edge costs used by the pathway optimizer.
+J/mol internally).  Barriers turn into normalized selection probabilities
+across the whole network and into the non-negative additive edge costs used
+by the pathway optimizer.
 """
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ from .molgraph import TextError, read_integer
 from .netcore import Hypergraph
 
 GAS_CONSTANT = 8.314462618  # J/(mol*K)
-BOLTZMANN = 1.380649e-23  # J/K
-PLANCK = 6.62607015e-34  # J*s
 DEFAULT_TEMPERATURE = 298.15  # K
 
 CSV_HEADER = "edge_id,barrier_kj_per_mol"
@@ -25,8 +23,14 @@ CSV_HEADER = "edge_id,barrier_kj_per_mol"
 #: any chemical barrier, and small enough that the solver's tolerances
 #: (relative to the whole objective) still tell pathways apart
 MAX_BARRIER_KJ = 1e4
-#: a barrier: an ASCII decimal or exponent literal, as ``repr(float)`` writes
+#: an ASCII decimal or exponent literal, as ``repr(float)`` writes
 _DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def read_decimal(token: str) -> float | None:
+    """The number ``token`` spells as a decimal or exponent literal, or None;
+    the grammar of barriers and of ``--temperature-k``."""
+    return float(token) if _DECIMAL.fullmatch(token) else None
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,8 @@ def load_barriers(text: str, h: Hypergraph) -> BarrierTable:
         eid = read_integer(fields[0])
         if eid is None:
             raise TextError(f"bad edge id {fields[0]!r}", ln)
-        kj = float(fields[1]) if _DECIMAL.fullmatch(fields[1]) else math.nan
-        if not abs(kj) <= MAX_BARRIER_KJ:  # also catches nan
+        kj = read_decimal(fields[1])
+        if kj is None or not abs(kj) <= MAX_BARRIER_KJ:
             raise TextError(f"bad barrier value {fields[1]!r}", ln)
         if eid not in known:
             raise TextError(f"edge {eid} does not exist in the network", ln)
@@ -100,12 +104,6 @@ def load_barriers(text: str, h: Hypergraph) -> BarrierTable:
     if missing:
         raise ValueError(f"missing barrier entries for edges {missing}")
     return BarrierTable(barriers)
-
-
-def rate_constant(barrier_j_per_mol: float, thermo: Thermo = Thermo()) -> float:
-    """Transition-state rate constant (k_b*T/h) * exp(-G/RT), in 1/s."""
-    prefactor = BOLTZMANN * thermo.T / PLANCK
-    return prefactor * math.exp(-barrier_j_per_mol / thermo.rt)
 
 
 def _log_sum_exp(values: list[float]) -> float:
@@ -129,7 +127,6 @@ class WeightModel:
     never negative.
     """
 
-    thermo: Thermo
     logD: float
     coeff: dict[int, float] = field(default_factory=dict)
 
@@ -149,7 +146,7 @@ def objective_coefficients(table: BarrierTable, thermo: Thermo, h: Hypergraph) -
     ids = sorted(e.id for e in h.edges)
     log_d = _log_sum_exp([-table.barrier_j(eid) / rt for eid in ids])
     coeffs = {eid: max(0.0, table.barrier_j(eid) + rt * log_d) for eid in ids}
-    return WeightModel(thermo, log_d, coeffs)
+    return WeightModel(log_d, coeffs)
 
 
 def pathway_score(f: dict, model: WeightModel) -> float:

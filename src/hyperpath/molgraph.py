@@ -88,39 +88,14 @@ class Bond:
 
 @dataclass(frozen=True)
 class MolecularGraph:
-    """Immutable labeled graph; atoms keyed by integer ids."""
+    """Immutable labeled graph; atoms keyed by integer ids.
+
+    Graphs are built with ``make_graph``, which checks them, or parsed
+    (``parse_molecules``), which checks each statement with its line.
+    """
 
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
-
-    def __post_init__(self):
-        ids = [a.id for a in self.atoms]
-        seen: set[int] = set()
-        for i in ids:
-            if i in seen:
-                raise ValueError(f"duplicate atom id {i}")
-            seen.add(i)
-        for a in self.atoms:
-            if a.element not in PERIODIC_TABLE:
-                raise ValueError(f"unknown element symbol {a.element!r}")
-        pairs: set[tuple[int, int]] = set()
-        for b in self.bonds:
-            if b.order not in BOND_ORDERS:
-                raise ValueError(f"bad bond order {b.order!r}")
-            if b.a == b.b:
-                raise ValueError(f"self bond on atom {b.a}")
-            if b.a not in seen or b.b not in seen:
-                raise ValueError(f"bond {b.a}-{b.b} references a missing atom")
-            pair = (b.a, b.b) if b.a < b.b else (b.b, b.a)
-            if pair in pairs:
-                raise ValueError(f"parallel bond {pair[0]}-{pair[1]}")
-            pairs.add(pair)
-
-    def atom_by_id(self, aid: int) -> Atom:
-        for a in self.atoms:
-            if a.id == aid:
-                return a
-        raise KeyError(aid)
 
     def adjacency(self) -> dict[int, list[tuple[int, str]]]:
         adj: dict[int, list[tuple[int, str]]] = {a.id: [] for a in self.atoms}
@@ -131,25 +106,49 @@ class MolecularGraph:
 
 
 def make_graph(atoms, bonds=()) -> MolecularGraph:
-    """Convenience constructor.
+    """Build and check a graph by hand.
 
     ``atoms`` holds ``(id, element)`` or ``(id, element, charge)`` tuples and
     ``bonds`` holds ``(a, b, order)`` with the order given as 1, 2, 3 or "a".
+    ValueError names a duplicate atom id, an unknown element, a bad bond
+    order, a self bond, a bond to a missing atom or a parallel bond.
     """
-    built_atoms = []
+    specs = []
+    ids: set[int] = set()
     for spec in atoms:
-        if len(spec) == 2:
-            aid, el = spec
-            charge = 0
-        else:
-            aid, el, charge = spec
-        built_atoms.append(Atom(int(aid), el, int(charge)))
-    built_bonds = []
+        aid, element, charge = spec if len(spec) == 3 else (*spec, 0)
+        aid = int(aid)
+        if aid in ids:
+            raise ValueError(f"duplicate atom id {aid}")
+        if element not in PERIODIC_TABLE:
+            raise ValueError(f"unknown element symbol {element!r}")
+        ids.add(aid)
+        specs.append((aid, element, int(charge)))
+    pairs: set[tuple[int, int]] = set()
+    triples = []
     for a, b, order in bonds:
-        token = str(order)
+        a, b, token = int(a), int(b), str(order)
         lo, hi = (a, b) if a < b else (b, a)
-        built_bonds.append(Bond(int(lo), int(hi), token))
-    return MolecularGraph(tuple(sorted(built_atoms)), tuple(sorted(built_bonds)))
+        if token not in BOND_ORDERS:
+            raise ValueError(f"bad bond order {token!r}")
+        if lo == hi:
+            raise ValueError(f"self bond on atom {lo}")
+        if lo not in ids or hi not in ids:
+            raise ValueError(f"bond {lo}-{hi} references a missing atom")
+        if (lo, hi) in pairs:
+            raise ValueError(f"parallel bond {lo}-{hi}")
+        pairs.add((lo, hi))
+        triples.append((lo, hi, token))
+    return _from_tables(specs, triples)
+
+
+def _from_tables(atoms, bonds) -> MolecularGraph:
+    """A graph from checked tables: ``(id, element, charge)`` atom specs with
+    distinct ids and ``(a, b, order)`` bonds with ``a < b``, no two alike."""
+    return MolecularGraph(
+        tuple(Atom(*spec) for spec in sorted(atoms)),
+        tuple(Bond(*bond) for bond in sorted(bonds)),
+    )
 
 
 def component_specs(atoms: list, bonds: list) -> list[tuple[list, list]]:
@@ -382,4 +381,4 @@ def connected_components(g: MolecularGraph) -> list[MolecularGraph]:
     standalone molecule that keeps its atom ids."""
     atoms = [(a.id, a.element, a.charge) for a in g.atoms]
     bonds = [(b.a, b.b, b.order) for b in g.bonds]
-    return [make_graph(a, b) for a, b in component_specs(atoms, bonds)]
+    return [_from_tables(a, b) for a, b in component_specs(atoms, bonds)]

@@ -70,12 +70,6 @@ class Hyperedge:
     products: dict[int, int]
     reverse_of: int | None = None
 
-    def bags(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-        return (
-            tuple(sorted(self.reactants.items())),
-            tuple(sorted(self.products.items())),
-        )
-
 
 def _freeze(side: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(side.items()))
@@ -88,7 +82,9 @@ class Hypergraph:
 
     def __post_init__(self):
         self._by_key: dict[bytes, int] = {v.key: v.id for v in self.vertices}
-        self._by_bags: dict[tuple, int] = {e.bags(): e.id for e in self.edges}
+        self._by_bags: dict[tuple, int] = {
+            (_freeze(e.reactants), _freeze(e.products)): e.id for e in self.edges
+        }
 
     # -- construction -------------------------------------------------------
 
@@ -101,10 +97,6 @@ class Hypergraph:
         self.vertices.append(vertex)
         self._by_key[key] = vertex.id
         return vertex.id
-
-    def find_vertex(self, graph: MolecularGraph) -> Vertex | None:
-        vid = self._by_key.get(canonical_form(graph).key)
-        return self.vertices[vid] if vid is not None else None
 
     def add_reaction(self, reactants: dict[int, int], products: dict[int, int]) -> int:
         """Insert a reaction edge, deduplicating by its two multiplicity bags.
@@ -176,9 +168,6 @@ class Hypergraph:
                 else:
                     raise ValueError(f"bad half-edge kind {kind!r}")
         return {vid: imbalance for vid, imbalance in sorted(net.items()) if imbalance != 0}
-
-    def check_conservation(self, flow: dict) -> bool:
-        return not self.conservation_violations(flow)
 
     @staticmethod
     def support(flow: dict) -> list[int]:

@@ -29,10 +29,10 @@ from .molgraph import (
     PERIODIC_TABLE,
     MolecularGraph,
     TextError,
+    _from_tables,
     canonical_form,
     component_specs,
     element_counts,
-    make_graph,
     read_bond,
     read_integer,
 )
@@ -259,13 +259,6 @@ def _parse_rule_block(start: int, name: str, lines: list[tuple[int, str]]) -> Ru
         raise RuleError(str(exc), start) from None
 
 
-def parse_rule(text: str) -> Rule:
-    rules = parse_rules(text)
-    if len(rules) != 1:
-        raise RuleError(f"expected a single rule, found {len(rules)}")
-    return rules[0]
-
-
 def default_rules_text() -> str:
     return resources.files("hyperpath").joinpath("data/rules_default.dsl").read_text()
 
@@ -477,7 +470,7 @@ def apply_rule(
                     raise RuleApplicationError(
                         f"rule {rule.name!r} gives a product with more than {cap} {element}"
                     )
-    products = [make_graph(a, b) for a, b in parts]
+    products = [_from_tables(a, b) for a, b in parts]
     if admit is not None and not all(admit(p) for p in products):
         raise RuleApplicationError(f"rule {rule.name!r} gives a product that is not admitted")
     record = DerivationRecord(
@@ -493,35 +486,29 @@ def apply_rule(
 # Right-side admissibility predicates
 
 
-def _min_cycle_length(graph: MolecularGraph) -> int | None:
-    adj = graph.adjacency()
-    best: int | None = None
-    for bond in graph.bonds:
-        # shortest alternative path between the endpoints closes the
-        # smallest cycle through this bond
-        dist = {bond.a: 0}
+def right_predicate_no_small_rings(g: MolecularGraph, max_forbidden_ring: int) -> bool:
+    """True when ``g`` contains no cycle of length ``max_forbidden_ring`` or less.
+
+    A bond lies on a cycle of length d + 1 when its far end is d bonds from
+    its near end without it, so one breadth-first search per bond, cut off
+    at depth ``max_forbidden_ring - 1``, finds every forbidden cycle.
+    """
+    adj = g.adjacency()
+    for bond in g.bonds:
+        seen = {bond.a}
         frontier = [bond.a]
-        while frontier and bond.b not in dist:
+        for _ in range(max_forbidden_ring - 1):
             nxt = []
             for v in frontier:
                 for u, _ in adj[v]:
-                    if v == bond.a and u == bond.b:
+                    if u in seen or (v == bond.a and u == bond.b):
                         continue
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
+                    if u == bond.b:
+                        return False
+                    seen.add(u)
+                    nxt.append(u)
             frontier = nxt
-        if bond.b in dist:
-            cycle = dist[bond.b] + 1
-            if best is None or cycle < best:
-                best = cycle
-    return best
-
-
-def right_predicate_no_small_rings(g: MolecularGraph, max_forbidden_ring: int) -> bool:
-    """True when ``g`` contains no cycle of length ``max_forbidden_ring`` or less."""
-    cycle = _min_cycle_length(g)
-    return cycle is None or cycle > max_forbidden_ring
+    return True
 
 
 def right_predicate_no_cumulated_doubles(g: MolecularGraph) -> bool:
@@ -691,8 +678,3 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
             break
 
     return ExpansionResult(net, derivations, history, reached_fixpoint)
-
-
-def expand_network(config: ExpansionConfig, rules: list[Rule]) -> Hypergraph:
-    """Expand the configured seeds under the rules, returning the network."""
-    return run_expansion(config, rules).network

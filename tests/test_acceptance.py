@@ -19,7 +19,7 @@ from hyperpath.kinetics import (
     pathway_score,
     reaction_probability,
 )
-from hyperpath.molgraph import parse_molecules
+from hyperpath.molgraph import canonical_form, parse_molecules
 from hyperpath.pathopt import PathwayQuery, build_model, export_lp_text, relax
 from hyperpath.rewrite import ExpansionConfig, load_default_rules, run_expansion
 from hyperpath.solve import branch_and_bound, brute_force, enumerate_pathways, simplex_solve
@@ -218,8 +218,9 @@ def test_criterion_08_stretch_full_scale():
     assert deep.history == REFERENCE_HISTORY, f"history {deep.history}"
     n_mol, n_rxn = deep.history[-1]
     net = deep.network
-    water = net.find_vertex(seed_molecules()[0]).id
-    glyco = net.find_vertex(seed_molecules()[1]).id
+    ids = {v.key: v.id for v in net.vertices}
+    water = ids[canonical_form(seed_molecules()[0]).key]
+    glyco = ids[canonical_form(seed_molecules()[1]).key]
     target = max(v.id for v in net.vertices)
     byproducts = {
         v.id: 10 for v in net.vertices if v.id not in (water, glyco, target)

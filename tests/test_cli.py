@@ -573,6 +573,20 @@ def test_query_iteration_limit_exit_4(tmp_path, capsys, monkeypatch, relax):
         ("export-lp", "--temperature-k", "-1e-3"),
         ("export-dot", "--rank", "0"),
         ("expand", "--max-iterations", "-1"),
+        # a numeric flag takes the spellings the input files take: ASCII
+        # digits, no leading zero, no sign, no underscore, no white space
+        ("query", "-k", "\u0663"),
+        ("query", "-k", "0_2"),
+        ("query", "-k", " 4"),
+        ("query", "--flow-cap", "+02"),
+        ("query", "--node-limit", "010"),
+        ("expand", "--max-iterations", "\u0663"),
+        ("expand", "--max-iterations", "0_2"),
+        ("export-dot", "--rank", "+02"),
+        ("export-dot", "--rank", "010"),
+        ("query", "--temperature-k", "\u0663\u0660\u0660"),
+        ("query", "--temperature-k", "3_00"),
+        ("annotate-check", "--temperature-k", " 300"),
     ],
 )
 def test_out_of_range_numeric_flag_is_usage_error(tmp_path, capsys, command, flag, value):
@@ -593,6 +607,7 @@ def test_out_of_range_numeric_flag_is_usage_error(tmp_path, capsys, command, fla
     err = capsys.readouterr().err
     assert "usage:" in err
     assert flag in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

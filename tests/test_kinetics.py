@@ -6,18 +6,15 @@ import pytest
 
 import nets
 from hyperpath.kinetics import (
-    BOLTZMANN,
     CSV_HEADER,
     DEFAULT_TEMPERATURE,
     GAS_CONSTANT,
-    PLANCK,
     BarrierTable,
     Thermo,
     WeightModel,
     load_barriers,
     objective_coefficients,
     pathway_score,
-    rate_constant,
     reaction_probability,
 )
 
@@ -26,8 +23,6 @@ def test_thermo_defaults():
     t = Thermo()
     assert t.T == DEFAULT_TEMPERATURE == 298.15
     assert GAS_CONSTANT == 8.314462618
-    assert BOLTZMANN == 1.380649e-23
-    assert PLANCK == 6.62607015e-34
     assert t.rt == GAS_CONSTANT * t.T == pytest.approx(2478.957, rel=1e-6)
 
 
@@ -45,25 +40,6 @@ def test_thermo_rejects_a_temperature_without_finite_rt(T):
     # at 1e308 K, T is finite but R*T overflows to inf
     with pytest.raises(ValueError, match="finite"):
         Thermo(T=T)
-
-
-def test_rate_constant_prefactor():
-    # k at zero barrier is k_b*T/h, about 6.212e12 per second at 298.15 K
-    assert rate_constant(0.0) == pytest.approx(6.2124e12, rel=1e-4)
-
-
-def test_rate_constant_follows_boltzmann_ratio():
-    t = Thermo()
-    for g in (1000.0, 20000.0, 85000.0):
-        assert rate_constant(g, t) / rate_constant(0.0, t) == pytest.approx(
-            math.exp(-g / t.rt), rel=1e-12
-        )
-
-
-def test_rate_constant_temperature_dependence():
-    cold = rate_constant(50000.0, Thermo(T=250.0))
-    hot = rate_constant(50000.0, Thermo(T=350.0))
-    assert hot > cold
 
 
 def test_reaction_probability_matches_direct_formula():
@@ -263,13 +239,13 @@ def test_objective_logd_finite_at_uniform_500():
 
 
 def test_pathway_score_weights_integer_keys_only():
-    model = WeightModel(Thermo(), 0.0, {0: 100.0, 1: 250.0, 2: 7.0})
+    model = WeightModel(0.0, {0: 100.0, 1: 250.0, 2: 7.0})
     flow = {0: 2, 1: 1, 2: 0, ("in", 4): 9, ("out", 5): 3}
     assert pathway_score(flow, model) == 450.0
 
 
 def test_pathway_score_ignores_zero_even_if_unknown():
-    model = WeightModel(Thermo(), 0.0, {0: 100.0})
+    model = WeightModel(0.0, {0: 100.0})
     assert pathway_score({0: 1, 99: 0}, model) == 100.0
     with pytest.raises(KeyError):
         pathway_score({99: 1}, model)

@@ -40,8 +40,7 @@ def test_parse_semicolons_and_comments():
 
 def test_parse_charge():
     g = parse_molecule("atom 0 O -1\natom 1 H\nbond 0 1 1\n")
-    assert g.atom_by_id(0).charge == -1
-    assert g.atom_by_id(1).charge == 0
+    assert [(a.id, a.charge) for a in g.atoms] == [(0, -1), (1, 0)]
 
 
 def test_serialize_round_trip():
@@ -162,21 +161,19 @@ def test_make_graph_normalizes_bond_direction():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        make_graph([(0, "C"), (0, "C")])
-    with pytest.raises(ValueError):
-        make_graph([(0, "C")], [(0, 0, 1)])
-    with pytest.raises(ValueError):
-        make_graph([(0, "C"), (1, "C")], [(0, 1, 1), (1, 0, 2)])
-    with pytest.raises(ValueError):
-        make_graph([(0, "Zz")])
-
-
-def test_atom_by_id():
-    g = molecules.water()
-    assert g.atom_by_id(0).element == "O"
-    with pytest.raises(KeyError):
-        g.atom_by_id(99)
+    # each of make_graph's checks, with its message
+    cases = [
+        ([(0, "C"), (0, "C")], [], "duplicate atom id 0"),
+        ([(0, "Zz")], [], "unknown element symbol 'Zz'"),
+        ([(0, "C"), (1, "C")], [(0, 1, 4)], "bad bond order '4'"),
+        ([(0, "C")], [(0, 0, 1)], "self bond on atom 0"),
+        ([(0, "C")], [(1, 0, 1)], "bond 0-1 references a missing atom"),
+        ([(0, "C"), (1, "C")], [(0, 1, 1), (1, 0, 2)], "parallel bond 0-1"),
+    ]
+    for atoms, bonds, message in cases:
+        with pytest.raises(ValueError) as err:
+            make_graph(atoms, bonds)
+        assert str(err.value) == message
 
 
 def test_canonical_key_invariant_under_relabeling():

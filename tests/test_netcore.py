@@ -6,7 +6,7 @@ import pytest
 import helpers
 import molecules
 import nets
-from hyperpath.molgraph import make_graph
+from hyperpath.molgraph import canonical_form, make_graph
 from hyperpath.netcore import MAX_MULTIPLICITY, Hypergraph
 
 
@@ -23,12 +23,12 @@ def test_add_molecule_deduplicates_isomorphs():
     assert rng is not None
 
 
-def test_find_vertex():
+def test_vertex_is_found_by_its_canonical_key():
     net = Hypergraph()
     net.add_molecule(molecules.water())
-    hit = net.find_vertex(helpers.relabeled(molecules.water(), [1, 2, 0]))
-    assert hit is not None and hit.id == 0
-    assert net.find_vertex(molecules.ammonia()) is None
+    ids = {v.key: v.id for v in net.vertices}
+    assert ids.get(canonical_form(helpers.relabeled(molecules.water(), [1, 2, 0])).key) == 0
+    assert canonical_form(molecules.ammonia()).key not in ids
 
 
 def test_add_reaction_and_dedup():
@@ -73,13 +73,13 @@ def test_self_loop_reaction_is_allowed():
     assert edge.reactants == {0: 1} and edge.products == {0: 1, 1: 1}
     # one unit of flow makes vertex 1 out of nothing net of vertex 0
     assert net.conservation_violations({eid: 1}) == {1: 1}
-    assert net.check_conservation({eid: 1, ("out", 1): 1})
+    assert not net.conservation_violations({eid: 1, ("out", 1): 1})
 
 
 def test_conservation_on_flux_demo():
     net, _ = nets.flux_demo()
     flow = {0: 1, ("in", 0): 2, ("out", 3): 1}
-    assert net.check_conservation(flow)
+    assert not net.conservation_violations(flow)
     assert net.conservation_violations(flow) == {}
 
 
@@ -91,14 +91,14 @@ def test_conservation_violation_values():
 
 def test_conservation_ignores_zero_flow_edges():
     net, _ = nets.flux_demo()
-    assert net.check_conservation({0: 0})
-    assert net.check_conservation({})
+    assert not net.conservation_violations({0: 0})
+    assert not net.conservation_violations({})
 
 
 def test_conservation_multiplicities_scale():
     net = nets.placeholder_net(2, [({0: 3}, {1: 2})])
     flow = {0: 2, ("in", 0): 6, ("out", 1): 4}
-    assert net.check_conservation(flow)
+    assert not net.conservation_violations(flow)
     assert net.conservation_violations({0: 2, ("in", 0): 5, ("out", 1): 4}) == {0: -1}
 
 
@@ -123,10 +123,10 @@ def test_support_sorts_and_filters():
 def test_reference_pathways_conserve():
     net1 = nets.amino_network()
     for name in nets.AMINO_PATHWAYS:
-        assert net1.check_conservation(nets.amino_flow(name)), name
+        assert not net1.conservation_violations(nets.amino_flow(name)), name
     net2 = nets.hydroxy_network()
     for name in nets.HYDROXY_PATHWAYS:
-        assert net2.check_conservation(nets.hydroxy_flow(name)), name
+        assert not net2.conservation_violations(nets.hydroxy_flow(name)), name
 
 
 def test_json_round_trip():
@@ -144,8 +144,9 @@ def test_json_round_trip_preserves_molecules():
     net.add_molecule(molecules.water())
     net.add_reaction({0: 1, 1: 1}, {0: 1})
     back = Hypergraph.from_json(net.to_json())
-    assert back.find_vertex(molecules.glycolonitrile()).id == 0
-    assert back.find_vertex(molecules.water()).id == 1
+    ids = {v.key: v.id for v in back.vertices}
+    assert ids[canonical_form(molecules.glycolonitrile()).key] == 0
+    assert ids[canonical_form(molecules.water()).key] == 1
 
 
 def test_json_rejects_tampered_key():
@@ -281,7 +282,7 @@ def test_placeholder_vertices_are_distinct():
 def test_flow_with_only_half_edges_checks_vertices():
     net, _ = nets.flux_demo()
     assert net.conservation_violations({("in", 0): 2}) == {0: 2}
-    assert net.check_conservation({("in", 0): 2, ("out", 0): 2})
+    assert not net.conservation_violations({("in", 0): 2, ("out", 0): 2})
 
 
 def test_json_shape_is_plain_data():

@@ -252,7 +252,7 @@ def test_build_model_validation():
         add_cut(build_model(net, w, query), frozenset())
     with pytest.raises(ValueError):
         add_cut(build_model(net, w, query), frozenset({55}))
-    partial = WeightModel(Thermo(), 0.0, {0: 1.0})
+    partial = WeightModel(0.0, {0: 1.0})
     with pytest.raises(ValueError):
         build_model(net, partial, query)
 

@@ -1,9 +1,11 @@
 """Rule parsing, subgraph matching, rewriting, and network expansion."""
 import dataclasses
+import functools
 import random
 from collections import Counter
 from itertools import combinations_with_replacement
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,10 +32,8 @@ from hyperpath.rewrite import (
     RuleApplicationError,
     RuleError,
     apply_rule,
-    expand_network,
     find_matches,
     load_default_rules,
-    parse_rule,
     parse_rules,
     reverse_rule,
     right_predicate,
@@ -141,7 +141,7 @@ def propane():
 
 
 def test_parse_rule_fields():
-    rule = parse_rule(NITRILE_ADDITION)
+    [rule] = parse_rules(NITRILE_ADDITION)
     assert rule.name == "nitrile-addition"
     assert not rule.reversible
     assert rule.label_classes == {}
@@ -152,7 +152,7 @@ def test_parse_rule_fields():
 
 
 def test_parse_rule_classes_and_reversible():
-    rule = parse_rule(PROTON_SHIFT)
+    [rule] = parse_rules(PROTON_SHIFT)
     assert rule.reversible
     assert rule.label_classes == {"X": ("N", "O"), "Z": ("N", "O")}
     assert rule.allowed_elements("X") == ("N", "O")
@@ -166,7 +166,8 @@ def test_parse_multiple_rules():
 
 def test_parse_rules_comments_and_blank_lines():
     text = "# leading comment\n\n" + HH_BREAK + "\n# trailing\n"
-    assert parse_rule(text).name == "hh-break"
+    [rule] = parse_rules(text)
+    assert rule.name == "hh-break"
 
 
 @pytest.mark.parametrize(
@@ -265,7 +266,7 @@ def test_rule_error_carries_line_number():
 
 
 def test_reverse_rule_swaps_sides():
-    rule = parse_rule(NITRILE_ADDITION)
+    [rule] = parse_rules(NITRILE_ADDITION)
     rev = reverse_rule(rule)
     assert rev.name == "nitrile-addition-rev"
     assert rev.left == rule.right
@@ -302,12 +303,13 @@ def test_default_rules_right_sides_joining_every_atom():
     assert [rule.joins_every_atom() for rule in directional] == [
         True, False, True, False, True, True
     ]
-    assert not parse_rule(PROTON_SHIFT).joins_every_atom()
-    assert parse_rule(PAIR_BOND).joins_every_atom()
+    [shift], [pair] = parse_rules(PROTON_SHIFT), parse_rules(PAIR_BOND)
+    assert not shift.joins_every_atom()
+    assert pair.joins_every_atom()
 
 
 def test_find_matches_symmetry_count():
-    rule = parse_rule(HH_BREAK)
+    [rule] = parse_rules(HH_BREAK)
     h2 = make_graph([(0, "H"), (1, "H")], [(0, 1, 1)])
     found = find_matches(rule, (h2,))
     assert len(found) == 2
@@ -315,7 +317,7 @@ def test_find_matches_symmetry_count():
 
 
 def test_find_matches_requires_exact_bond_order():
-    rule = parse_rule(NITRILE_ADDITION)
+    [rule] = parse_rules(NITRILE_ADDITION)
     hcn = parse_molecule(molecules.HYDROGEN_CYANIDE_MGF)
     assert len(find_matches(rule, (hcn, molecules.water()))) == 2
     # an imine C=N must not match the triple-bond pattern
@@ -327,7 +329,7 @@ def test_find_matches_requires_exact_bond_order():
 
 
 def test_find_matches_every_host_is_touched():
-    rule = parse_rule(PAIR_BOND)
+    [rule] = parse_rules(PAIR_BOND)
     water = molecules.water()
     across = find_matches(rule, (water, water))
     # the two oxygens, one from each copy, in both orientations
@@ -338,7 +340,7 @@ def test_find_matches_every_host_is_touched():
 
 
 def test_find_matches_single_host_pair_is_allowed():
-    rule = parse_rule(PAIR_BOND)
+    [rule] = parse_rules(PAIR_BOND)
     g = molecules.glycolonitrile()
     # only the two carbons share an element; the host bond between them
     # does not block the match because matching is not induced
@@ -347,7 +349,7 @@ def test_find_matches_single_host_pair_is_allowed():
 
 
 def test_find_matches_one_class_binds_one_element():
-    rule = parse_rule(PAIR_BOND)
+    [rule] = parse_rules(PAIR_BOND)
     assert find_matches(rule, (molecules.water(), molecules.ammonia())) == []
     found = find_matches(rule, (molecules.water(), molecules.water()))
     assert len(found) == 2
@@ -356,7 +358,7 @@ def test_find_matches_one_class_binds_one_element():
 
 
 def test_find_matches_independent_classes():
-    rule = parse_rule(PROTON_SHIFT)
+    [rule] = parse_rules(PROTON_SHIFT)
     found = find_matches(rule, (molecules.water(), molecules.ammonia()))
     # O donates either of 2 H to N, or N donates any of 3 H to O
     assert len(found) == 5
@@ -370,7 +372,7 @@ def test_find_matches_independent_classes():
 
 def test_find_matches_agrees_with_oracle_randomized():
     rng = random.Random(23)
-    rules = [parse_rule(t) for t in (HH_BREAK, PAIR_BOND, PAIR_XY, PROTON_SHIFT)]
+    rules = parse_rules(HH_BREAK + PAIR_BOND + PAIR_XY + PROTON_SHIFT)
     pool = [
         molecules.water(),
         molecules.ammonia(),
@@ -385,7 +387,7 @@ def test_find_matches_agrees_with_oracle_randomized():
 
 
 def test_apply_rule_nitrile_addition():
-    rule = parse_rule(NITRILE_ADDITION)
+    [rule] = parse_rules(NITRILE_ADDITION)
     hcn = parse_molecule(molecules.HYDROGEN_CYANIDE_MGF)
     hosts = (hcn, molecules.water())
     products, record = apply_rule(rule, find_matches(rule, hosts)[0])
@@ -401,7 +403,7 @@ def test_apply_rule_nitrile_addition():
 
 
 def test_apply_rule_refuses_a_product_before_keying_it():
-    rule = parse_rule(NITRILE_ADDITION)
+    [rule] = parse_rules(NITRILE_ADDITION)
     hosts = (parse_molecule(molecules.HYDROGEN_CYANIDE_MGF), molecules.water())
     match = find_matches(rule, hosts)[0]
     misses = canonical_form.cache_info().misses
@@ -411,17 +413,17 @@ def test_apply_rule_refuses_a_product_before_keying_it():
 
 
 def test_apply_rule_refuses_an_over_cap_product_before_building_it(monkeypatch):
-    rule = parse_rule(PAIR_BOND)
+    [rule] = parse_rules(PAIR_BOND)
     hosts = (methyl(), methyl())
     match = find_matches(rule, hosts)[0]
     built = []
-    check = MolecularGraph.__post_init__
+    init = MolecularGraph.__init__
 
-    def counted(self):
+    def counted(self, *args):
+        init(self, *args)
         built.append(self)
-        check(self)
 
-    monkeypatch.setattr(MolecularGraph, "__post_init__", counted)
+    monkeypatch.setattr(MolecularGraph, "__init__", counted)
     with pytest.raises(RuleApplicationError):
         apply_rule(rule, match, max_element_counts={"C": 1})
     assert built == []
@@ -570,7 +572,7 @@ def test_apply_rule_matches_the_reference_on_bond_making_rules():
     bare_cco = make_graph([(0, "C"), (1, "C"), (2, "O")], [(0, 1, 1), (1, 2, 1)])
     hosts = [methyl(), molecules.water(), molecules.ethanol(), molecules.benzene(),
              molecules.allene(), propane(), make_graph([(0, "O")]), bare_cco, overfull]
-    rules = [parse_rule(t) for t in (PAIR_BOND, PAIR_XY, RING_CLOSE, HH_BREAK)]
+    rules = parse_rules(PAIR_BOND + PAIR_XY + RING_CLOSE + HH_BREAK)
     tried = [(rule, (a,)) for rule in rules for a in hosts]
     tried += [(rule, (a, b)) for rule in rules[:2] for a in hosts for b in hosts]
     outcomes = compare_with_reference(tried, {"C": 2}, ("no-rings-le=3",))
@@ -578,7 +580,7 @@ def test_apply_rule_matches_the_reference_on_bond_making_rules():
 
 
 def test_apply_rule_splits_components():
-    rule = parse_rule(HH_BREAK)
+    [rule] = parse_rules(HH_BREAK)
     h2 = make_graph([(0, "H"), (1, "H")], [(0, 1, 1)])
     products, _ = apply_rule(rule, find_matches(rule, (h2,))[0])
     assert len(products) == 2
@@ -586,7 +588,7 @@ def test_apply_rule_splits_components():
 
 
 def test_apply_rule_rejects_valence_overflow():
-    rule = parse_rule(PAIR_BOND)
+    [rule] = parse_rules(PAIR_BOND)
     hosts = (molecules.methane(), molecules.methane())
     found = find_matches(rule, hosts)
     assert found
@@ -595,7 +597,7 @@ def test_apply_rule_rejects_valence_overflow():
 
 
 def test_apply_rule_rejects_parallel_bond():
-    rule = parse_rule(PAIR_BOND)
+    [rule] = parse_rules(PAIR_BOND)
     ethane_core = make_graph(
         [(0, "C"), (1, "C"), (2, "H"), (3, "H")],
         [(0, 1, 1), (0, 2, 1), (1, 3, 1)],
@@ -607,7 +609,7 @@ def test_apply_rule_rejects_parallel_bond():
 
 
 def test_apply_rule_counts_aromatic_as_one_and_a_half():
-    rule = parse_rule(PAIR_XY)
+    [rule] = parse_rules(PAIR_XY)
     chain = make_graph([(0, "C"), (1, "C"), (2, "C")], [(0, 1, "a"), (1, 2, "a")])
     oxygen = make_graph([(0, "O")])
     found = [
@@ -623,7 +625,7 @@ def test_apply_rule_counts_aromatic_as_one_and_a_half():
 
 
 def test_apply_rule_rejects_saturated_aromatic_carbon():
-    rule = parse_rule(PAIR_XY)
+    [rule] = parse_rules(PAIR_XY)
     hosts = (molecules.benzene(), make_graph([(0, "O")]))
     found = find_matches(rule, hosts)
     assert found
@@ -638,6 +640,46 @@ def test_min_ring_predicates():
     assert not right_predicate_no_small_rings(molecules.cyclobutane(), 4)
     assert right_predicate_no_small_rings(molecules.water(), 8)
     assert not right_predicate_no_small_rings(molecules.benzene(), 6)
+
+
+@functools.lru_cache(maxsize=None)
+def criterion_8_closure():
+    config = ExpansionConfig(
+        (molecules.water(), molecules.glycolonitrile()),
+        max_iterations=11,
+        max_element_counts={"C": 2, "N": 4, "O": 4},
+        right_predicates=("no-rings-le=3", "no-cumulated-doubles"),
+    )
+    return run_expansion(config, load_default_rules())
+
+
+def test_ring_predicate_agrees_with_networkx_girth():
+    graphs = [v.graph for v in criterion_8_closure().network.vertices]
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3]
+        graphs.append(make_graph([(i, "C") for i in range(n)], [(a, b, 1) for a, b in pairs]))
+    for g in graphs:
+        nx_graph = nx.Graph()
+        nx_graph.add_nodes_from(a.id for a in g.atoms)
+        nx_graph.add_edges_from((b.a, b.b) for b in g.bonds)
+        girth = nx.girth(nx_graph)
+        for limit in range(8):
+            assert right_predicate_no_small_rings(g, limit) == (girth > limit), (g, limit)
+
+
+def test_make_graph_rebuilds_every_closure_molecule_unchanged():
+    # products are built unchecked from the rewritten tables; make_graph,
+    # given the same atoms and bonds in any order, checks and builds them
+    rng = random.Random(8)
+    for vertex in criterion_8_closure().network.vertices:
+        g = vertex.graph
+        atoms = [(a.id, a.element, a.charge) for a in g.atoms]
+        bonds = [(b.b, b.a, b.order) if rng.random() < 0.5 else (b.a, b.b, b.order) for b in g.bonds]
+        rng.shuffle(atoms)
+        rng.shuffle(bonds)
+        assert make_graph(atoms, bonds) == g
 
 
 def test_cumulated_double_predicate():
@@ -674,7 +716,7 @@ def test_expansion_zero_iterations_keeps_seeds():
     config = ExpansionConfig(
         seed_molecules=(molecules.water(), molecules.ammonia()), max_iterations=0
     )
-    result = run_expansion(config, [parse_rule(PROTON_SHIFT)])
+    result = run_expansion(config, parse_rules(PROTON_SHIFT))
     assert len(result.network.vertices) == 2
     assert result.network.edges == []
     assert result.history == []
@@ -685,7 +727,7 @@ def test_expansion_zero_iterations_keeps_seeds():
 def test_expansion_reaches_fixpoint():
     # methane offers no N or O, so the proton shift can never fire
     config = ExpansionConfig(seed_molecules=(molecules.methane(),), max_iterations=5)
-    result = run_expansion(config, [parse_rule(PROTON_SHIFT)])
+    result = run_expansion(config, parse_rules(PROTON_SHIFT))
     assert result.reached_fixpoint
     assert result.iterations_run == 1
     assert result.history == [(1, 0)]
@@ -694,7 +736,7 @@ def test_expansion_reaches_fixpoint():
 def test_expansion_reversible_rule_links_edges():
     h2 = make_graph([(0, "H"), (1, "H")], [(0, 1, 1)])
     config = ExpansionConfig(seed_molecules=(h2,), max_iterations=4)
-    result = run_expansion(config, [parse_rule(H2_SPLIT)])
+    result = run_expansion(config, parse_rules(H2_SPLIT))
     net = result.network
     assert len(net.vertices) == 2  # the molecule and the lone atom
     assert len(net.edges) == 2
@@ -709,10 +751,10 @@ def test_expansion_reversible_rule_links_edges():
 
 def test_expansion_element_caps_block_growth():
     uncapped = ExpansionConfig(seed_molecules=(methyl(),), max_iterations=1)
-    grown = run_expansion(uncapped, [parse_rule(PAIR_BOND)])
+    grown = run_expansion(uncapped, parse_rules(PAIR_BOND))
     assert len(grown.network.vertices) == 2  # the C-C dimer appears
     capped = dataclasses.replace(uncapped, max_element_counts={"C": 1})
-    result = run_expansion(capped, [parse_rule(PAIR_BOND)])
+    result = run_expansion(capped, parse_rules(PAIR_BOND))
     assert len(result.network.vertices) == 1
     assert result.network.edges == []
 
@@ -723,10 +765,10 @@ def test_expansion_never_matches_a_multiset_a_cap_refuses(monkeypatch):
     config = ExpansionConfig(
         seed_molecules=(methyl(),), max_iterations=1, max_element_counts={"C": 1}
     )
-    run_expansion(config, [parse_rule(PAIR_BOND)])
+    run_expansion(config, parse_rules(PAIR_BOND))
     assert [len(hosts) for _, hosts in tried] == [1]
     tried.clear()
-    run_expansion(dataclasses.replace(config, max_element_counts={"C": 2}), [parse_rule(PAIR_BOND)])
+    run_expansion(dataclasses.replace(config, max_element_counts={"C": 2}), parse_rules(PAIR_BOND))
     assert [len(hosts) for _, hosts in tried] == [1, 2]
 
 
@@ -741,12 +783,13 @@ def test_expansion_matches_a_split_right_side_over_the_summed_caps(monkeypatch):
         max_iterations=1,
         max_element_counts={"O": 1},
     )
-    result = run_expansion(config, [parse_rule(PROTON_SHIFT)])
+    result = run_expansion(config, parse_rules(PROTON_SHIFT))
     assert any(hosts == (molecules.water(), oxygen) for _, hosts in tried)
-    hydroxyl = result.network.find_vertex(make_graph([(0, "O"), (1, "H")], [(0, 1, 1)]))
+    ids = {v.key: v.id for v in result.network.vertices}
+    hydroxyl = ids.get(canonical_form(make_graph([(0, "O"), (1, "H")], [(0, 1, 1)])).key)
     assert hydroxyl is not None
     assert result.network.edges[0].reactants == {0: 1, 1: 1}
-    assert result.network.edges[0].products == {hydroxyl.id: 2}
+    assert result.network.edges[0].products == {hydroxyl: 2}
 
 
 def test_expansion_skipping_cap_refused_multisets_changes_no_output(monkeypatch):
@@ -776,19 +819,19 @@ def test_expansion_seeds_are_exempt_from_caps():
         max_iterations=1,
         max_element_counts={"C": 1},
     )
-    result = run_expansion(config, [parse_rule(PROTON_SHIFT)])
+    result = run_expansion(config, parse_rules(PROTON_SHIFT))
     assert any(element_counts(v.graph).get("C", 0) == 2 for v in result.network.vertices)
 
 
 def test_expansion_right_predicate_filters_products():
     open_config = ExpansionConfig(seed_molecules=(propane(),), max_iterations=1)
-    open_result = run_expansion(open_config, [parse_rule(RING_CLOSE)])
+    open_result = run_expansion(open_config, parse_rules(RING_CLOSE))
     assert any(
         not right_predicate_no_small_rings(v.graph, 3)
         for v in open_result.network.vertices
     )
     blocked = dataclasses.replace(open_config, right_predicates=("no-rings-le=3",))
-    blocked_result = run_expansion(blocked, [parse_rule(RING_CLOSE)])
+    blocked_result = run_expansion(blocked, parse_rules(RING_CLOSE))
     # the application also makes harmless H2, but one bad product vetoes it
     assert len(blocked_result.network.vertices) == 1
     assert blocked_result.network.edges == []
@@ -797,7 +840,7 @@ def test_expansion_right_predicate_filters_products():
 def test_expansion_stoichiometry_uses_multisets():
     h2 = make_graph([(0, "H"), (1, "H")], [(0, 1, 1)])
     config = ExpansionConfig(seed_molecules=(h2,), max_iterations=4)
-    net = run_expansion(config, [parse_rule(H2_SPLIT)]).network
+    net = run_expansion(config, parse_rules(H2_SPLIT)).network
     split = next(e for e in net.edges if len(e.reactants) == 1 and 0 in e.reactants)
     atom_id = net.add_molecule(make_graph([(0, "H")]))
     assert split.reactants == {0: 1}
@@ -812,8 +855,8 @@ def test_expansion_deterministic_across_runs():
         right_predicates=("no-rings-le=3", "no-cumulated-doubles"),
     )
     rules = load_default_rules()
-    first = expand_network(config, rules).to_json()
-    second = expand_network(config, rules).to_json()
+    first = run_expansion(config, rules).network.to_json()
+    second = run_expansion(config, rules).network.to_json()
     assert first == second
 
 

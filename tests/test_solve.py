@@ -12,7 +12,7 @@ import helpers
 import molecules
 import nets
 from hyperpath.kinetics import MAX_BARRIER_KJ, BarrierTable, Thermo, objective_coefficients
-from hyperpath.molgraph import parse_molecules
+from hyperpath.molgraph import canonical_form, parse_molecules
 from hyperpath.pathopt import (
     IlpModel,
     PathwayQuery,
@@ -231,7 +231,7 @@ def test_bnb_flux_demo_integer_optimum():
     assert out.status == "optimal"
     assert out.objective == pytest.approx(1.0, abs=1e-9)
     assert len(out.support) == 1
-    assert net.check_conservation(out.flow)
+    assert not net.conservation_violations(out.flow)
     indicator_consistent(out, cap=3)
     assert out.nodes >= 1
 
@@ -281,7 +281,7 @@ def test_bnb_cascade_fixture_best_pathway():
     expected = 4.0 * Thermo().rt * math.log(len(net.edges))
     assert out.objective == pytest.approx(expected, rel=1e-9)
     assert out.support == [0, 5, 7, 8]
-    assert net.check_conservation(out.flow)
+    assert not net.conservation_violations(out.flow)
     indicator_consistent(out, cap=10)
 
 
@@ -336,7 +336,7 @@ def test_enumerate_flux_demo_three_incomparable_routes():
     assert [s.support for s in ranked.solutions] == [[0], [1], [2]]
     for s in ranked.solutions:
         assert s.objective == pytest.approx(1.0, abs=1e-9)
-        assert net.check_conservation(s.flow)
+        assert not net.conservation_violations(s.flow)
     assert len(ranked.cuts) == 3
     assert ranked.cuts[0] == frozenset({0})
 
@@ -369,7 +369,7 @@ def test_enumerate_cascade_fixture_ranking():
         for later in supports[i + 1 :]:
             assert not set(small) <= set(later)
     for s in ranked.solutions:
-        assert net.check_conservation(s.flow)
+        assert not net.conservation_violations(s.flow)
         indicator_consistent(s, cap=10)
 
 
@@ -412,7 +412,7 @@ def test_brute_force_flux_demo():
     assert out.status == "optimal"
     assert out.objective == pytest.approx(1.0, abs=1e-9)
     assert len(out.support) == 1
-    assert net.check_conservation(out.flow)
+    assert not net.conservation_violations(out.flow)
 
 
 def test_brute_force_infeasible():
@@ -462,8 +462,8 @@ def test_bnb_matches_brute_force_on_random_instances():
         assert fast.status == slow.status
         if fast.status == "optimal":
             assert fast.objective == pytest.approx(slow.objective, abs=1e-6)
-            assert net.check_conservation(fast.flow)
-            assert net.check_conservation(slow.flow)
+            assert not net.conservation_violations(fast.flow)
+            assert not net.conservation_violations(slow.flow)
             indicator_consistent(fast, cap=query.flow_cap)
             agreements += 1
     # random queries are often infeasible; both solvers must still agree,
@@ -775,7 +775,8 @@ def test_paper_scale_glycolic_acid_at_cap_10_fits_its_node_budget():
     assert (len(net.vertices), len(net.edges)) == (41, 116)
     rng = random.Random(1)
     table = BarrierTable.from_kj({e.id: rng.uniform(0.0, 100.0) for e in net.edges})
-    vid = {name: net.find_vertex(g).id for name, g in
+    ids = {v.key: v.id for v in net.vertices}
+    vid = {name: ids[canonical_form(g).key] for name, g in
            [("water", water), ("glyco", glyco), ("ammonia", ammonia), ("glycolic", glycolic)]}
     query = PathwayQuery(
         sources={vid["water"]: (0, 10), vid["glyco"]: (0, 10)},
@@ -817,7 +818,8 @@ def test_carbon_four_closure_glycolic_acid_at_cap_1_matches_highs():
     net = result.network
     rng = random.Random(1)
     table = BarrierTable.from_kj({e.id: rng.uniform(0.0, 100.0) for e in net.edges})
-    vid = {name: net.find_vertex(g).id for name, g in
+    ids = {v.key: v.id for v in net.vertices}
+    vid = {name: ids[canonical_form(g).key] for name, g in
            [("water", water), ("glyco", glyco), ("ammonia", ammonia), ("glycolic", glycolic)]}
     query = PathwayQuery(
         sources={vid["water"]: (0, 10), vid["glyco"]: (0, 10)},
