@@ -233,12 +233,13 @@ def _cmd_annotate_check(args, run: _Run) -> int:
 
 
 def _solution_json(rank: int, solution, weights) -> dict:
+    score = pathway_score(solution.flow, weights)
     return {
         "rank": rank,
         "status": solution.status,
         "objective_j_per_mol": solution.objective,
-        "score_j_per_mol": pathway_score(solution.flow, weights),
-        "score_kj_per_mol": pathway_score(solution.flow, weights) / 1000.0,
+        "score_j_per_mol": score,
+        "score_kj_per_mol": score / 1000.0,
         "support": solution.support,
         "indicators": {str(e): z for e, z in sorted(solution.indicator.items()) if z},
         **_flow_to_json(solution.flow),
@@ -262,8 +263,6 @@ def _cmd_query(args, run: _Run) -> int:
 
     if args.relax:
         lp = simplex_solve(model)
-        if lp.status == "numerical":
-            raise SolverError("relaxation came back numerical")
         flow = {}
         if lp.status == "optimal":
             flow = dict(zip(model.keys, lp.values.tolist()))

@@ -8,13 +8,10 @@ for hyperflows, JSON round-tripping, and DOT export.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .molgraph import MolecularGraph, canonical_form, element_counts, parse_molecule, serialize_molecule
 from .molgraph import read_integer
-
-#: a hyperflow maps edge ids to integers plus ("in", v) / ("out", v) half-edges
-HalfEdge = tuple[str, int]
 
 #: the largest stoichiometric multiplicity a network file may give; ``to_dot``
 #: draws one arrow per unit
@@ -75,16 +72,15 @@ def _freeze(side: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(side.items()))
 
 
-@dataclass
 class Hypergraph:
-    vertices: list[Vertex] = field(default_factory=list)
-    edges: list[Hyperedge] = field(default_factory=list)
+    """Starts empty; molecules and reactions go in only through
+    ``add_molecule`` and ``add_reaction``, which check them."""
 
-    def __post_init__(self):
-        self._by_key: dict[bytes, int] = {v.key: v.id for v in self.vertices}
-        self._by_bags: dict[tuple, int] = {
-            (_freeze(e.reactants), _freeze(e.products)): e.id for e in self.edges
-        }
+    def __init__(self):
+        self.vertices: list[Vertex] = []
+        self.edges: list[Hyperedge] = []
+        self._by_key: dict[bytes, int] = {}
+        self._by_bags: dict[tuple, int] = {}
 
     # -- construction -------------------------------------------------------
 

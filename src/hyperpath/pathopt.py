@@ -4,7 +4,7 @@ A query fixes how much of each source may enter, how much of each target
 must leave, and what may leak out as byproducts.  ``build_model`` compiles
 it, edge by edge, into one model held as arrays: one integer flow column per
 edge, exchange columns for the vertices the query mentions, a dense matrix
-of exact conservation rows for every vertex, and a cost vector.  The
+of rows bounded as the columns are, and a cost vector.  The
 search, the exhaustive oracle and the LP export all read these arrays.
 Costs come from the barrier-derived edge weights, so the optimum is the
 kinetically favored pathway.  Cuts, which enumerate alternatives, are
@@ -159,12 +159,14 @@ class IlpModel:
     ``keys[j]`` and lies within ``lo[j], hi[j]``.  A built model's columns
     are the flows of edges 0, 1, ... (column e is edge e, keyed e), then the
     exchange variables, keyed ("in", v) or ("out", v).  Row i, named
-    ``rows[i]``, asks ``A[i] @ x`` to be ``senses[i]`` ("=", "<=" or ">=")
-    ``rhs[i]``.  The objective ``cost @ x`` is minimized or maximized by
-    ``sense``.  ``integral`` says every column is integral; the continuous
-    relaxation clears it.  ``flow_cap`` is the query's per-edge flow cap,
-    the big-M of the indicator form that ``export_lp_text`` writes, and
-    ``cuts`` are edge-id sets that no solution may use all of.
+    ``rows[i]``, asks ``A[i] @ x`` to lie within ``row_lo[i], row_hi[i]``;
+    a row with two finite bounds has equal ones.  The objective ``cost @ x``
+    is minimized or maximized by ``sense``.  ``integral`` says every column
+    is integral; the continuous relaxation clears it, and only
+    ``simplex_solve`` takes such a model.  ``flow_cap`` is the query's
+    per-edge flow cap, the big-M of the indicator form that
+    ``export_lp_text`` writes, and ``cuts`` are edge-id sets that no
+    solution may use all of.
     """
 
     variables: tuple[str, ...]
@@ -172,9 +174,9 @@ class IlpModel:
     lo: np.ndarray
     hi: np.ndarray
     A: np.ndarray
-    rhs: np.ndarray
+    row_lo: np.ndarray
+    row_hi: np.ndarray
     rows: tuple[str, ...]
-    senses: tuple[str, ...]
     cost: np.ndarray
     sense: str  # "min" or "max"
     flow_cap: int | None = None
@@ -186,8 +188,9 @@ def build_model(h: Hypergraph, model: WeightModel, q: PathwayQuery) -> IlpModel:
     """Compile a query against a weighted hypergraph, with no cuts.
 
     Columns are the flows by edge id, then the exchange variables.  Rows
-    are conservation for every vertex by id, then the optional total-inflow
-    cap.  ``add_cut`` adds cuts.
+    are conservation for every vertex by id, bounded 0 and 0, then the
+    optional total-inflow cap, bounded -inf and ``total_inflow_max``.
+    ``add_cut`` adds cuts.
     """
     import numpy as np  # here, so that importing this module does not load numpy
 
@@ -221,10 +224,10 @@ def build_model(h: Hypergraph, model: WeightModel, q: PathwayQuery) -> IlpModel:
             A[vid, e.id] += mult
     for j, key in enumerate(keys[len(h.edges):], start=len(h.edges)):
         A[key[1], j] = 1.0 if key[0] == "in" else -1.0
-    rhs = np.zeros(len(rows))
+    row_lo, row_hi = np.zeros(len(rows)), np.zeros(len(rows))
     if q.total_inflow_max is not None:
         A[-1, len(h.edges):len(h.edges) + len(q.sources)] = 1.0
-        rhs[-1] = q.total_inflow_max
+        row_lo[-1], row_hi[-1] = -math.inf, q.total_inflow_max
 
     cost = np.zeros(len(columns))
     if q.maximize_outflow is not None:
@@ -238,9 +241,9 @@ def build_model(h: Hypergraph, model: WeightModel, q: PathwayQuery) -> IlpModel:
         lo=np.array([lo for _, lo, _, _ in columns], dtype=float),
         hi=np.array([hi for _, _, hi, _ in columns], dtype=float),
         A=A,
-        rhs=rhs,
+        row_lo=row_lo,
+        row_hi=row_hi,
         rows=tuple(rows),
-        senses=("=",) * n_vertices + ("<=",) * (len(rows) - n_vertices),
         cost=cost,
         sense="min" if q.maximize_outflow is None else "max",
         flow_cap=q.flow_cap,
@@ -281,6 +284,14 @@ def _terms(pairs: list[tuple[float, str]], first: str) -> str:
     return text.removeprefix("+ ") or f"0 {first}"
 
 
+def _sense(low: float, high: float) -> tuple[str, float]:
+    """The LP-text sense and right-hand side of a row bounded by ``low`` and
+    ``high``, one of them infinite unless they are equal."""
+    if low == high:
+        return "=", low
+    return ("<=", high) if math.isinf(low) else (">=", low)
+
+
 def export_lp_text(model: IlpModel) -> str:
     """Serialize a model in LP text format with a stable layout.
 
@@ -294,10 +305,8 @@ def export_lp_text(model: IlpModel) -> str:
     """
     names = model.variables
     lo, hi = model.lo.tolist(), model.hi.tolist()
-    rows = [
-        (name, list(zip(coeffs, names)), sense, rhs)
-        for name, coeffs, sense, rhs in zip(model.rows, model.A.tolist(), model.senses, model.rhs.tolist())
-    ]
+    bounded = zip(model.rows, model.A.tolist(), model.row_lo.tolist(), model.row_hi.tolist())
+    rows = [(name, list(zip(coeffs, names)), *_sense(low, high)) for name, coeffs, low, high in bounded]
     bounds = list(zip(names, lo, hi))
     binaries: list[str] = []
     if model.integral and model.flow_cap is not None:
@@ -320,8 +329,8 @@ def export_lp_text(model: IlpModel) -> str:
     out.append("Maximize" if model.sense == "max" else "Minimize")
     out.append(f" obj: {_terms(list(zip(model.cost.tolist(), names)), names[0])}")
     out.append("Subject To")
-    for name, pairs, sense, rhs in rows:
-        out.append(f" {name}: {_terms(pairs, names[0])} {sense} {_fmt(rhs)}")
+    for name, pairs, sense, bound in rows:
+        out.append(f" {name}: {_terms(pairs, names[0])} {sense} {_fmt(bound)}")
     out.append("Bounds")
     for name, low, high in bounds:
         if low == high:

@@ -2,20 +2,22 @@
 
 Every solver here reads the arrays of an ``IlpModel``.  ``simplex_solve`` is
 a dense-tableau bounded dual simplex: the tableau holds only the model's
-rows, each with a logical column, and a nonbasic column sits at its lower or
-upper bound, so every column needs finite bounds.  A solve starts from the
-all-logical basis, or warm from an earlier solve's final basis whose bounds
-contain its own; either basis is dual feasible, and the dual simplex, with
-Bland's rule, restores the basic columns' bounds.
+rows, each with a logical column bounded as its row is, and a nonbasic column
+sits at its lower or upper bound, so every column needs finite bounds.  A
+solve starts from the all-logical basis, or warm from an earlier solve's
+final basis whose bounds contain its own; either basis is dual feasible, and
+the dual simplex, with Bland's rule, restores the basic columns' bounds.
 ``branch_and_bound`` searches depth first with every column integral; its
 nodes differ only in their bounds, and each node re-solves from its
 parent's basis.  A cut ("not every edge of S") is not a row: an integral
 leaf that uses every edge of S becomes partition branches, one per edge of
 S (Lawler's k-best partition).  The optimum is then canonicalized, under an
 objective cutoff, to the lexicographically smallest optimal support, so
-runs and enumeration are deterministic.  It raises ``SolverError`` when an
-LP relaxation ends numerically or when the canonical support admits no
-optimum, rather than report a support it could not confirm.
+runs and enumeration are deterministic.  An LP solve answers optimal or
+infeasible, or raises ``SolverError`` when its answer fails the check
+against the model's rows and bounds; the search raises it too when the
+canonical support admits no optimum, rather than report a support it could
+not confirm.  The search refuses a model that is not integral.
 ``enumerate_pathways`` solves the root LP cold once and peels off
 structurally distinct optima, each rank appending its support to the
 model's cuts, and ``brute_force`` is an independent exhaustive oracle over
@@ -47,8 +49,8 @@ class NodeLimitExceeded(Exception):
 
 
 class SolverError(RuntimeError):
-    """The search cannot confirm an optimum: an LP relaxation ended in a
-    status it cannot act on, or the canonical support admits no optimum."""
+    """The search cannot confirm an optimum: an LP solve's answer failed its
+    check against the model, or the canonical support admits no optimum."""
 
 
 class IterationLimit(SolverError):
@@ -61,39 +63,30 @@ class IterationLimit(SolverError):
 @dataclass(frozen=True)
 class _Basis:
     """A solve's final tableau ``B⁻¹[A I]`` with the reduced costs as its last
-    row, the basic column of each row, which columns sit at their upper
-    bound when nonbasic, and the model's ``_logical_bounds``."""
+    row, the basic column of each row, and which columns sit at their upper
+    bound when nonbasic."""
 
     T: np.ndarray
     basic: np.ndarray
     upper: np.ndarray
-    logical_bounds: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
 class LpSolution:
-    status: str  # optimal, infeasible or numerical
+    """An LP solve's answer; a solve that cannot answer raises SolverError."""
+
+    status: str  # optimal or infeasible
     objective: float | None = None
     values: np.ndarray | None = None  # in column order
     basis: _Basis | None = None  # the optimal basis, to warm-start tighter bounds from
 
 
-def _logical_bounds(model: IlpModel) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds of each row's logical ``rhs - A x``: 0 and inf for <=, -inf
-    and 0 for >=, 0 and 0 for =."""
-    return (
-        np.array([-math.inf if sense == ">=" else 0.0 for sense in model.senses]),
-        np.array([math.inf if sense == "<=" else 0.0 for sense in model.senses]),
-    )
-
-
-def _violated(model: IlpModel, x: np.ndarray, logical_bounds: tuple) -> bool:
-    """Whether ``x`` breaks a row by more than 1e-6 + 1e-9·|rhs|;
-    ``logical_bounds`` are the model's ``_logical_bounds``."""
-    row_lo, row_hi = logical_bounds
-    logical = model.rhs - model.A @ x
-    tol = 1e-6 + 1e-9 * np.abs(model.rhs)
-    return bool(((logical < row_lo - tol) | (logical > row_hi + tol)).any())
+def _violated(model: IlpModel, x: np.ndarray) -> bool:
+    """Whether ``A @ x`` passes a row bound b by more than 1e-6 + 1e-9·|b|."""
+    ax = model.A @ x
+    below = ax < model.row_lo - (1e-6 + 1e-9 * np.abs(model.row_lo))
+    above = ax > model.row_hi + (1e-6 + 1e-9 * np.abs(model.row_hi))
+    return bool((below | above).any())
 
 
 def _objective(model: IlpModel, values: list) -> float:
@@ -151,15 +144,16 @@ def simplex_solve(
     ``bounds = (lo, hi)`` may replace the model's column bounds.  Every
     column needs finite bounds; one without raises ValueError.
 
-    Bounds stay out of the tableau, which has one row per model row.  Cold,
-    the solve starts from the all-logical basis with each nonbasic column at
-    the bound its cost favours.  Warm, it starts from ``start``, the basis of
+    Bounds stay out of the tableau ``B⁻¹[A I]``, which has one row per model
+    row; row i's logical column is ``-A[i] @ x``, within ``-row_hi[i]`` and
+    ``-row_lo[i]``.  Cold, the solve starts from the all-logical basis with
+    each nonbasic column at the bound its cost favours.  Warm, it starts from ``start``, the basis of
     a solve of the same model whose bounds contain these: each nonbasic
     column moves to the same side of its new bounds.  Either basis is dual
     feasible, so the dual simplex, restoring the basics' bounds, ends at an
     optimum.  The answer is checked against every row and bound; a solve
-    that fails that check ends ``numerical``.  Raises ``IterationLimit`` when
-    the dual simplex runs ``MAX_PIVOTS`` iterations.
+    that fails that check raises ``SolverError``, and one that runs
+    ``MAX_PIVOTS`` dual simplex iterations raises ``IterationLimit``.
     """
     lo, hi = (model.lo, model.hi) if bounds is None else bounds
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -175,15 +169,13 @@ def simplex_solve(
         T[m, :n] += (1.0 if model.sense == "min" else -1.0) * model.cost
         upper = T[m] < 0
         basic = np.arange(n, n + m)
-        logical_bounds = _logical_bounds(model)
     else:
         T, basic, upper = start.T.copy(), start.basic.copy(), start.upper
-        logical_bounds = start.logical_bounds
-    full_lo = np.concatenate([lo, logical_bounds[0]])
-    full_hi = np.concatenate([hi, logical_bounds[1]])
+    full_lo = np.concatenate([lo, -model.row_hi])
+    full_hi = np.concatenate([hi, -model.row_lo])
     x = np.where(upper, full_hi, full_lo)
     x[basic] = 0.0
-    x[basic] = T[:m, n:] @ (model.rhs - model.A @ x[:n] - x[n:])
+    x[basic] = T[:m, n:] @ (-(model.A @ x[:n]) - x[n:])
 
     status = _dual(T, x, basic, full_lo, full_hi)
     if status != "optimal":
@@ -191,9 +183,9 @@ def simplex_solve(
 
     # verify the claimed optimum actually satisfies what was asked
     values = x[:n]
-    if _violated(model, values, logical_bounds) or (values < lo - 1e-6).any() or (values > hi + 1e-6).any():
-        return LpSolution("numerical")
-    basis = _Basis(T, basic, x >= full_hi, logical_bounds)
+    if _violated(model, values) or (values < lo - 1e-6).any() or (values > hi + 1e-6).any():
+        raise SolverError("relaxation came back numerical")
+    basis = _Basis(T, basic, x >= full_hi)
     return LpSolution("optimal", _objective(model, values.tolist()), values, basis)
 
 
@@ -277,18 +269,16 @@ def _dfs(
         lp = root if parent is None else simplex_solve(model, (lo, hi), start=parent)
         if lp.status == "infeasible":
             continue
-        if lp.status != "optimal":
-            raise SolverError(f"relaxation came back {lp.status}")
         if sign * lp.objective - price_tol * (hi - lo).sum() > cutoff:
             continue
         prune_tol = 1e-6 + 1e-9 * abs(best_signed if best else 0.0)
         if best is not None and sign * lp.objective >= best_signed - prune_tol:
             continue
         x = lp.values
-        frac = np.abs(x - x.round()) if model.integral else x[:0]
+        frac = np.abs(x - x.round())
         if frac.size == 0 or frac.max() <= INTEGRALITY_TOL:
             snapped = x.round()
-            if _violated(model, snapped, lp.basis.logical_bounds):
+            if _violated(model, snapped):
                 continue
             exact = _objective(model, snapped.tolist())
             if sign * exact > cutoff:
@@ -344,10 +334,11 @@ def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> I
     lexicographically smallest edge support: edges are admitted in id order
     only when some optimum needs them given the decisions so far, and the
     first optimum found on exactly the admitted edges, searched for before
-    the first admission and after each, is the answer.  Raises SolverError
-    when an LP relaxation ends numerically, or when no optimum is found on
-    the support chosen this way.  ``enumerate_pathways`` solves the root LP
-    once and runs this search from it for every rank.
+    the first admission and after each, is the answer.  Raises ValueError
+    for a model that is not integral, and SolverError when an LP solve's
+    answer fails its check, or when no optimum is found on the support
+    chosen this way.  ``enumerate_pathways`` solves the root LP once and
+    runs this search from it for every rank.
     """
     return _optimum(model, node_limit, simplex_solve(model))
 
@@ -355,6 +346,8 @@ def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> I
 def _optimum(model: IlpModel, node_limit: int, root: LpSolution) -> IlpSolution:
     """``branch_and_bound`` of ``model``, whose LP solution at its own bounds
     is ``root``; every search starts from it."""
+    if not model.integral:
+        raise ValueError("branch and bound needs an integral model; simplex_solve solves its relaxation")
     search = _Search(node_limit)
     raw = _dfs(model, root, search)
     if raw is None:
@@ -413,9 +406,9 @@ def enumerate_pathways(
 def brute_force(model: IlpModel, grid_limit: int = 100_000_000) -> IlpSolution:
     """Independent reference solver: enumerate every integer assignment.
 
-    Each row is checked within 1e-9·(1 + |rhs|), and a cut holds where some
-    edge of it carries no flow.  Ties on the objective keep the
-    lexicographically first assignment in column order.
+    Each row is checked within 1e-9·(1 + |b|) of each of its bounds b, and
+    a cut holds where some edge of it carries no flow.  Ties on the
+    objective keep the lexicographically first assignment in column order.
     """
     lows = []
     sizes = []
@@ -450,15 +443,9 @@ def brute_force(model: IlpModel, grid_limit: int = 100_000_000) -> IlpSolution:
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         X = (idx[np.newaxis, :] // strides_arr) % sizes_arr + lows_arr
         ok = np.ones(len(idx), dtype=bool)
-        for coeffs, sense, rhs in zip(model.A, model.senses, model.rhs.tolist()):
+        for coeffs, low, high in zip(model.A, model.row_lo.tolist(), model.row_hi.tolist()):
             value = coeffs @ X
-            tol = 1e-9 * (1.0 + abs(rhs))
-            if sense == "<=":
-                ok &= value <= rhs + tol
-            elif sense == ">=":
-                ok &= value >= rhs - tol
-            else:
-                ok &= np.abs(value - rhs) <= tol
+            ok &= (value >= low - 1e-9 * (1.0 + abs(low))) & (value <= high + 1e-9 * (1.0 + abs(high)))
         for cut in cuts:
             ok &= ~np.all(X[cut] >= 1, axis=0)
         if not ok.any():

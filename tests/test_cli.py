@@ -1,5 +1,4 @@
 """End-to-end command line behavior, run in process."""
-import itertools
 import json
 import random
 import subprocess
@@ -494,19 +493,8 @@ def test_query_node_limit_flag(tmp_path, capsys):
     assert manifest["node_limit"] == 100000
 
 
-def simplex_ends_numerically(monkeypatch, after=0):
-    """The dual simplex loop, which every LP solve runs first, ends
-    ``numerical`` from its call number ``after`` (0-based) on."""
-    real, calls = solve._dual, itertools.count()
-
-    def dual(*args, **kwargs):
-        return real(*args, **kwargs) if next(calls) < after else "numerical"
-
-    monkeypatch.setattr(solve, "_dual", dual)
-
-
 def check_query_numerical_exit_4(tmp_path, capsys, monkeypatch, after):
-    simplex_ends_numerically(monkeypatch, after)
+    helpers.simplex_ends_numerically(monkeypatch, after)
     net, network, barriers, query = flux_setup(tmp_path)
     out = tmp_path / "solutions.json"
     argv = ["query", "--network", network, "--barriers", barriers, "--query", query,
@@ -531,7 +519,7 @@ def test_query_numerical_warm_solve_exit_4(tmp_path, capsys, monkeypatch):
 
 
 def test_query_relax_numerical_exit_4(tmp_path, capsys, monkeypatch):
-    simplex_ends_numerically(monkeypatch)
+    helpers.simplex_ends_numerically(monkeypatch)
     net, network, barriers, query = flux_setup(tmp_path)
     argv = ["query", "--network", network, "--barriers", barriers, "--query", query,
             "--relax", "--output", str(tmp_path / "relaxed.json")]
@@ -933,7 +921,7 @@ def test_no_manifest_unless_a_command_succeeds_and_writes(
     tmp_path, capsys, monkeypatch, case, code
 ):
     if case == "numerical":
-        simplex_ends_numerically(monkeypatch)
+        helpers.simplex_ends_numerically(monkeypatch)
     net, query_obj = nets.cascade_network()
     network = write_network(tmp_path, net)
     barriers = write_barriers(tmp_path, nets.uniform_barriers(net))

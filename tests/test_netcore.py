@@ -23,6 +23,15 @@ def test_add_molecule_deduplicates_isomorphs():
     assert rng is not None
 
 
+def test_hypergraph_is_built_only_through_its_checked_inserts():
+    # a network handed in whole would skip every check of add_molecule and
+    # add_reaction
+    with pytest.raises(TypeError):
+        Hypergraph(vertices=[])
+    net = Hypergraph()
+    assert (net.vertices, net.edges) == ([], [])
+
+
 def test_vertex_is_found_by_its_canonical_key():
     net = Hypergraph()
     net.add_molecule(molecules.water())

@@ -1,4 +1,5 @@
 """Query validation, ILP compilation, relaxation, and LP text export."""
+import math
 from dataclasses import fields, replace
 
 import pytest
@@ -166,8 +167,8 @@ def test_build_model_row_layout():
         "conserve_v0", "conserve_v1", "conserve_v2", "conserve_v3",
         "total_inflow",
     )
-    assert model.senses == ("=", "=", "=", "=", "<=")
-    assert model.rhs.tolist() == [0.0, 0.0, 0.0, 0.0, 3.0]
+    assert model.row_lo.tolist() == [0.0, 0.0, 0.0, 0.0, -math.inf]
+    assert model.row_hi.tolist() == [0.0, 0.0, 0.0, 0.0, 3.0]
     # columns f_0 f_1 f_2 in_0 in_1 in_2 out_3
     assert model.A.tolist() == [
         [-2.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],

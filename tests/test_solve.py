@@ -41,7 +41,7 @@ def weighted(net, kj=20.0):
 
 def lp(bounds, rows, cost, sense):
     """A continuous LP over columns x0, x1, ...: ``bounds`` are their (lo,
-    hi) pairs, ``rows`` (coefficients, sense, rhs) triples and ``cost`` the
+    hi) pairs, ``rows`` (coefficients, lo, hi) triples and ``cost`` the
     objective's coefficients."""
     names = tuple(f"x{j}" for j in range(len(bounds)))
     return IlpModel(
@@ -50,9 +50,9 @@ def lp(bounds, rows, cost, sense):
         lo=np.array([lo for lo, _ in bounds], dtype=float),
         hi=np.array([hi for _, hi in bounds], dtype=float),
         A=np.array([coeffs for coeffs, _, _ in rows], dtype=float).reshape(len(rows), len(names)),
-        rhs=np.array([rhs for _, _, rhs in rows], dtype=float),
+        row_lo=np.array([lo for _, lo, _ in rows], dtype=float),
+        row_hi=np.array([hi for _, _, hi in rows], dtype=float),
         rows=tuple(f"r{i}" for i in range(len(rows))),
-        senses=tuple(sense for _, sense, _ in rows),
         cost=np.array(cost, dtype=float),
         sense=sense,
         integral=False,
@@ -72,7 +72,7 @@ def indicator_consistent(solution, cap):
 
 
 def test_simplex_single_variable():
-    m = lp([(0.0, 5.0)], [([1.0], "<=", 3.0)], [1.0], "max")
+    m = lp([(0.0, 5.0)], [([1.0], -math.inf, 3.0)], [1.0], "max")
     out = simplex_solve(m)
     assert out.status == "optimal"
     assert out.objective == pytest.approx(3.0)
@@ -80,7 +80,7 @@ def test_simplex_single_variable():
 
 
 def test_simplex_equality_and_min():
-    m = lp([(0.0, 10.0), (0.0, 10.0)], [([1.0, 1.0], "=", 4.0)], [3.0, 1.0], "min")
+    m = lp([(0.0, 10.0), (0.0, 10.0)], [([1.0, 1.0], 4.0, 4.0)], [3.0, 1.0], "min")
     out = simplex_solve(m)
     assert out.status == "optimal"
     assert out.objective == pytest.approx(4.0)
@@ -88,7 +88,7 @@ def test_simplex_equality_and_min():
 
 
 def test_simplex_infeasible():
-    m = lp([(0.0, 1.0)], [([1.0], ">=", 2.0)], [1.0], "min")
+    m = lp([(0.0, 1.0)], [([1.0], 2.0, math.inf)], [1.0], "min")
     assert simplex_solve(m).status == "infeasible"
 
 
@@ -103,7 +103,7 @@ def test_simplex_unbounded():
     m = lp([(0.0, math.inf)], [], [1.0], "max")
     with pytest.raises(ValueError, match="finite bounds"):
         simplex_solve(m)
-    boxed = lp([(0.0, 2.0), (0.0, 2.0)], [([1.0, 1.0], ">=", 1.0)], [1.0, 2.0], "min")
+    boxed = lp([(0.0, 2.0), (0.0, 2.0)], [([1.0, 1.0], 1.0, math.inf)], [1.0, 2.0], "min")
     assert simplex_solve(boxed).objective == pytest.approx(1.0)
     for low, high in [(-math.inf, math.inf), (-math.inf, 0.0), (0.0, math.inf)]:
         with pytest.raises(ValueError, match="finite bounds"):
@@ -114,7 +114,7 @@ def test_simplex_unbounded():
 
 
 def test_simplex_nonzero_lower_bounds():
-    m = lp([(2.0, 6.0), (1.0, 6.0)], [([1.0, 1.0], "<=", 5.0)], [1.0, 1.0], "max")
+    m = lp([(2.0, 6.0), (1.0, 6.0)], [([1.0, 1.0], -math.inf, 5.0)], [1.0, 1.0], "max")
     out = simplex_solve(m)
     assert out.status == "optimal"
     assert out.objective == pytest.approx(5.0)
@@ -123,11 +123,12 @@ def test_simplex_nonzero_lower_bounds():
 
 def test_simplex_bound_overrides_and_extra_rows():
     box = [(0.0, 5.0), (0.0, 5.0)]
-    m = lp(box, [([1.0, 1.0], "<=", 6.0)], [1.0, 2.0], "max")
+    m = lp(box, [([1.0, 1.0], -math.inf, 6.0)], [1.0, 2.0], "max")
     assert simplex_solve(m).objective == pytest.approx(11.0)
     pinned = simplex_solve(replace(m, hi=np.array([5.0, 1.0])))
     assert pinned.objective == pytest.approx(7.0)
-    constrained = simplex_solve(lp(box, [([1.0, 1.0], "<=", 6.0), ([1.0, 0.0], ">=", 4.0)], [1.0, 2.0], "max"))
+    rows = [([1.0, 1.0], -math.inf, 6.0), ([1.0, 0.0], 4.0, math.inf)]
+    constrained = simplex_solve(lp(box, rows, [1.0, 2.0], "max"))
     assert constrained.objective == pytest.approx(8.0)
     assert constrained.values[0] == pytest.approx(4.0)
 
@@ -143,7 +144,7 @@ def test_simplex_free_columns_and_both_row_senses():
     # x may go negative, but within a box wide enough that only the rows bind
     m = lp(
         [(-10.0, 10.0), (0.0, 4.0)],
-        [([1.0, 1.0], ">=", 3.0), ([1.0, -1.0], "<=", 1.0)],
+        [([1.0, 1.0], 3.0, math.inf), ([1.0, -1.0], -math.inf, 1.0)],
         [1.0, 2.0],
         "min",
     )
@@ -171,8 +172,10 @@ def test_simplex_matches_highs_on_random_lps():
             coeffs = [0.0] * n
             for j in rng.sample(range(n), rng.randint(1, n)):
                 coeffs[j] = float(rng.randint(-3, 3))
-            sense = rng.choice(["<=", ">=", "="])
-            model_rows.append((coeffs, sense, float(rng.randint(-4, 6))))
+            # each row is A x <= b, A x >= b or A x = b
+            low, high = rng.choice([(-math.inf, 0.0), (0.0, math.inf), (0.0, 0.0)])
+            b = float(rng.randint(-4, 6))
+            model_rows.append((coeffs, low + b, high + b))
         cost = [float(rng.randint(-3, 3)) for _ in range(n)]
         model = lp(bounds, model_rows, cost, rng.choice(["min", "max"]))
         if not all(map(math.isfinite, itertools.chain(*bounds))):
@@ -182,17 +185,10 @@ def test_simplex_matches_highs_on_random_lps():
         compared += 1
         out = simplex_solve(model)
         sign = 1.0 if model.sense == "min" else -1.0
-        A, senses, rhs = model.A, model.senses, model.rhs
-        ub_rows = [i for i, sense in enumerate(senses) if sense != "="]
-        flip = np.array([1.0 if senses[i] == "<=" else -1.0 for i in ub_rows])
-        eq_rows = [i for i, sense in enumerate(senses) if sense == "="]
-        ref = optimize.linprog(
+        ref = optimize.milp(
             [sign * c for c in cost],
-            A_ub=(A[ub_rows] * flip[:, None]) if ub_rows else None,
-            b_ub=(rhs[ub_rows] * flip) if ub_rows else None,
-            A_eq=A[eq_rows] if eq_rows else None,
-            b_eq=rhs[eq_rows] if eq_rows else None,
-            bounds=bounds,
+            constraints=optimize.LinearConstraint(model.A, model.row_lo, model.row_hi) if rows else (),
+            bounds=optimize.Bounds(model.lo, model.hi),
         )
         expected = {0: "optimal", 2: "infeasible"}[ref.status]
         assert out.status == expected, (model, ref.message)
@@ -209,6 +205,26 @@ def test_simplex_iteration_limit_is_a_typed_solver_error(monkeypatch):
     with pytest.raises(IterationLimit, match="iteration limit of 1 ") as raised:
         simplex_solve(model)
     assert isinstance(raised.value, SolverError)
+
+
+def test_simplex_answer_failing_its_check_raises(monkeypatch):
+    net, query = nets.flux_demo()
+    model = relax(build_model(net, weighted(net), query))
+    helpers.simplex_ends_numerically(monkeypatch)
+    with pytest.raises(SolverError, match="numerical"):
+        simplex_solve(model)
+
+
+def test_search_refuses_a_relaxed_model():
+    # the relaxation is feasible, at 1.5; a search of it used to round the
+    # fractional point, reject it and answer infeasible
+    net, query = nets.flux_demo()
+    model = relax(build_model(net, weighted(net), query))
+    assert simplex_solve(model).objective == pytest.approx(1.5, abs=1e-9)
+    with pytest.raises(ValueError, match="integral"):
+        branch_and_bound(model)
+    with pytest.raises(ValueError, match="integral"):
+        enumerate_pathways(model, 3)
 
 
 def test_relaxation_bounds_integer_optimum():
@@ -640,7 +656,7 @@ def assert_warm_agrees_with_cold(model, lo, hi, start):
     assert warm.status == cold.status
     if cold.status == "optimal":
         assert abs(warm.objective - cold.objective) <= 1e-6 + 1e-9 * abs(cold.objective)
-        assert not solve._violated(model, warm.values, solve._logical_bounds(model))
+        assert not solve._violated(model, warm.values)
         assert (warm.values >= lo - 1e-6).all() and (warm.values <= hi + 1e-6).all()
     return warm
 
@@ -740,12 +756,10 @@ def highs_optimum(model):
     """Objective of the ILP at the optimum scipy's HiGHS finds, or None."""
     optimize = pytest.importorskip("scipy.optimize")
     assert not model.cuts  # cuts are not rows; HiGHS would not see them
-    lb = np.array([rhs if sense in (">=", "=") else -np.inf for sense, rhs in zip(model.senses, model.rhs)])
-    ub = np.array([rhs if sense in ("<=", "=") else np.inf for sense, rhs in zip(model.senses, model.rhs)])
     sign = 1.0 if model.sense == "min" else -1.0
     res = optimize.milp(
         sign * model.cost / 1000.0,  # kJ/mol keeps HiGHS well scaled
-        constraints=optimize.LinearConstraint(model.A, lb, ub),
+        constraints=optimize.LinearConstraint(model.A, model.row_lo, model.row_hi),
         integrality=np.ones(len(model.variables)),
         bounds=optimize.Bounds(model.lo, model.hi),
         options={"mip_rel_gap": 0.0},
