@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .molgraph import (
     Atom,
     Bond,
-    CanonicalForm,
     MgfError,
     MolecularGraph,
     canonical_form,
@@ -22,7 +21,6 @@ from .netcore import Hyperedge, Hypergraph, Vertex
 __all__ = [
     "Atom",
     "Bond",
-    "CanonicalForm",
     "MgfError",
     "MolecularGraph",
     "canonical_form",

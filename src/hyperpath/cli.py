@@ -198,7 +198,7 @@ def _cmd_expand(args, run: _Run) -> int:
         run.write(dot_path, result.network.to_dot())
         print(f"wrote {dot_path}")
     run.extra = {
-        "iterations_run": result.iterations_run,
+        "iterations_run": len(result.history),
         "reached_fixpoint": result.reached_fixpoint,
         "history": [list(h) for h in result.history],
     }
@@ -241,7 +241,7 @@ def _solution_json(rank: int, solution, weights) -> dict:
         "score_j_per_mol": score,
         "score_kj_per_mol": score / 1000.0,
         "support": solution.support,
-        "indicators": {str(e): z for e, z in sorted(solution.indicator.items()) if z},
+        "indicators": {str(e): 1 for e in solution.support},
         **_flow_to_json(solution.flow),
     }
 
@@ -289,7 +289,7 @@ def _cmd_query(args, run: _Run) -> int:
         "temperature_k": args.temperature_k,
         "rank_requested": args.rank,
         "solutions": solutions,
-        "cuts": [sorted(c) for c in ranked.cuts],
+        "cuts": [s.support for s in ranked.solutions if s.support],
     }
     run.write_json(args.output, data)
 

@@ -2,11 +2,12 @@
 
 Molecules are undirected simple graphs whose vertices carry an element symbol
 and an integer charge and whose edges carry a bond order (single, double,
-triple, or aromatic).  Isomorphism classes are identified through a canonical
-key computed by iterative color refinement with tie-breaking by cell
-branching, so two graphs are isomorphic exactly when their keys compare equal.
-Branching skips a vertex that is a twin of one already tried, because swapping
-the two is an automorphism and so leaves the smallest certificate unchanged.
+triple, or aromatic).  A molecule's isomorphism class is named by its
+canonical key, a ``bytes`` value computed by iterative color refinement with
+tie-breaking by cell branching, so two graphs are isomorphic exactly when
+their keys are equal.  Branching skips a vertex that is a twin of one
+already tried, because swapping the two is an automorphism and so leaves the
+smallest certificate unchanged.
 """
 from __future__ import annotations
 
@@ -196,7 +197,7 @@ def element_counts(g: MolecularGraph) -> dict[str, int]:
 
 def _parse_block(lines: list[tuple[int, str]]) -> MolecularGraph | None:
     """A block's molecule, or None for comments only; bonds are checked last."""
-    atoms: dict[int, Atom] = {}
+    atoms: dict[int, tuple[int, str, int]] = {}
     bonds: list[tuple[int, tuple[int, int, str]]] = []
     for ln, content in lines:
         if content.startswith("#"):
@@ -217,7 +218,7 @@ def _parse_block(lines: list[tuple[int, str]]) -> MolecularGraph | None:
                 raise MgfError(f"bad charge {fields[3]!r}", ln)
             if aid in atoms:
                 raise MgfError(f"duplicate atom id {aid}", ln)
-            atoms[aid] = Atom(aid, element, charge)
+            atoms[aid] = (aid, element, charge)
         elif kind == "bond":
             bonds.append((ln, read_bond(fields, ln, MgfError)))
         else:
@@ -236,10 +237,7 @@ def _parse_block(lines: list[tuple[int, str]]) -> MolecularGraph | None:
         if pair in pairs:
             raise MgfError(f"parallel bond {pair[0]}-{pair[1]}", ln)
         pairs[pair] = order
-    return MolecularGraph(
-        tuple(sorted(atoms.values())),
-        tuple(sorted(Bond(a, b, order) for (a, b), order in pairs.items())),
-    )
+    return _from_tables(atoms.values(), [(a, b, order) for (a, b), order in pairs.items()])
 
 
 def parse_molecules(text: str) -> list[MolecularGraph]:
@@ -283,16 +281,11 @@ def serialize_molecule(g: MolecularGraph) -> str:
 # Canonical form
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Permutation-invariant certificate; equal keys mean isomorphic graphs."""
-
-    key: bytes
-
-
-def _refine(colors: dict[int, int], adj: dict[int, list[tuple[int, str]]]) -> dict[int, int]:
+def _refine(colors: dict, adj: dict[int, list[tuple[int, str]]]) -> dict[int, int]:
     # classic 1-dimensional Weisfeiler-Leman refinement; colors are re-indexed
-    # from sorted signatures each round, which keeps them relabeling-invariant
+    # from sorted signatures each round, which keeps them relabeling-invariant;
+    # the input colors need only sort, since an order-preserving relabel of
+    # them cannot change the output
     while True:
         sig = {
             v: (colors[v], tuple(sorted((order, colors[u]) for u, order in adj[v])))
@@ -318,7 +311,7 @@ def _certificate(g: MolecularGraph, order: list[int]) -> bytes:
     return repr((atom_part, bond_part)).encode()
 
 
-def _canonical_search(g, adj, colors: dict[int, int]) -> bytes:
+def _canonical_search(g, adj, colors: dict) -> bytes:
     colors = _refine(colors, adj)
     cells: dict[int, list[int]] = {}
     for v, c in colors.items():
@@ -338,9 +331,6 @@ def _canonical_search(g, adj, colors: dict[int, int]) -> bytes:
             continue
         tried.append(v)
         child = {u: (colors[u] * 2 + (0 if u == v else 1)) for u in colors}
-        # re-normalize to dense ints so refinement signatures stay small
-        palette = {c: i for i, c in enumerate(sorted(set(child.values())))}
-        child = {u: palette[c] for u, c in child.items()}
         cert = _canonical_search(g, adj, child)
         if best is None or cert < best:
             best = cert
@@ -360,20 +350,19 @@ def _twins(adj: dict[int, list[tuple[int, str]]], v: int, w: int) -> bool:
 
 
 @functools.lru_cache(maxsize=65536)
-def canonical_form(g: MolecularGraph) -> CanonicalForm:
-    """Canonical key via color refinement plus cell branching.
+def canonical_form(g: MolecularGraph) -> bytes:
+    """The canonical key: equal keys exactly for isomorphic graphs, and
+    ``b"()"`` for the empty graph.
 
-    Branching tries every vertex of the smallest non-singleton cell except
+    Colors start as each atom's (element, charge) and are refined, then
+    branching tries every vertex of the smallest non-singleton cell except
     twins of a vertex already tried (see ``_twins``), whose subtrees give the
     same certificates; the key is the smallest certificate over all leaves.
     """
     if not g.atoms:
-        return CanonicalForm(b"()")
-    adj = g.adjacency()
-    initial_keys = sorted({(a.element, a.charge) for a in g.atoms})
-    palette = {k: i for i, k in enumerate(initial_keys)}
-    colors = {a.id: palette[(a.element, a.charge)] for a in g.atoms}
-    return CanonicalForm(_canonical_search(g, adj, colors))
+        return b"()"
+    colors = {a.id: (a.element, a.charge) for a in g.atoms}
+    return _canonical_search(g, g.adjacency(), colors)
 
 
 def connected_components(g: MolecularGraph) -> list[MolecularGraph]:

@@ -86,7 +86,7 @@ class Hypergraph:
 
     def add_molecule(self, graph: MolecularGraph) -> int:
         """Insert a molecule, returning the existing vertex id when isomorphic."""
-        key = canonical_form(graph).key
+        key = canonical_form(graph)
         if key in self._by_key:
             return self._by_key[key]
         vertex = Vertex(len(self.vertices), key, graph)

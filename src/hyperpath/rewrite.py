@@ -476,8 +476,8 @@ def apply_rule(
     record = DerivationRecord(
         rule=rule.name,
         class_binding=tuple(sorted(match.class_binding.items())),
-        reactant_keys=tuple(sorted(canonical_form(h).key for h in union.hosts)),
-        product_keys=tuple(sorted(canonical_form(p).key for p in products)),
+        reactant_keys=tuple(sorted(canonical_form(h) for h in union.hosts)),
+        product_keys=tuple(sorted(canonical_form(p) for p in products)),
     )
     return products, record
 
@@ -549,16 +549,13 @@ class ExpansionConfig:
 
 @dataclass
 class ExpansionResult:
-    """Expanded network plus per-edge provenance and per-iteration sizes."""
+    """Expanded network plus per-edge provenance and per-iteration sizes:
+    ``history`` holds one (molecules, reactions) pair per iteration run."""
 
     network: Hypergraph
     derivations: dict[int, list[DerivationRecord]]
     history: list[tuple[int, int]]
     reached_fixpoint: bool
-
-    @property
-    def iterations_run(self) -> int:
-        return len(self.history)
 
 
 def _directional_rules(rules: list[Rule]) -> list[Rule]:

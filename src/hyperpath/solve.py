@@ -18,11 +18,12 @@ infeasible, or raises ``SolverError`` when its answer fails the check
 against the model's rows and bounds; the search raises it too when the
 canonical support admits no optimum, rather than report a support it could
 not confirm.  The search refuses a model that is not integral.
-``enumerate_pathways`` solves the root LP cold once and peels off
-structurally distinct optima, each rank appending its support to the
-model's cuts, and ``brute_force`` is an independent exhaustive oracle over
-the same model.  Every objective value is a sequential sum in column order,
-so that it is the same float wherever it is taken.
+``enumerate_pathways`` solves the root LP cold once, passes it to
+``branch_and_bound`` as the root of every rank, and peels off structurally
+distinct optima, each rank appending its support to the model's cuts.
+``brute_force`` is an independent exhaustive oracle over the same model.
+Every objective value is a sequential sum in column order, so that it is
+the same float wherever it is taken.
 """
 from __future__ import annotations
 
@@ -195,10 +196,12 @@ def simplex_solve(
 
 @dataclass
 class IlpSolution:
+    """A search's answer: ``flow`` maps each column's key to its integral
+    value, and ``support`` lists, in id order, the edges that carry flow."""
+
     status: str  # optimal or infeasible
     objective: float | None = None
     flow: dict | None = None
-    indicator: dict[int, int] | None = None
     support: list[int] = field(default_factory=list)
     nodes: int = 0
 
@@ -317,14 +320,18 @@ def _finish(model: IlpModel, exact: float, values: list, nodes: int) -> IlpSolut
     """A solution of the model from its integral values in column order; an
     edge is used exactly when it carries flow."""
     flow = {key: int(value) for key, value in zip(model.keys, values)}
-    indicator = {key: int(value >= 1) for key, value in flow.items() if isinstance(key, int)}
-    support = sorted(eid for eid, z in indicator.items() if z)
-    return IlpSolution("optimal", exact, flow, indicator, support, nodes)
+    support = sorted(key for key, value in flow.items() if isinstance(key, int) and value >= 1)
+    return IlpSolution("optimal", exact, flow, support, nodes)
 
 
-def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> IlpSolution:
+def branch_and_bound(
+    model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT, root: LpSolution | None = None
+) -> IlpSolution:
     """Solve to optimality, then canonicalize the support.
 
+    ``root`` is the model's LP solution at its own bounds, if the caller has
+    solved it already; otherwise it is solved cold here.  Every search
+    starts from it, and the answer is the same with it or without it.
     Search nodes differ only in their bounds, and each node re-solves its LP
     from its parent's basis.  Support pins are flow bounds (unused is
     f = 0, used is f >= 1), and each cut of ``model.cuts`` becomes partition
@@ -337,17 +344,12 @@ def branch_and_bound(model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT) -> I
     the first admission and after each, is the answer.  Raises ValueError
     for a model that is not integral, and SolverError when an LP solve's
     answer fails its check, or when no optimum is found on the support
-    chosen this way.  ``enumerate_pathways`` solves the root LP once and
-    runs this search from it for every rank.
+    chosen this way.
     """
-    return _optimum(model, node_limit, simplex_solve(model))
-
-
-def _optimum(model: IlpModel, node_limit: int, root: LpSolution) -> IlpSolution:
-    """``branch_and_bound`` of ``model``, whose LP solution at its own bounds
-    is ``root``; every search starts from it."""
     if not model.integral:
         raise ValueError("branch and bound needs an integral model; simplex_solve solves its relaxation")
+    if root is None:
+        root = simplex_solve(model)
     search = _Search(node_limit)
     raw = _dfs(model, root, search)
     if raw is None:
@@ -370,8 +372,10 @@ def _optimum(model: IlpModel, node_limit: int, root: LpSolution) -> IlpSolution:
 
 @dataclass
 class RankedPathways:
+    """Up to k solutions, best first; each non-empty support is a cut of
+    every later rank."""
+
     solutions: list[IlpSolution]
-    cuts: tuple[frozenset, ...] = ()
 
 
 def enumerate_pathways(
@@ -383,20 +387,20 @@ def enumerate_pathways(
     Each found support is appended to the model's cuts, which the search
     turns into partition branches; nothing is rebuilt between ranks.  Cuts
     are not LP rows, so the root LP is the same for every rank: it is solved
-    cold once, and every search of every rank starts from its basis."""
+    cold once and passed to ``branch_and_bound`` as ``root`` for every rank."""
     if k < 1:
         raise ValueError("need k >= 1 pathways")
     root = simplex_solve(model)
     solutions: list[IlpSolution] = []
     for _ in range(k):
-        solution = _optimum(model, node_limit, root)
+        solution = branch_and_bound(model, node_limit, root)
         if solution.status != "optimal":
             break
         solutions.append(solution)
         if not solution.support:
             break
         model = add_cut(model, solution.support)
-    return RankedPathways(solutions, tuple(frozenset(s.support) for s in solutions if s.support))
+    return RankedPathways(solutions)
 
 
 # ---------------------------------------------------------------------------

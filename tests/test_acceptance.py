@@ -175,9 +175,9 @@ def test_criterion_06_enumeration_properties():
     supports = [frozenset(s.support) for s in ranked.solutions]
     for i, sol in enumerate(ranked.solutions):
         assert net.conservation_violations(sol.flow) == {}
-        for eid, z in sol.indicator.items():
-            used = sol.flow.get(eid, 0) >= 1
-            assert (z == 1) == used, f"edge {eid}: z={z}, flow={sol.flow.get(eid, 0)}"
+        for edge in net.edges:
+            flow = sol.flow.get(edge.id, 0)
+            assert (edge.id in sol.support) == (flow >= 1), f"edge {edge.id}: flow={flow}"
         for other in supports[i + 1:]:
             assert not (supports[i] <= other or other <= supports[i])
     return f"{len(ranked.solutions)} solutions conserve, link, and are incomparable "
@@ -219,8 +219,8 @@ def test_criterion_08_stretch_full_scale():
     n_mol, n_rxn = deep.history[-1]
     net = deep.network
     ids = {v.key: v.id for v in net.vertices}
-    water = ids[canonical_form(seed_molecules()[0]).key]
-    glyco = ids[canonical_form(seed_molecules()[1]).key]
+    water = ids[canonical_form(seed_molecules()[0])]
+    glyco = ids[canonical_form(seed_molecules()[1])]
     target = max(v.id for v in net.vertices)
     byproducts = {
         v.id: 10 for v in net.vertices if v.id not in (water, glyco, target)

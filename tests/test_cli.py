@@ -1143,7 +1143,7 @@ def test_cli_imports_no_test_oracle(module, unwanted):
 def test_benchmark_tracer_sees_the_model_and_the_solves():
     # bench/tracing.py wraps build_model, add_cut, simplex_solve,
     # branch_and_bound and enumerate_pathways by name and reads the built
-    # model's len(variables) and len(rows)
+    # model's len(variables) and len(rows) and each search's node count
     root = Path(hyperpath.__file__).resolve().parents[2]
     code = "\n".join([
         "import sys",
@@ -1168,6 +1168,8 @@ def test_benchmark_tracer_sees_the_model_and_the_solves():
     assert (metrics["pathopt.model_vars"], metrics["pathopt.model_rows"]) == (7, 5)
     assert metrics["pathopt.build_calls"] == 1
     assert metrics["solve.lp_calls"] > 0
+    # enumeration searches every rank through branch_and_bound
+    assert metrics["solve.bb_calls"] == 3 and metrics["solve.bb_nodes"] > 0
 
 
 # -- inputs that cannot crash --------------------------------------------------

@@ -321,7 +321,7 @@ def test_solution_flow_maps_columns_through_keys():
     found = solve._finish(model, 1.0, [1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 1.0], 1)
     assert found.flow == {0: 1, 1: 0, 2: 0, ("in", 0): 2, ("in", 1): 0, ("in", 2): 0, ("out", 3): 1}
     assert all(type(value) is int for value in found.flow.values())
-    assert found.indicator == {0: 1, 1: 0, 2: 0} and found.support == [0]
+    assert found.support == [0]
 
 
 def test_export_lp_grammar():

@@ -1,6 +1,8 @@
 """Rule parsing, subgraph matching, rewriting, and network expansion."""
 import dataclasses
 import functools
+import hashlib
+import json
 import random
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -398,8 +400,8 @@ def test_apply_rule_nitrile_addition():
     )
     assert helpers.are_isomorphic(products[0], expected)
     assert record.rule == "nitrile-addition"
-    assert record.product_keys == (canonical_form(expected).key,)
-    assert record.reactant_keys == tuple(sorted(canonical_form(h).key for h in hosts))
+    assert record.product_keys == (canonical_form(expected),)
+    assert record.reactant_keys == tuple(sorted(canonical_form(h) for h in hosts))
 
 
 def test_apply_rule_refuses_a_product_before_keying_it():
@@ -470,8 +472,8 @@ def reference_apply_rule(rule, match, hosts, admit, caps):
     record = DerivationRecord(
         rule=rule.name,
         class_binding=tuple(sorted(match.class_binding.items())),
-        reactant_keys=tuple(sorted(canonical_form(h).key for h in hosts)),
-        product_keys=tuple(sorted(canonical_form(p).key for p in products)),
+        reactant_keys=tuple(sorted(canonical_form(h) for h in hosts)),
+        product_keys=tuple(sorted(canonical_form(p) for p in products)),
     )
     return products, record
 
@@ -533,7 +535,7 @@ def every_task(result, seeds, rules) -> list:
 
 def task_key(task):
     rule, hosts = task
-    return (rule.name, tuple(canonical_form(h).key for h in hosts))
+    return (rule.name, tuple(canonical_form(h) for h in hosts))
 
 
 def test_apply_rule_refuses_exactly_where_the_build_first_reference_does(monkeypatch):
@@ -720,7 +722,7 @@ def test_expansion_zero_iterations_keeps_seeds():
     assert len(result.network.vertices) == 2
     assert result.network.edges == []
     assert result.history == []
-    assert result.iterations_run == 0
+    assert len(result.history) == 0
     assert not result.reached_fixpoint
 
 
@@ -729,7 +731,7 @@ def test_expansion_reaches_fixpoint():
     config = ExpansionConfig(seed_molecules=(molecules.methane(),), max_iterations=5)
     result = run_expansion(config, parse_rules(PROTON_SHIFT))
     assert result.reached_fixpoint
-    assert result.iterations_run == 1
+    assert len(result.history) == 1
     assert result.history == [(1, 0)]
 
 
@@ -786,7 +788,7 @@ def test_expansion_matches_a_split_right_side_over_the_summed_caps(monkeypatch):
     result = run_expansion(config, parse_rules(PROTON_SHIFT))
     assert any(hosts == (molecules.water(), oxygen) for _, hosts in tried)
     ids = {v.key: v.id for v in result.network.vertices}
-    hydroxyl = ids.get(canonical_form(make_graph([(0, "O"), (1, "H")], [(0, 1, 1)])).key)
+    hydroxyl = ids.get(canonical_form(make_graph([(0, "O"), (1, "H")], [(0, 1, 1)])))
     assert hydroxyl is not None
     assert result.network.edges[0].reactants == {0: 1, 1: 1}
     assert result.network.edges[0].products == {hydroxyl: 2}
@@ -871,3 +873,48 @@ def test_carbon_four_closure_history():
     )
     result = run_expansion(config, load_default_rules())
     assert result.history == [(4, 2), (17, 19), (57, 128), (175, 466), (384, 1420)]
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def _records(result) -> dict:
+    return {
+        str(eid): [
+            [r.rule, [list(b) for b in r.class_binding], [k.hex() for k in r.reactant_keys],
+             [k.hex() for k in r.product_keys]]
+            for r in records
+        ]
+        for eid, records in result.derivations.items()
+    }
+
+
+def test_closure_keys_and_records_are_pinned():
+    # canonical keys are output: they name the molecules of a written
+    # network and its derivation records, so a rewrite of the canonical
+    # search must keep every key of these two closures
+    carbon_four = run_expansion(
+        ExpansionConfig(
+            (molecules.water(), molecules.glycolonitrile()),
+            max_iterations=4,
+            max_element_counts={"C": 4, "N": 4, "O": 4},
+            right_predicates=("no-rings-le=3", "no-cumulated-doubles"),
+        ),
+        load_default_rules(),
+    )
+    pins = {
+        "criterion 8": (
+            criterion_8_closure(),
+            "c3d0151b23680a1aca71482d41b141d20138e354ba385c28b7ff48445e7839cc",
+            "fbe779234cf21218db73332a149f63beab995bbf5e993d02137755a8d7db88f0",
+        ),
+        "C <= 4, 4 iterations": (
+            carbon_four,
+            "56dea4630582498bdfcf3d9cf2a45dfbd4f291890061cf5a319a8bdd7f2a414a",
+            "be45e0e1ff1d6cd7a7cf3c8f7ac50caa3c7c4728f3d40a7dae8bf949b79d2fdc",
+        ),
+    }
+    for name, (result, network_sha, records_sha) in pins.items():
+        assert _sha256(result.network.to_json()) == network_sha, name
+        assert _sha256(_records(result)) == records_sha, name

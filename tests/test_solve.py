@@ -60,12 +60,12 @@ def lp(bounds, rows, cost, sense):
 
 
 def indicator_consistent(solution, cap):
-    for eid, used in solution.indicator.items():
-        f = solution.flow.get(eid, 0)
-        assert used in (0, 1)
-        assert (used == 1) == (f >= 1), (eid, used, f)
+    edges = [key for key in solution.flow if isinstance(key, int)]
+    for eid in edges:
+        f = solution.flow[eid]
+        assert (eid in solution.support) == (f >= 1), (eid, solution.support, f)
         assert f <= cap
-    assert solution.support == sorted(e for e, u in solution.indicator.items() if u)
+    assert solution.support == sorted(set(solution.support) & set(edges))
 
 
 # -- plain simplex -----------------------------------------------------------
@@ -316,6 +316,21 @@ def test_bnb_forbidding_edge_moves_to_next_route():
     assert out.flow[5] == 0
 
 
+def test_bnb_answers_the_same_from_a_given_root():
+    # root only saves the cold solve of the model's own LP
+    rng = random.Random(202)
+    for _ in range(20):
+        net, barriers, query = nets.random_instance(rng)
+        weights = objective_coefficients(BarrierTable.from_kj(barriers), Thermo(), net)
+        model = build_model(net, weights, query)
+        assert branch_and_bound(model) == branch_and_bound(model, root=simplex_solve(model))
+    net, query = nets.cascade_network()
+    model = add_cut(build_model(net, weighted(net), query), [0, 5, 7, 8])
+    cold = branch_and_bound(model)
+    assert cold == branch_and_bound(model, root=simplex_solve(model))
+    assert cold.support == [0, 2, 6, 7, 8]
+
+
 def test_bnb_node_limit():
     net, query = nets.cascade_network()
     model = build_model(net, weighted(net), query)
@@ -353,8 +368,6 @@ def test_enumerate_flux_demo_three_incomparable_routes():
     for s in ranked.solutions:
         assert s.objective == pytest.approx(1.0, abs=1e-9)
         assert not net.conservation_violations(s.flow)
-    assert len(ranked.cuts) == 3
-    assert ranked.cuts[0] == frozenset({0})
 
 
 def test_enumerate_rejects_nonpositive_k():
@@ -413,7 +426,6 @@ def test_enumerate_compiles_once_for_all_ranks(monkeypatch):
     model = build_model(net, weighted(net), query)
     ranked = enumerate_pathways(model, 2)
     assert [s.support for s in ranked.solutions] == [[0], [1]]
-    assert ranked.cuts == (frozenset({0}), frozenset({1}))
     assert len(cold) == 1 and cold[0][0] is model
     assert model.cuts == ()  # each rank's cut goes on a copy
 
@@ -790,7 +802,7 @@ def test_paper_scale_glycolic_acid_at_cap_10_fits_its_node_budget():
     rng = random.Random(1)
     table = BarrierTable.from_kj({e.id: rng.uniform(0.0, 100.0) for e in net.edges})
     ids = {v.key: v.id for v in net.vertices}
-    vid = {name: ids[canonical_form(g).key] for name, g in
+    vid = {name: ids[canonical_form(g)] for name, g in
            [("water", water), ("glyco", glyco), ("ammonia", ammonia), ("glycolic", glycolic)]}
     query = PathwayQuery(
         sources={vid["water"]: (0, 10), vid["glyco"]: (0, 10)},
@@ -833,7 +845,7 @@ def test_carbon_four_closure_glycolic_acid_at_cap_1_matches_highs():
     rng = random.Random(1)
     table = BarrierTable.from_kj({e.id: rng.uniform(0.0, 100.0) for e in net.edges})
     ids = {v.key: v.id for v in net.vertices}
-    vid = {name: ids[canonical_form(g).key] for name, g in
+    vid = {name: ids[canonical_form(g)] for name, g in
            [("water", water), ("glyco", glyco), ("ammonia", ammonia), ("glycolic", glycolic)]}
     query = PathwayQuery(
         sources={vid["water"]: (0, 10), vid["glyco"]: (0, 10)},
