@@ -4,16 +4,25 @@ Molecules are undirected simple graphs whose vertices carry an element symbol
 and an integer charge and whose edges carry a bond order (single, double,
 triple, or aromatic).  A molecule's isomorphism class is named by its
 canonical key, a ``bytes`` value computed by iterative color refinement with
-tie-breaking by cell branching, so two graphs are isomorphic exactly when
-their keys are equal.  Branching skips a vertex that is a twin of one
-already tried, because swapping the two is an automorphism and so leaves the
-smallest certificate unchanged.
+tie-breaking by cell branching (the individualization-refinement scheme of
+McKay & Piperno, *Practical graph isomorphism, II*, 2014), so two graphs are
+isomorphic exactly when their keys are equal.  Branching skips a vertex that
+is a twin of one already tried, because swapping the two is an automorphism
+and so leaves the smallest certificate unchanged; a cell whose vertices are
+all twins splits off its first vertex without refining, since that split is
+already stable.  The search runs on integer tables: atoms numbered in
+atom-id order, colors and neighbours in lists, bond orders coded in the
+order of their tokens.  Its one cache, bounded at 65536 entries, is keyed by
+those tables, so graphs that differ only by an order-preserving renumbering
+of atom ids share one search.
 """
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 BOND_ORDERS = ("1", "2", "3", "a")
@@ -281,64 +290,54 @@ def serialize_molecule(g: MolecularGraph) -> str:
 # Canonical form
 
 
-def _refine(colors: dict, adj: dict[int, list[tuple[int, str]]]) -> dict[int, int]:
-    # classic 1-dimensional Weisfeiler-Leman refinement; colors are re-indexed
-    # from sorted signatures each round, which keeps them relabeling-invariant;
-    # the input colors need only sort, since an order-preserving relabel of
-    # them cannot change the output
+_ATOM_ID = operator.attrgetter("id")
+
+#: each bond order's code; the codes sort as the order tokens do
+_ORDER_CODE = {order: code for code, order in enumerate(sorted(BOND_ORDERS))}
+
+
+def _refine(colors: list[int], adj: list[list[tuple[int, int]]], split: Iterable[int]) -> list[int]:
+    # classic 1-dimensional Weisfeiler-Leman refinement of dense colors
+    # 0..k-1: each round ranks the atoms' signatures (own color, sorted
+    # neighbour colors by bond order), which keeps colors relabeling-invariant.
+    # A signature leads with the atom's own color, so a cell's atoms take
+    # consecutive new colors in the order of their neighbour signatures.  A
+    # cell can split only if it holds a neighbour of an atom whose cell split
+    # in the last round, so no other cell is looked at; ``split`` starts as
+    # every atom at the root and as the individualized cell in a child, whose
+    # other cells the parent's stable colors already fix.  A neighbour enters
+    # as ``weight + color``, where the weight is its bond order's code times
+    # n and every color is below n, so these integers sort as (order, color)
+    # pairs do.
+    n = len(colors)
+    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
     while True:
-        sig = {
-            v: (colors[v], tuple(sorted((order, colors[u]) for u, order in adj[v])))
-            for v in colors
-        }
-        palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: palette[sig[v]] for v in colors}
-        if len(set(new.values())) == len(set(colors.values())):
-            return new
-        colors = new
+        touched = {colors[u] for v in split for u, _ in adj[v]}
+        split = []
+        refined: list[list[int]] = []
+        for c, cell in enumerate(cells):
+            if len(cell) > 1 and c in touched:
+                groups: dict[tuple, list[int]] = {}
+                for v in cell:
+                    sig = tuple(sorted([w + colors[u] for u, w in adj[v]]))
+                    groups.setdefault(sig, []).append(v)
+                if len(groups) > 1:
+                    refined += [groups[s] for s in sorted(groups)]
+                    split += cell
+                    continue
+            refined.append(cell)
+        if not split:
+            return colors
+        cells = refined
+        colors = [0] * n
+        for c, cell in enumerate(cells):
+            for v in cell:
+                colors[v] = c
 
 
-def _certificate(g: MolecularGraph, order: list[int]) -> bytes:
-    index = {aid: i for i, aid in enumerate(order)}
-    label = {a.id: (a.element, a.charge) for a in g.atoms}
-    atom_part = tuple(label[aid] for aid in order)
-    bond_part = tuple(
-        sorted(
-            (min(index[b.a], index[b.b]), max(index[b.a], index[b.b]), b.order)
-            for b in g.bonds
-        )
-    )
-    return repr((atom_part, bond_part)).encode()
-
-
-def _canonical_search(g, adj, colors: dict) -> bytes:
-    colors = _refine(colors, adj)
-    cells: dict[int, list[int]] = {}
-    for v, c in colors.items():
-        cells.setdefault(c, []).append(v)
-    branch_cell = None
-    for c in sorted(cells, key=lambda c: (len(cells[c]), c)):
-        if len(cells[c]) > 1:
-            branch_cell = sorted(cells[c])
-            break
-    if branch_cell is None:
-        order = [v for v, _ in sorted(colors.items(), key=lambda item: item[1])]
-        return _certificate(g, order)
-    best: bytes | None = None
-    tried: list[int] = []
-    for v in branch_cell:
-        if any(_twins(adj, v, w) for w in tried):
-            continue
-        tried.append(v)
-        child = {u: (colors[u] * 2 + (0 if u == v else 1)) for u in colors}
-        cert = _canonical_search(g, adj, child)
-        if best is None or cert < best:
-            best = cert
-    assert best is not None
-    return best
-
-
-def _twins(adj: dict[int, list[tuple[int, str]]], v: int, w: int) -> bool:
+def _twins(adj: list[list[tuple[int, int]]], v: int, w: int) -> bool:
     """True when v and w see the same neighbours by the same bond orders.
 
     For two vertices of one cell (so of one element and charge) this means
@@ -349,20 +348,106 @@ def _twins(adj: dict[int, list[tuple[int, str]]], v: int, w: int) -> bool:
     return {(u, o) for u, o in adj[v] if u != w} == {(u, o) for u, o in adj[w] if u != v}
 
 
+def _search(
+    colors: list[int], labels: tuple, bonds: tuple, adj: list[list[tuple[int, int]]]
+) -> bytes:
+    """The smallest leaf certificate below a search node whose ``colors``
+    are dense ranks 0..k-1 of an equitable partition of the atoms.
+
+    The target is the smallest cell of two or more atoms, lowest color c
+    first.  Each of its atoms that is not a twin of one already tried (in
+    atom order) is individualized in turn: it keeps color c, the cell's other
+    atoms take c+1 and every higher cell moves up by one (an order-preserving
+    renaming of 2c and 2c+1), and the child is refined.  A leaf orders the
+    atoms by color.
+
+    When every other atom of the cell is a twin of its first atom v0, only v0
+    is tried, and its child is not refined: it is already equitable.  For
+    atoms u, w of the cell other than v0, twinship of v0 and w gives
+    bond(u, w) = bond(u, v0), so one bond order (or none) joins every pair of
+    the cell's atoms; pairwise twins cannot mix the adjacent and non-adjacent
+    kinds.  An atom outside the cell sees v0 as it sees every other atom of
+    the cell, so its counts to {v0} and to the rest follow from its count to
+    the whole cell, which its cell shares; and each atom of the rest sees v0
+    and the others of the rest alike.  Refinement would split nothing, and
+    it would rank the cells as the child already does.
+    """
+    n = len(colors)
+    size = [0] * n
+    for c in colors:
+        size[c] += 1
+    target = min(((s, c) for c, s in enumerate(size) if s > 1), default=None)
+    if target is None:
+        order = [0] * n
+        for v, c in enumerate(colors):
+            order[c] = v
+        atom_part = tuple(labels[v] for v in order)
+        bond_part = tuple(sorted(
+            (colors[a], colors[b], o) if colors[a] < colors[b] else (colors[b], colors[a], o)
+            for a, b, o in bonds
+        ))
+        return repr((atom_part, bond_part)).encode()
+    c = target[1]
+    cell = [v for v, x in enumerate(colors) if x == c]
+    tried: list[int] = []
+    for v in cell:
+        if not any(_twins(adj, v, w) for w in tried):
+            tried.append(v)
+    best = None
+    for v in tried:
+        child = [x + (x > c) for x in colors]
+        for w in cell:
+            if w != v:
+                child[w] = c + 1
+        if len(tried) > 1:  # not a twin cell
+            child = _refine(child, adj, cell)
+        cert = _search(child, labels, bonds, adj)
+        if best is None or cert < best:
+            best = cert
+    return best
+
+
 @functools.lru_cache(maxsize=65536)
+def _canonical_key(labels: tuple, bonds: tuple) -> bytes:
+    """The key of a graph given as tables: each atom's (element, charge) in
+    atom-id order, and the sorted (a, b, order) bonds between those
+    positions; the search reads a bond the same either way round."""
+    if not labels:
+        return b"()"
+    n = len(labels)
+    rank = {label: i for i, label in enumerate(sorted(set(labels)))}
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b, order in bonds:
+        weight = _ORDER_CODE[order] * n
+        adj[a].append((b, weight))
+        adj[b].append((a, weight))
+    return _search(_refine([rank[label] for label in labels], adj, range(n)), labels, bonds, adj)
+
+
 def canonical_form(g: MolecularGraph) -> bytes:
     """The canonical key: equal keys exactly for isomorphic graphs, and
     ``b"()"`` for the empty graph.
 
-    Colors start as each atom's (element, charge) and are refined, then
-    branching tries every vertex of the smallest non-singleton cell except
-    twins of a vertex already tried (see ``_twins``), whose subtrees give the
-    same certificates; the key is the smallest certificate over all leaves.
+    The atoms are numbered 0..n-1 in atom-id order.  Colors start as each
+    atom's (element, charge) and are refined; the search then branches on
+    the smallest cell that refinement leaves (see ``_search``), and the key
+    is the smallest leaf certificate, ``repr((atom_part, bond_part))`` over
+    the atoms' labels and bonds in leaf order.  The one cache is keyed by
+    the numbered tables, so graphs that differ only by an order-preserving
+    renumbering of atom ids share one search.
     """
-    if not g.atoms:
-        return b"()"
-    colors = {a.id: (a.element, a.charge) for a in g.atoms}
-    return _canonical_search(g, g.adjacency(), colors)
+    # plain loops, not comprehensions: most calls are cache hits on small
+    # molecules, where a comprehension's own call costs more than its loop
+    index: dict[int, int] = {}
+    labels = []
+    for i, a in enumerate(sorted(g.atoms, key=_ATOM_ID)):
+        index[a.id] = i
+        labels.append((a.element, a.charge))
+    bonds = []
+    for b in g.bonds:
+        bonds.append((index[b.a], index[b.b], b.order))
+    bonds.sort()
+    return _canonical_key(tuple(labels), tuple(bonds))
 
 
 def connected_components(g: MolecularGraph) -> list[MolecularGraph]:

@@ -16,6 +16,7 @@ product fails a product filter (ring size, cumulated doubles).
 from __future__ import annotations
 
 import functools
+import heapq
 import re
 from collections import Counter
 from collections.abc import Callable
@@ -327,16 +328,24 @@ class Match:
 
 def _pattern_order(adj: dict[int, list[tuple[int, str]]], candidates: dict[int, list]) -> list[int]:
     # rarest label first, then greedily extend along pattern bonds so that each
-    # later atom is checked against as many placed neighbors (``linked``) as possible
+    # later atom is checked against as many placed neighbors (``linked``) as
+    # possible; each step takes the least (-linked, candidates, id) from a
+    # heap.  A raised count pushes a new entry, which sorts before the atom's
+    # older ones, so an entry whose atom is already placed is outdated.
     linked = dict.fromkeys(adj, 0)
+    heap = [(0, len(candidates[pid]), pid) for pid in adj]
+    heapq.heapify(heap)
     order: list[int] = []
-    while linked:
-        best = min(linked, key=lambda pid: (-linked[pid], len(candidates[pid]), pid))
+    while heap:
+        best = heapq.heappop(heap)[2]
+        if best not in linked:
+            continue
         order.append(best)
         del linked[best]
         for u, _ in adj[best]:
             if u in linked:
                 linked[u] += 1
+                heapq.heappush(heap, (-linked[u], len(candidates[u]), u))
     return order
 
 

@@ -1,5 +1,7 @@
 """Molecule parsing, canonical keys, and graph utilities."""
+import hashlib
 import random
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -261,6 +263,100 @@ def test_canonical_key_agrees_with_oracle():
             assert same_key == helpers.are_isomorphic(a, b)
 
 
+def _uniform(n, edges, order="1", element="C"):
+    return make_graph([(i, element) for i in range(n)], [(a, b, order) for a, b in edges])
+
+
+def _chain(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def _ring(n):
+    return _chain(n) + [(0, n - 1)]
+
+
+def _cliques(sizes):
+    edges, start = [], 0
+    for size in sizes:
+        edges += combinations(range(start, start + size), 2)
+        start += size
+    return start, edges
+
+
+def _bipartite(a, b):
+    return a + b, [(i, a + j) for i in range(a) for j in range(b)]
+
+
+def _spider(arms, length):
+    # a centre (atom 0) with ``arms`` chains of ``length`` atoms each
+    edges = []
+    for arm in range(arms):
+        previous = 0
+        for step in range(length):
+            atom = 1 + arm * length + step
+            edges.append((previous, atom))
+            previous = atom
+    return 1 + arms * length, edges
+
+
+PETERSEN = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] + [
+    (5 + i, 5 + (i + 2) % 5) for i in range(5)
+]
+CUBE = [(a, b) for a in range(8) for b in range(a + 1, 8) if bin(a ^ b).count("1") == 1]
+
+
+def _random_molecule(rng):
+    n = rng.randint(1, 12)
+    atoms = [(i, rng.choice("CCNOH"), rng.choice((-1, 0, 0, 0, 1))) for i in range(n)]
+    density = rng.choice((0.15, 0.3, 0.5, 0.8))
+    bonds = [
+        (a, b, rng.choice(BOND_ORDERS))
+        for a, b in combinations(range(n), 2)
+        if rng.random() < density
+    ]
+    return make_graph(atoms, bonds)
+
+
+def symmetric_corpus():
+    """A fixed list of graphs rich in automorphisms, twins and ties.
+
+    Cliques of every bond order, disjoint unions of cliques, K_{a,b},
+    chains, rings, stars, spiders, the Petersen graph and the cube, and
+    seeded random graphs with charges and every bond order.  Each graph is
+    followed by a copy with sparse, shuffled atom ids, and by that copy
+    built directly with its atoms out of id order.
+    """
+    graphs = [_uniform(n, combinations(range(n), 2), order)
+              for n in range(1, 8) for order in BOND_ORDERS]
+    for sizes in ((1, 1, 1), (2, 2), (3, 3), (2, 2, 2), (2, 2, 2, 2), (4, 1, 1), (3, 2, 1), (4, 4)):
+        graphs.append(_uniform(*_cliques(sizes), order="2"))
+    graphs += [_uniform(*_bipartite(a, b)) for a in range(1, 5) for b in range(a, 5)]
+    graphs += [_uniform(n, _chain(n)) for n in range(1, 11)]
+    graphs += [_uniform(n, _ring(n), "a") for n in range(3, 11)]
+    for k in range(1, 9):
+        leaves = range(1, k + 1)
+        graphs.append(make_graph([(0, "N")] + [(i, "H") for i in leaves], [(0, i, 1) for i in leaves]))
+    graphs += [_uniform(*_spider(arms, length)) for arms in range(2, 5) for length in range(1, 4)]
+    graphs += [_uniform(10, PETERSEN), _uniform(8, CUBE, "3")]
+    rng = random.Random(2024)
+    graphs += [_random_molecule(rng) for _ in range(400)]
+    corpus = []
+    for g in graphs:
+        n = len(g.atoms)
+        moved = helpers.relabeled(g, rng.sample(range(3 * n + 3), n))
+        corpus += [g, moved, MolecularGraph(tuple(reversed(moved.atoms)), moved.bonds)]
+    return corpus
+
+
+def test_symmetric_corpus_keys_are_pinned():
+    # canonical keys are output, and this corpus holds what closure
+    # molecules do not: rings, charges, twin cliques and large twin cells
+    keys = b"".join(canonical_form(g) + b"\n" for g in symmetric_corpus())
+    assert hashlib.sha256(keys).hexdigest() == (
+        "694a791519c5df3c49eb7a9b29ed146a21e10d3a8444e65d4614b6b4ee081185"
+    )
+
+
 @st.composite
 def twin_rich_molecules(draw):
     """Small molecules grown by copying atoms with their bonds.
@@ -306,11 +402,34 @@ def _networkx_isomorphic(a, b) -> bool:
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(twin_rich_molecules(), st.data())
-def test_canonical_key_on_twin_rich_molecules_agrees_with_networkx(g, data):
-    # twin pruning in the search must keep keys invariant under relabeling,
-    # and equal exactly when networkx finds a labelled isomorphism
+@st.composite
+def symmetric_molecules(draw):
+    """Chains, rings, symmetric stars (spiders) and K_{a,b}.
+
+    Most are one element and one bond order throughout, so that refinement
+    leaves large cells; the others draw each atom's element and charge and
+    each bond's order.
+    """
+    kind = draw(st.sampled_from(("chain", "ring", "star", "bipartite")))
+    if kind == "chain":
+        n = draw(st.integers(1, 10))
+        edges = _chain(n)
+    elif kind == "ring":
+        n = draw(st.integers(3, 10))
+        edges = _ring(n)
+    elif kind == "star":
+        n, edges = _spider(draw(st.integers(2, 5)), draw(st.integers(1, 3)))
+    else:
+        n, edges = _bipartite(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    if draw(st.integers(0, 3)):
+        return _uniform(n, edges, draw(st.sampled_from(BOND_ORDERS)))
+    atoms = [(i, draw(st.sampled_from(("C", "N"))), draw(st.integers(-1, 1))) for i in range(n)]
+    return make_graph(atoms, [(a, b, draw(st.sampled_from(BOND_ORDERS))) for a, b in edges])
+
+
+def _check_key_against_networkx(g, data):
+    """The key is invariant under relabeling, and two graphs share it exactly
+    when networkx finds a labelled isomorphism between them."""
     n = len(g.atoms)
 
     def relabel(graph):
@@ -331,6 +450,22 @@ def test_canonical_key_on_twin_rich_molecules_agrees_with_networkx(g, data):
     edited = relabel(make_graph(atoms, [(a, b, order) for (a, b), order in bonds.items()]))
     same_key = canonical_form(g) == canonical_form(edited)
     assert same_key == _networkx_isomorphic(g, edited)
+
+
+@settings(max_examples=300, deadline=None)
+@given(twin_rich_molecules(), st.data())
+def test_canonical_key_on_twin_rich_molecules_agrees_with_networkx(g, data):
+    # twin pruning, and twin cells split without refining, must keep keys
+    # invariant and exact
+    _check_key_against_networkx(g, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_molecules(), st.data())
+def test_canonical_key_on_symmetric_molecules_agrees_with_networkx(g, data):
+    # chains, rings, stars and K_{a,b}: large cells that only branching
+    # splits, some of them twin cells, some not
+    _check_key_against_networkx(g, data)
 
 
 def test_element_counts():

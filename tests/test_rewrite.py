@@ -5,7 +5,7 @@ import hashlib
 import json
 import random
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import networkx as nx
 import pytest
@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 import helpers
 import molecules
-from hyperpath import rewrite
+from hyperpath import molgraph, rewrite
 from hyperpath.molgraph import (
+    BOND_ORDERS,
     ORDER_VALUE,
     MolecularGraph,
     canonical_form,
@@ -372,6 +373,44 @@ def test_find_matches_independent_classes():
     )
 
 
+def _pattern_order_by_scan(adj, candidates):
+    """The greedy match order by one linear scan per step: the reference for
+    ``rewrite._pattern_order``, which takes each step from a heap."""
+    linked = dict.fromkeys(adj, 0)
+    order = []
+    while linked:
+        best = min(linked, key=lambda pid: (-linked[pid], len(candidates[pid]), pid))
+        order.append(best)
+        del linked[best]
+        for u, _ in adj[best]:
+            if u in linked:
+                linked[u] += 1
+    return order
+
+
+def test_pattern_order_agrees_with_a_linear_scan():
+    # random left sides with sparse ids and few candidate counts, so that
+    # ties in linked neighbours and in candidates are common
+    rng = random.Random(32)
+    for _ in range(3000):
+        ids = sorted(rng.sample(range(40), rng.randint(1, 12)))
+        density = rng.random()
+        rule = Rule(
+            "random",
+            tuple(PatternAtom(i, rng.choice("CNOH")) for i in ids),
+            tuple(
+                PatternBond(a, b, rng.choice(BOND_ORDERS))
+                for a, b in combinations(ids, 2)
+                if rng.random() < density
+            ),
+            (),
+            (),
+        )
+        adj = rule.adjacency()
+        candidates = {pid: [None] * rng.randint(0, 4) for pid in adj}
+        assert rewrite._pattern_order(adj, candidates) == _pattern_order_by_scan(adj, candidates)
+
+
 def test_find_matches_agrees_with_oracle_randomized():
     rng = random.Random(23)
     rules = parse_rules(HH_BREAK + PAIR_BOND + PAIR_XY + PROTON_SHIFT)
@@ -408,10 +447,13 @@ def test_apply_rule_refuses_a_product_before_keying_it():
     [rule] = parse_rules(NITRILE_ADDITION)
     hosts = (parse_molecule(molecules.HYDROGEN_CYANIDE_MGF), molecules.water())
     match = find_matches(rule, hosts)[0]
-    misses = canonical_form.cache_info().misses
+    # canonical_form keeps one cache, keyed by the numbered tables; emptied
+    # first, so that a product keyed by an earlier test cannot hide as a hit
+    molgraph._canonical_key.cache_clear()
+    misses = molgraph._canonical_key.cache_info().misses
     with pytest.raises(RuleApplicationError):
         apply_rule(rule, match, admit=lambda p: False)
-    assert canonical_form.cache_info().misses == misses
+    assert molgraph._canonical_key.cache_info().misses == misses
 
 
 def test_apply_rule_refuses_an_over_cap_product_before_building_it(monkeypatch):
