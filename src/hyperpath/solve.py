@@ -13,14 +13,20 @@ parent's basis.  A cut ("not every edge of S") is not a row: an integral
 leaf that uses every edge of S becomes partition branches, one per edge of
 S (Lawler's k-best partition).  The optimum is then canonicalized, under an
 objective cutoff, to the lexicographically smallest optimal support, so
-runs and enumeration are deterministic.  An LP solve answers optimal or
-infeasible, or raises ``SolverError`` when its answer fails the check
-against the model's rows and bounds; the search raises it too when the
-canonical support admits no optimum, rather than report a support it could
-not confirm.  The search refuses a model that is not integral.
+runs and enumeration are deterministic; a box that canonicalization asks
+about is answered without a search when it holds the optimum already found,
+or when the root's reduced costs bound it past the cutoff.  An LP solve
+answers optimal or infeasible, or raises ``SolverError`` when its answer
+fails the check against the model's rows and bounds; the search raises it
+too when the canonical support admits no optimum, rather than report a
+support it could not confirm.  The search refuses a model that is not
+integral.
 ``enumerate_pathways`` solves the root LP cold once, passes it to
 ``branch_and_bound`` as the root of every rank, and peels off structurally
-distinct optima, each rank appending its support to the model's cuts.
+distinct optima, each rank appending its support to the model's cuts.  It
+keeps Lawler's regions across ranks, each a box with its cached optimum, so
+a rank searches, from the root's basis, only the partition children of the
+regions whose optimum the newest cut forbids.
 ``brute_force`` is an independent exhaustive oracle over the same model.
 Every objective value is a sequential sum in column order, so that it is
 the same float wherever it is taken.
@@ -222,6 +228,11 @@ def _edge_count(model: IlpModel) -> int:
     return sum(isinstance(key, int) for key in model.keys)
 
 
+def _price_tol(model: IlpModel) -> float:
+    """A search's pricing slack per unit of a box's width."""
+    return 1e-9 * max(1.0, float(np.abs(model.cost).max(initial=0.0)))
+
+
 def _cut_children(lo: np.ndarray, hi: np.ndarray, cut: np.ndarray) -> list[tuple]:
     """Lawler's partition of the solutions within ``(lo, hi)`` that do not
     use every edge of ``cut`` (flow columns in edge-id order): child i leaves
@@ -260,7 +271,7 @@ def _dfs(
     per unit of the node's box width.
     """
     sign = 1.0 if model.sense == "min" else -1.0
-    price_tol = 1e-9 * max(1.0, float(np.abs(model.cost).max(initial=0.0)))
+    price_tol = _price_tol(model)
     cuts = [np.array(sorted(cut)) for cut in model.cuts]
     best_signed = math.inf
     best: tuple[float, np.ndarray] | None = None
@@ -304,16 +315,70 @@ def _dfs(
     return best
 
 
-def _support_bounds(model: IlpModel, chosen: set[int], free_above: int | None) -> tuple:
-    """Pin flows to a support: at least 1 on chosen edges, 0 on the others up
-    to ``free_above``."""
+def _support_bounds(model: IlpModel, edges: int, chosen: list[int], free_above: int | None) -> tuple:
+    """Pin the flows of the model's ``edges`` edges to a support: at least 1
+    on the chosen edges, 0 on the others up to ``free_above``."""
     lo, hi = model.lo.copy(), model.hi.copy()
-    for eid in range(_edge_count(model)):
-        if eid in chosen:
-            lo[eid] = max(lo[eid], 1.0)
-        elif free_above is None or eid <= free_above:
-            lo[eid] = hi[eid] = 0.0
+    end = edges if free_above is None else free_above + 1
+    lo[:end] = hi[:end] = 0.0
+    lo[chosen] = np.maximum(model.lo[chosen], 1.0)
+    hi[chosen] = model.hi[chosen]
     return lo, hi
+
+
+def _reduced_cost_bound(model: IlpModel, root: LpSolution, lo: np.ndarray, hi: np.ndarray) -> float:
+    """A lower bound on the signed LP optimum within the box ``(lo, hi)``,
+    from the root's optimal basis: the signed root objective plus, for each
+    structural column j, the least of ``d_j·(x_j − x*_j)`` over
+    ``[lo_j, hi_j]``, with d the root's reduced costs and x* its values.
+
+    The root basis is dual feasible, so each logical's term is non-negative
+    for any x that meets the rows, and a box moves no row bound."""
+    m, n = model.A.shape
+    reduced, x = root.basis.T[m, :n], root.values
+    sign = 1.0 if model.sense == "min" else -1.0
+    return sign * root.objective + float(np.minimum(reduced * (lo - x), reduced * (hi - x)).sum())
+
+
+def _priced_out(model: IlpModel, root: LpSolution, lo: np.ndarray, hi: np.ndarray, cutoff: float) -> bool:
+    """Whether the reduced-cost bound of ``(lo, hi)`` passes ``cutoff`` by
+    more than the box's pricing slack, by which ``_dfs`` would prune the
+    box's first node, plus a float margin of 1e-9·max(1, |cutoff|)."""
+    slack = _price_tol(model) * float((hi - lo).sum()) + 1e-9 * max(1.0, abs(cutoff))
+    return _reduced_cost_bound(model, root, lo, hi) > cutoff + slack
+
+
+def _rank_optimum(model: IlpModel, root: LpSolution, search: _Search, regions: list):
+    """The best optimum of the model over Lawler's regions, as (objective,
+    values) or None.
+
+    ``regions`` holds one ``(lo, hi, optimum)`` per region with an optimum
+    under the cuts it has seen; it is empty before the first search, which
+    fills it with the model's own box.  Later, the model's newest cut
+    partitions only the regions whose optimum uses every edge of it: each
+    such region is replaced, in place, by its ``_cut_children``, each
+    searched from the root's basis, and a child without an optimum is
+    dropped.  Every other region's optimum still meets every cut, so it is
+    still that region's optimum.  Ties go to the earliest region.
+    """
+    if not regions:
+        best = _dfs(model, root, search)
+        if best is not None:
+            regions.append((model.lo, model.hi, best))
+        return best
+    cut = np.array(sorted(model.cuts[-1]))
+    kept = []
+    for lo, hi, best in regions:
+        if not (best[1][cut] >= 1).all():
+            kept.append((lo, hi, best))
+            continue
+        for child in _cut_children(lo, hi, cut):
+            found = _dfs(model, root, search, child)
+            if found is not None:
+                kept.append((*child, found))
+    regions[:] = kept
+    sign = 1.0 if model.sense == "min" else -1.0
+    return min((best for _, _, best in kept), key=lambda best: sign * best[0], default=None)
 
 
 def _finish(model: IlpModel, exact: float, values: list, nodes: int) -> IlpSolution:
@@ -325,46 +390,67 @@ def _finish(model: IlpModel, exact: float, values: list, nodes: int) -> IlpSolut
 
 
 def branch_and_bound(
-    model: IlpModel, node_limit: int = DEFAULT_NODE_LIMIT, root: LpSolution | None = None
+    model: IlpModel,
+    node_limit: int = DEFAULT_NODE_LIMIT,
+    root: LpSolution | None = None,
+    regions: list | None = None,
 ) -> IlpSolution:
     """Solve to optimality, then canonicalize the support.
 
     ``root`` is the model's LP solution at its own bounds, if the caller has
     solved it already; otherwise it is solved cold here.  Every search
     starts from it, and the answer is the same with it or without it.
+    ``regions`` is Lawler's partition that ``enumerate_pathways`` keeps
+    across its ranks (see ``_rank_optimum``): the model's cuts then must be
+    the earlier ranks' supports, in rank order.  Without it, the optimum is
+    searched for from the model's own bounds, and the answer is the same.
     Search nodes differ only in their bounds, and each node re-solves its LP
-    from its parent's basis.  Support pins are flow bounds (unused is
-    f = 0, used is f >= 1), and each cut of ``model.cuts`` becomes partition
-    branches at any integral leaf that uses all of its edges.
+    from its parent's basis, a region's from the root's.  Support pins are
+    flow bounds (unused is f = 0, used is f >= 1), and each cut of
+    ``model.cuts`` becomes partition branches at any integral leaf that
+    uses all of its edges.  ``node_limit`` bounds the nodes of the region
+    searches and of canonicalization together.
+
     Among all optima, within 1e-6 + 1e-9·|objective| of the first search's
     (a cutoff the later searches apply), the reported one uses the
     lexicographically smallest edge support: edges are admitted in id order
     only when some optimum needs them given the decisions so far, and the
     first optimum found on exactly the admitted edges, searched for before
-    the first admission and after each, is the answer.  Raises ValueError
-    for a model that is not integral, and SolverError when an LP solve's
-    answer fails its check, or when no optimum is found on the support
-    chosen this way.
+    the first admission and after each, is the answer.  Whether an optimum
+    needs an edge is answered yes without a search when the first search's
+    optimum lies within the pinned box, and no when the root's reduced
+    costs price the box out (``_priced_out``); only the rest are searched.
+    Raises ValueError for a model that is not integral, and SolverError
+    when an LP solve's answer fails its check, or when no optimum is found
+    on the support chosen this way.
     """
     if not model.integral:
         raise ValueError("branch and bound needs an integral model; simplex_solve solves its relaxation")
     if root is None:
         root = simplex_solve(model)
     search = _Search(node_limit)
-    raw = _dfs(model, root, search)
+    raw = _rank_optimum(model, root, search, [] if regions is None else regions)
     if raw is None:
         return IlpSolution("infeasible", nodes=search.nodes)
     sign = 1.0 if model.sense == "min" else -1.0
     cutoff = sign * raw[0] + 1e-6 + 1e-9 * abs(raw[0])
 
-    chosen: set[int] = set()
-    final = _dfs(model, root, search, _support_bounds(model, chosen, None), cutoff)
-    for eid in range(_edge_count(model)):
+    def needed(lo: np.ndarray, hi: np.ndarray) -> bool:
+        if ((lo <= raw[1]) & (raw[1] <= hi)).all():
+            return True
+        if _priced_out(model, root, lo, hi, cutoff):
+            return False
+        return _dfs(model, root, search, (lo, hi), cutoff, True) is not None
+
+    edges = _edge_count(model)
+    chosen: list[int] = []
+    final = _dfs(model, root, search, _support_bounds(model, edges, chosen, None), cutoff)
+    for eid in range(edges):
         if final is not None:
             break
-        if _dfs(model, root, search, _support_bounds(model, chosen | {eid}, eid), cutoff, True):
-            chosen.add(eid)
-            final = _dfs(model, root, search, _support_bounds(model, chosen, None), cutoff)
+        if needed(*_support_bounds(model, edges, chosen + [eid], eid)):
+            chosen.append(eid)
+            final = _dfs(model, root, search, _support_bounds(model, edges, chosen, None), cutoff)
     if final is None:
         raise SolverError("no optimum has the canonical support that was found")
     return _finish(model, final[0], final[1].tolist(), search.nodes)
@@ -387,13 +473,19 @@ def enumerate_pathways(
     Each found support is appended to the model's cuts, which the search
     turns into partition branches; nothing is rebuilt between ranks.  Cuts
     are not LP rows, so the root LP is the same for every rank: it is solved
-    cold once and passed to ``branch_and_bound`` as ``root`` for every rank."""
+    cold once and passed to ``branch_and_bound`` as ``root`` for every rank.
+    So is one list of Lawler's regions, each a box with its cached optimum,
+    so that a rank searches only the regions the previous rank's cut
+    partitions (Lawler, Management Science 18(7), 1972; Hamacher &
+    Queyranne, Annals of Operations Research 4, 1985).  ``node_limit``
+    bounds each rank's search."""
     if k < 1:
         raise ValueError("need k >= 1 pathways")
     root = simplex_solve(model)
+    regions: list = []
     solutions: list[IlpSolution] = []
     for _ in range(k):
-        solution = branch_and_bound(model, node_limit, root)
+        solution = branch_and_bound(model, node_limit, root, regions)
         if solution.status != "optimal":
             break
         solutions.append(solution)

@@ -1,4 +1,5 @@
 """Simplex, branch and bound, pathway enumeration, and exhaustive search."""
+import hashlib
 import inspect
 import itertools
 import math
@@ -651,8 +652,8 @@ def tightened_box(model, rng, lo, hi):
             else:
                 lo[j] = point + 1
     elif move == "pins" and edges:
-        chosen = set(rng.sample(edges, rng.randint(0, len(edges))))
-        pin_lo, pin_hi = solve._support_bounds(model, chosen, rng.choice([None] + edges))
+        chosen = sorted(rng.sample(edges, rng.randint(0, len(edges))))
+        pin_lo, pin_hi = solve._support_bounds(model, len(edges), chosen, rng.choice([None] + edges))
         lo, hi = np.maximum(lo, pin_lo), np.minimum(hi, pin_hi)
     elif move == "cut" and edges:
         cut = rng.sample(edges, rng.randint(1, len(edges)))
@@ -716,6 +717,107 @@ def test_enumeration_solves_one_cold_lp(monkeypatch):
     assert len(ranked.solutions) == 3
     assert starts[0] is None
     assert len(starts) > 1 and all(start is not None for start in starts[1:])
+
+
+def fresh_ranks(model, k):
+    """Up to ``k`` ranks, each a fresh ``branch_and_bound`` of the model with
+    the earlier ranks' supports as cuts."""
+    ranks = []
+    while len(ranks) < k:
+        found = branch_and_bound(model)
+        if found.status != "optimal":
+            break
+        ranks.append(found)
+        if not found.support:
+            break
+        model = add_cut(model, found.support)
+    return ranks
+
+
+def draws(stream, wanted):
+    """The models of the draws numbered ``wanted`` (0-based) of a stream."""
+    rng = random.Random(stream)
+    models = {}
+    for draw in range(max(wanted) + 1):
+        net, barriers, query = nets.random_instance(rng)
+        if draw in wanted:
+            weights = objective_coefficients(BarrierTable.from_kj(barriers), Thermo(), net)
+            models[draw] = build_model(net, weights, query)
+    return [models[draw] for draw in wanted]
+
+
+#: by stream, the draws whose first search's support is not the canonical
+#: one at some rank up to k=3: ranks that canonicalization decides
+TIE_DRAWS = {2: [549], 4: [166, 1256], 5: [949], 7: [211, 271, 477], 11: [442, 1380], 12: [1201],
+             13: [1262]}
+
+
+def test_enumeration_over_kept_regions_answers_as_fresh_searches():
+    # each rank searches only the regions the previous rank's cut partitions;
+    # a fresh search with every earlier support as a cut must agree on the
+    # objective, the support and the flow
+    cases = [(model, 3) for model in draws(606, range(500))]
+    for stream, wanted in TIE_DRAWS.items():
+        cases += [(model, 3) for model in draws(stream, wanted)]
+    for fixture, k in [(nets.cascade_network, 10), (nets.flux_demo, 5)]:
+        net, query = fixture()
+        cases.append((build_model(net, weighted(net), query), k))
+    ranked_models = 0
+    for model, k in cases:
+        ranked = enumerate_pathways(model, k)
+        fresh = fresh_ranks(model, k)
+        assert [(s.objective, s.support, s.flow) for s in ranked.solutions] == [
+            (s.objective, s.support, s.flow) for s in fresh
+        ]
+        ranked_models += len(ranked.solutions) > 1
+    assert ranked_models >= 50
+
+
+def test_reduced_cost_bound_holds_on_random_boxes():
+    # the bound from the root's reduced costs never exceeds a box's LP
+    # optimum, and a box it prices out holds no point within the cutoff
+    rng = random.Random(707)
+    bounded = priced_out = 0
+    for _ in range(400):
+        net, barriers, query = nets.random_instance(rng)
+        model = build_model(net, objective_coefficients(BarrierTable.from_kj(barriers), Thermo(), net), query)
+        root = simplex_solve(model)
+        if root.status != "optimal":
+            continue
+        sign = 1.0 if model.sense == "min" else -1.0
+        for _ in range(6):
+            lo, hi = model.lo, model.hi
+            for _ in range(rng.randint(1, 4)):
+                lo, hi = tightened_box(model, rng, lo, hi)
+            bound = solve._reduced_cost_bound(model, root, lo, hi)
+            box = simplex_solve(model, (lo, hi))
+            if box.status == "optimal":
+                assert bound <= sign * box.objective + 1e-9 * max(1.0, abs(box.objective))
+                bounded += 1
+            # a cutoff short of the bound, at it, or past it
+            cutoff = sign * root.objective + rng.choice([0.5, 1.0, 1.5]) * max(0.0, bound - sign * root.objective)
+            if solve._priced_out(model, root, lo, hi, cutoff):
+                assert solve._dfs(model, root, solve._Search(10**6), (lo, hi), cutoff, True) is None
+                priced_out += 1
+    assert bounded >= 150 and priced_out >= 100
+
+
+def test_support_bounds_pin_as_a_loop_over_the_edges_does():
+    rng = random.Random(808)
+    for _ in range(100):
+        net, barriers, query = nets.random_instance(rng)
+        model = build_model(net, weighted(net), query)
+        edges = edge_ids(model)
+        chosen = sorted(rng.sample(edges, rng.randint(0, len(edges))))
+        free_above = rng.choice([None] + edges)
+        lo, hi = model.lo.copy(), model.hi.copy()
+        for eid in edges:
+            if eid in chosen:
+                lo[eid] = max(lo[eid], 1.0)
+            elif free_above is None or eid <= free_above:
+                lo[eid] = hi[eid] = 0.0
+        pin_lo, pin_hi = solve._support_bounds(model, len(edges), chosen, free_above)
+        assert pin_lo.tolist() == lo.tolist() and pin_hi.tolist() == hi.tolist()
 
 
 def test_cut_children_partition_what_the_cut_leaves():
@@ -784,21 +886,24 @@ def highs_optimum(model):
     return sum(c * v for c, v in zip(model.cost.tolist(), values))
 
 
-def test_paper_scale_glycolic_acid_at_cap_10_fits_its_node_budget():
-    # the 41/116 closure of water and glycolonitrile (acceptance criterion 8),
-    # with barriers drawn uniformly in 0-100 kJ/mol in edge order
+def glycolic_acid_query(iterations, max_element_counts, flow_cap):
+    """The closure of water and glycolonitrile under the default rules and
+    the filters of acceptance criterion 8, with barriers drawn uniformly in
+    0-100 kJ/mol in edge order from ``random.Random(1)``, and the model of a
+    query for glycolic acid at ``flow_cap``: water and glycolonitrile in
+    (0-10 each), ammonia may leave.  Returns (expansion result, model)."""
     water, glyco, ammonia, glycolic = parse_molecules(
         "---\n".join([molecules.WATER_MGF, molecules.GLYCOLONITRILE_MGF,
                       molecules.AMMONIA_MGF, molecules.GLYCOLIC_ACID_MGF])
     )
     config = ExpansionConfig(
         (water, glyco),
-        max_iterations=11,
-        max_element_counts={"C": 2, "N": 4, "O": 4},
+        max_iterations=iterations,
+        max_element_counts=max_element_counts,
         right_predicates=("no-rings-le=3", "no-cumulated-doubles"),
     )
-    net = run_expansion(config, load_default_rules()).network
-    assert (len(net.vertices), len(net.edges)) == (41, 116)
+    result = run_expansion(config, load_default_rules())
+    net = result.network
     rng = random.Random(1)
     table = BarrierTable.from_kj({e.id: rng.uniform(0.0, 100.0) for e in net.edges})
     ids = {v.key: v.id for v in net.vertices}
@@ -808,9 +913,19 @@ def test_paper_scale_glycolic_acid_at_cap_10_fits_its_node_budget():
         sources={vid["water"]: (0, 10), vid["glyco"]: (0, 10)},
         targets={vid["glycolic"]: (1, 1)},
         allowed_byproducts={vid["ammonia"]: 10},
-        flow_cap=10,
+        flow_cap=flow_cap,
     )
-    model = build_model(net, objective_coefficients(table, Thermo(), net), query)
+    return result, build_model(net, objective_coefficients(table, Thermo(), net), query)
+
+
+PAPER_SCALE_CAPS = {"C": 2, "N": 4, "O": 4}
+
+
+def test_paper_scale_glycolic_acid_at_cap_10_fits_its_node_budget():
+    # the 41/116 closure of water and glycolonitrile (acceptance criterion 8)
+    result, model = glycolic_acid_query(11, PAPER_SCALE_CAPS, 10)
+    net = result.network
+    assert (len(net.vertices), len(net.edges)) == (41, 116)
     # bounds stay out of the tableau: one row per conservation row, one for
     # the reduced costs, and one logical column per row
     root = simplex_solve(model)
@@ -824,38 +939,29 @@ def test_paper_scale_glycolic_acid_at_cap_10_fits_its_node_budget():
     assert abs(out.objective - reference) <= 1e-6 + 1e-9 * abs(reference)
 
 
+def test_paper_scale_glycolic_acid_at_cap_1_ranks_are_pinned():
+    # every rank of a deep enumeration, as the search without Lawler's
+    # regions across ranks, or the reduced-cost and incumbent answers of
+    # canonicalization, ranked it
+    _, model = glycolic_acid_query(11, PAPER_SCALE_CAPS, 1)
+    ranked = enumerate_pathways(model, 20)
+    assert len(ranked.solutions) == 20
+    answers = repr([(s.objective, s.support, s.flow) for s in ranked.solutions])
+    assert hashlib.sha256(answers.encode()).hexdigest() == (
+        "342026db9205fb1c24bba43657bb921efd675df4aed51e8e79ba6edf547928b7"
+    )
+
+
 def test_carbon_four_closure_glycolic_acid_at_cap_1_matches_highs():
     # dev-only: the closure of water and glycolonitrile with up to four
     # carbons, 4 iterations, which the bounded dual simplex makes answerable;
     # skipped where scipy is missing, before the expansion runs
     pytest.importorskip("scipy.optimize")
-    water, glyco, ammonia, glycolic = parse_molecules(
-        "---\n".join([molecules.WATER_MGF, molecules.GLYCOLONITRILE_MGF,
-                      molecules.AMMONIA_MGF, molecules.GLYCOLIC_ACID_MGF])
-    )
-    config = ExpansionConfig(
-        (water, glyco),
-        max_iterations=4,
-        max_element_counts={"C": 4, "N": 4, "O": 4},
-        right_predicates=("no-rings-le=3", "no-cumulated-doubles"),
-    )
-    result = run_expansion(config, load_default_rules())
+    result, model = glycolic_acid_query(4, {"C": 4, "N": 4, "O": 4}, 1)
     assert result.history == [(4, 2), (17, 19), (57, 128), (175, 466)]
     net = result.network
-    rng = random.Random(1)
-    table = BarrierTable.from_kj({e.id: rng.uniform(0.0, 100.0) for e in net.edges})
-    ids = {v.key: v.id for v in net.vertices}
-    vid = {name: ids[canonical_form(g)] for name, g in
-           [("water", water), ("glyco", glyco), ("ammonia", ammonia), ("glycolic", glycolic)]}
-    query = PathwayQuery(
-        sources={vid["water"]: (0, 10), vid["glyco"]: (0, 10)},
-        targets={vid["glycolic"]: (1, 1)},
-        allowed_byproducts={vid["ammonia"]: 10},
-        flow_cap=1,
-    )
-    model = build_model(net, objective_coefficients(table, Thermo(), net), query)
-    # 95 nodes answer it; the budget leaves room for about three times that
-    out = branch_and_bound(model, node_limit=300)
+    # 8 nodes answer it; the budget leaves room for about three times that
+    out = branch_and_bound(model, node_limit=30)
     assert out.status == "optimal"
     assert net.conservation_violations(out.flow) == {}
     indicator_consistent(out, cap=1)
