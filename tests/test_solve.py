@@ -597,6 +597,18 @@ def test_flow_space_search_matches_the_oracle_on_the_fixtures():
     assert supports == [[0, 2, 6, 7, 8], [0, 1, 6, 7, 8, 13], None]
 
 
+def draws(stream, wanted):
+    """The models of the draws numbered ``wanted`` (0-based) of a stream."""
+    rng = random.Random(stream)
+    models = {}
+    for draw in range(max(wanted) + 1):
+        net, barriers, query = nets.random_instance(rng)
+        if draw in wanted:
+            weights = objective_coefficients(BarrierTable.from_kj(barriers), Thermo(), net)
+            models[draw] = build_model(net, weights, query)
+    return [models[draw] for draw in wanted]
+
+
 @pytest.mark.parametrize(
     "stream, draw, k",
     [
@@ -615,11 +627,7 @@ def test_flow_space_search_matches_the_oracle_on_the_fixtures():
     ],
 )
 def test_canonical_optimum_rank_by_rank_on_hard_draws(stream, draw, k):
-    rng = random.Random(stream)
-    for _ in range(draw + 1):
-        net, barriers, query = nets.random_instance(rng)
-    table = BarrierTable.from_kj(barriers)
-    model = build_model(net, objective_coefficients(table, Thermo(), net), query)
+    [model] = draws(stream, [draw])
     ranked = enumerate_pathways(model, k)
     by_rank = []
     for _ in range(k):
@@ -732,18 +740,6 @@ def fresh_ranks(model, k):
             break
         model = add_cut(model, found.support)
     return ranks
-
-
-def draws(stream, wanted):
-    """The models of the draws numbered ``wanted`` (0-based) of a stream."""
-    rng = random.Random(stream)
-    models = {}
-    for draw in range(max(wanted) + 1):
-        net, barriers, query = nets.random_instance(rng)
-        if draw in wanted:
-            weights = objective_coefficients(BarrierTable.from_kj(barriers), Thermo(), net)
-            models[draw] = build_model(net, weights, query)
-    return [models[draw] for draw in wanted]
 
 
 #: by stream, the draws whose first search's support is not the canonical
