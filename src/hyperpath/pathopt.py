@@ -59,6 +59,8 @@ class PathwayQuery:
         for vid, cap in self.allowed_byproducts.items():
             if cap < 0:
                 raise ValueError(f"negative byproduct cap for vertex {vid}")
+        if self.total_inflow_max is not None and self.total_inflow_max < 0:
+            raise ValueError(f"negative total_inflow_max {self.total_inflow_max}")
         if self.maximize_outflow is not None:
             if self.maximize_outflow not in self.targets and self.maximize_outflow not in self.allowed_byproducts:
                 raise ValueError("maximize_outflow must name a target or byproduct vertex")

@@ -11,7 +11,9 @@ all rules breadth-first over growing strata of molecules, recording every
 successful application as a hyperedge.  An application is refused when a
 product would break a valence ceiling or an element cap, both checked on the
 rewritten integer tables before any product graph is built, or when a built
-product fails a product filter (ring size, cumulated doubles).
+product fails a product filter (ring size, cumulated doubles).  Rewriting
+computes no canonical key: the network keys each product as it adds it, and
+derivation records read the keys of the network's vertices.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ from .molgraph import (
     MolecularGraph,
     TextError,
     _from_tables,
-    canonical_form,
     component_specs,
     element_counts,
     read_bond,
@@ -280,11 +281,10 @@ class _Union:
     molecule, ``atoms[i]`` is ``(i, element, charge)``, and ``bonds`` maps
     each pair ``(i, j)`` with ``i < j`` to its bond order.  ``valence[i]`` is
     atom i's bond-order sum, and ``over_valence`` the atoms already past
-    their ceiling; both are made on first use.
+    their ceiling; both are made on first use.  It keeps no host graph.
     """
 
     def __init__(self, hosts: tuple[MolecularGraph, ...]):
-        self.hosts = hosts
         self.host_of: list[int] = []
         self.atoms: list[tuple[int, str, int]] = []
         self.bonds: dict[tuple[int, int], str] = {}
@@ -319,7 +319,8 @@ def _over_valence(element: str, valence: float) -> bool:
 @dataclass
 class Match:
     """One embedding of a rule's left side: ``assignment`` maps each pattern
-    atom id to an atom index of ``table``, the host table it was found in."""
+    atom id to an atom index of ``table``, the host table it was found in.
+    Its reactants are the hosts given to ``find_matches``."""
 
     assignment: dict[int, int]
     class_binding: dict[str, str]
@@ -422,20 +423,19 @@ def apply_rule(
     admit: Callable[[MolecularGraph], bool] | None = None,
     *,
     max_element_counts: dict[str, int] | None = None,
-) -> tuple[list[MolecularGraph], DerivationRecord]:
+) -> list[MolecularGraph]:
     """Rewrite the matched bonds, returning the product molecules.
 
     ``match`` comes from ``find_matches`` and fixes the rewrite: its table
-    numbers the atoms rewritten, and the table's hosts are the reactants.
-    Raises RuleApplicationError when the rewrite would create a parallel
-    bond or push an atom past its valence ceiling, when a product holds
-    more atoms of an element than ``max_element_counts`` allows, or when
-    ``admit`` (a predicate on one product molecule) refuses a product.
-    These checks run cheapest first: bonds, valences and element caps on
-    the rewritten integer tables, before any ``MolecularGraph`` is built;
-    ``admit`` on the built products, before any canonical key is computed.
-    A refused application so costs no graph if a cap refuses it, and no key
-    in any case.
+    numbers the atoms rewritten.  Raises RuleApplicationError when the
+    rewrite would create a parallel bond or push an atom past its valence
+    ceiling, when a product holds more atoms of an element than
+    ``max_element_counts`` allows, or when ``admit`` (a predicate on one
+    product molecule) refuses a product.  These checks run cheapest first:
+    bonds, valences and element caps on the rewritten integer tables, before
+    any ``MolecularGraph`` is built; ``admit`` on the built products.  A
+    refused application so costs no graph if a cap refuses it.  No key is
+    computed: the network keys the products when it adds them.
     """
     union = match.table
     atoms = union.atoms
@@ -482,13 +482,7 @@ def apply_rule(
     products = [_from_tables(a, b) for a, b in parts]
     if admit is not None and not all(admit(p) for p in products):
         raise RuleApplicationError(f"rule {rule.name!r} gives a product that is not admitted")
-    record = DerivationRecord(
-        rule=rule.name,
-        class_binding=tuple(sorted(match.class_binding.items())),
-        reactant_keys=tuple(sorted(canonical_form(h) for h in union.hosts)),
-        product_keys=tuple(sorted(canonical_form(p) for p in products)),
-    )
-    return products, record
+    return products
 
 
 # ---------------------------------------------------------------------------
@@ -576,35 +570,6 @@ def _directional_rules(rules: list[Rule]) -> list[Rule]:
     return out
 
 
-def _derive(
-    rule: Rule,
-    hosts: tuple[MolecularGraph, ...],
-    admit: Callable[[MolecularGraph], bool],
-    max_element_counts: dict[str, int] | None,
-):
-    """All distinct rewrites of one host multiset under one rule.
-
-    ``admit`` and ``max_element_counts`` are passed to ``apply_rule``, which
-    checks the caps on each product's atoms before it builds the product
-    and ``admit`` on the built product.  Both must depend only on a
-    product's isomorphism class, as element caps, ring sizes and cumulated
-    doubles do; then a refused match never shares product keys with a kept
-    one, and each set of product keys keeps the same first record.
-    """
-    outcomes = []
-    seen: set[tuple[bytes, ...]] = set()
-    for match in find_matches(rule, hosts):
-        try:
-            products, record = apply_rule(rule, match, admit, max_element_counts=max_element_counts)
-        except RuleApplicationError:
-            continue
-        if record.product_keys in seen:
-            continue
-        seen.add(record.product_keys)
-        outcomes.append((products, record))
-    return outcomes
-
-
 def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult:
     """Breadth-first closure of the seed molecules under the rules.
 
@@ -625,6 +590,15 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
     element counts are the hosts' summed counts.  When a sum is over its
     cap, every match would be refused, so the multiset is skipped.  A rule
     whose right side is not connected is matched as before.
+
+    Within one task (a rule and a multiset), each admitted application adds
+    its products to the network.  The first one of each product set (its
+    product vertices, with multiplicity) adds the reaction and its record,
+    which holds the sorted keys of the reactant and product vertices; a
+    later one adds nothing.  ``admit`` and the element caps must depend
+    only on a product's isomorphism class, as ring sizes and cumulated
+    doubles do; then all applications of one product set are refused or
+    none is, and the first kept one is the first one found.
     """
     predicates = [right_predicate(s) for s in config.right_predicates]
 
@@ -669,15 +643,30 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
 
         before = (len(net.vertices), len(net.edges))
         for ri, combo in tasks:
-            for products, record in _derive(
-                directional[ri], tuple(v.graph for v in combo), admit, config.max_element_counts
-            ):
-                product_ids = Counter(net.add_molecule(p) for p in products)
-                reactant_ids = Counter(v.id for v in combo)
-                eid = net.add_reaction(dict(reactant_ids), dict(product_ids))
-                derivations.setdefault(eid, [])
-                if record not in derivations[eid]:
-                    derivations[eid].append(record)
+            rule = directional[ri]
+            reactant_ids = dict(Counter(v.id for v in combo))
+            reactant_keys = tuple(sorted(v.key for v in combo))
+            seen: set[tuple[int, ...]] = set()
+            for match in find_matches(rule, tuple(v.graph for v in combo)):
+                try:
+                    products = apply_rule(rule, match, admit, max_element_counts=config.max_element_counts)
+                except RuleApplicationError:
+                    continue
+                product_ids = [net.add_molecule(p) for p in products]
+                bag = tuple(sorted(product_ids))
+                if bag in seen:
+                    continue
+                seen.add(bag)
+                eid = net.add_reaction(reactant_ids, dict(Counter(product_ids)))
+                record = DerivationRecord(
+                    rule=rule.name,
+                    class_binding=tuple(sorted(match.class_binding.items())),
+                    reactant_keys=reactant_keys,
+                    product_keys=tuple(sorted(net.vertices[i].key for i in bag)),
+                )
+                records = derivations.setdefault(eid, [])
+                if record not in records:
+                    records.append(record)
         history.append((len(net.vertices), len(net.edges)))
         if (len(net.vertices), len(net.edges)) == before:
             reached_fixpoint = True

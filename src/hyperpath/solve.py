@@ -213,9 +213,13 @@ class IlpSolution:
 
 
 class _Search:
-    def __init__(self, limit: int):
+    """One rank's nodes, against ``limit``, and the model's cuts as arrays
+    of flow columns (the flow of edge e is column e), built once."""
+
+    def __init__(self, model: IlpModel, limit: int):
         self.limit = limit
         self.nodes = 0
+        self.cuts = [np.array(sorted(cut)) for cut in model.cuts]
 
     def tick(self):
         self.nodes += 1
@@ -272,7 +276,6 @@ def _dfs(
     """
     sign = 1.0 if model.sense == "min" else -1.0
     price_tol = _price_tol(model)
-    cuts = [np.array(sorted(cut)) for cut in model.cuts]
     best_signed = math.inf
     best: tuple[float, np.ndarray] | None = None
     # a node is (lo, hi, the basis its LP starts from); the model's own has none
@@ -297,7 +300,7 @@ def _dfs(
             exact = _objective(model, snapped.tolist())
             if sign * exact > cutoff:
                 continue
-            broken = next((cut for cut in cuts if (snapped[cut] >= 1).all()), None)
+            broken = next((cut for cut in search.cuts if (snapped[cut] >= 1).all()), None)
             if broken is not None:
                 children = _cut_children(lo, hi, broken)
                 stack.extend((*child, lp.basis) for child in reversed(children))
@@ -366,7 +369,7 @@ def _rank_optimum(model: IlpModel, root: LpSolution, search: _Search, regions: l
         if best is not None:
             regions.append((model.lo, model.hi, best))
         return best
-    cut = np.array(sorted(model.cuts[-1]))
+    cut = search.cuts[-1]
     kept = []
     for lo, hi, best in regions:
         if not (best[1][cut] >= 1).all():
@@ -428,7 +431,7 @@ def branch_and_bound(
         raise ValueError("branch and bound needs an integral model; simplex_solve solves its relaxation")
     if root is None:
         root = simplex_solve(model)
-    search = _Search(node_limit)
+    search = _Search(model, node_limit)
     raw = _rank_optimum(model, root, search, [] if regions is None else regions)
     if raw is None:
         return IlpSolution("infeasible", nodes=search.nodes)

@@ -766,6 +766,10 @@ def test_wrong_shape_documents_exit_2(tmp_path, capsys):
     assert main(base + ["--query", str(bad_query)]) == 2
     assert "not a valid query document" in capsys.readouterr().err
 
+    bad_query.write_text(json.dumps({"targets": {"3": [1, 1]}, "total_inflow_max": -1}))
+    assert main(base + ["--query", str(bad_query)]) == 2
+    assert "negative total_inflow_max" in capsys.readouterr().err
+
     bad_flow = tmp_path / "bad-flow.json"
     bad_flow.write_text(json.dumps({"flow": [1, 2]}))
     assert main(["annotate-check", "--network", network, "--flow", str(bad_flow)]) == 2

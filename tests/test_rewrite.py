@@ -27,7 +27,6 @@ from hyperpath.molgraph import (
 )
 from hyperpath.rewrite import (
     VALENCE_CAP,
-    DerivationRecord,
     ExpansionConfig,
     PatternAtom,
     PatternBond,
@@ -431,29 +430,33 @@ def test_apply_rule_nitrile_addition():
     [rule] = parse_rules(NITRILE_ADDITION)
     hcn = parse_molecule(molecules.HYDROGEN_CYANIDE_MGF)
     hosts = (hcn, molecules.water())
-    products, record = apply_rule(rule, find_matches(rule, hosts)[0])
+    products = apply_rule(rule, find_matches(rule, hosts)[0])
     assert len(products) == 1
     expected = make_graph(
         [(0, "C"), (1, "N"), (2, "O"), (3, "H"), (4, "H"), (5, "H")],
         [(0, 1, 2), (0, 2, 1), (1, 3, 1), (0, 4, 1), (2, 5, 1)],
     )
     assert helpers.are_isomorphic(products[0], expected)
-    assert record.rule == "nitrile-addition"
-    assert record.product_keys == (canonical_form(expected),)
-    assert record.reactant_keys == tuple(sorted(canonical_form(h) for h in hosts))
 
 
-def test_apply_rule_refuses_a_product_before_keying_it():
+def keyed() -> int:
+    """Calls of the canonical key search so far, cache hits and misses."""
+    info = molgraph._canonical_key.cache_info()
+    return info.hits + info.misses
+
+
+def test_apply_rule_computes_no_key():
+    # neither an admitted application nor a refused one keys a graph: the
+    # network keys the products when it adds them
     [rule] = parse_rules(NITRILE_ADDITION)
     hosts = (parse_molecule(molecules.HYDROGEN_CYANIDE_MGF), molecules.water())
     match = find_matches(rule, hosts)[0]
-    # canonical_form keeps one cache, keyed by the numbered tables; emptied
-    # first, so that a product keyed by an earlier test cannot hide as a hit
-    molgraph._canonical_key.cache_clear()
-    misses = molgraph._canonical_key.cache_info().misses
+    before = keyed()
     with pytest.raises(RuleApplicationError):
         apply_rule(rule, match, admit=lambda p: False)
-    assert molgraph._canonical_key.cache_info().misses == misses
+    assert keyed() == before
+    assert len(apply_rule(rule, match, admit=lambda p: True)) == 1
+    assert keyed() == before
 
 
 def test_apply_rule_refuses_an_over_cap_product_before_building_it(monkeypatch):
@@ -471,17 +474,16 @@ def test_apply_rule_refuses_an_over_cap_product_before_building_it(monkeypatch):
     with pytest.raises(RuleApplicationError):
         apply_rule(rule, match, max_element_counts={"C": 1})
     assert built == []
-    products, _ = apply_rule(rule, match, max_element_counts={"C": 2})
+    products = apply_rule(rule, match, max_element_counts={"C": 2})
     assert built == products and element_counts(products[0]) == {"C": 2, "H": 6}
 
 
-def reference_apply_rule(rule, match, hosts, admit, caps):
+def reference_apply_rule(rule, match, admit, caps):
     """A build-first reference for ``apply_rule``.
 
     Every product graph is built first, after a full recount of valences;
-    only then are the caps and ``admit`` applied to it.  The reactant keys
-    come from ``hosts``, the multiset given to ``find_matches``.  Returns the
-    products and record, or the reason for a refusal.
+    only then are the caps and ``admit`` applied to it.  Returns the
+    products, or the reason for a refusal.
     """
     union = match.table
     bonds = dict(union.bonds)
@@ -511,13 +513,7 @@ def reference_apply_rule(rule, match, hosts, admit, caps):
             return "element cap"
     if not all(admit(p) for p in products):
         return "filter"
-    record = DerivationRecord(
-        rule=rule.name,
-        class_binding=tuple(sorted(match.class_binding.items())),
-        reactant_keys=tuple(sorted(canonical_form(h) for h in hosts)),
-        product_keys=tuple(sorted(canonical_form(p) for p in products)),
-    )
-    return products, record
+    return products
 
 
 def compare_with_reference(tried, caps, filters) -> Counter:
@@ -530,7 +526,7 @@ def compare_with_reference(tried, caps, filters) -> Counter:
     outcomes = Counter()
     for rule, hosts in tried:
         for match in find_matches(rule, hosts):
-            expected = reference_apply_rule(rule, match, hosts, admit, caps)
+            expected = reference_apply_rule(rule, match, admit, caps)
             try:
                 got = apply_rule(rule, match, admit, max_element_counts=caps)
             except RuleApplicationError:
@@ -626,7 +622,7 @@ def test_apply_rule_matches_the_reference_on_bond_making_rules():
 def test_apply_rule_splits_components():
     [rule] = parse_rules(HH_BREAK)
     h2 = make_graph([(0, "H"), (1, "H")], [(0, 1, 1)])
-    products, _ = apply_rule(rule, find_matches(rule, (h2,))[0])
+    products = apply_rule(rule, find_matches(rule, (h2,))[0])
     assert len(products) == 2
     assert all(element_counts(p) == {"H": 1} for p in products)
 
@@ -663,7 +659,7 @@ def test_apply_rule_counts_aromatic_as_one_and_a_half():
     ]
     assert found
     # the middle carbon sits at 3.0; one more single bond is exactly 4.0
-    products, _ = apply_rule(rule, found[0])
+    products = apply_rule(rule, found[0])
     assert len(products) == 1
     assert element_counts(products[0]) == {"C": 3, "O": 1}
 
@@ -724,6 +720,40 @@ def test_make_graph_rebuilds_every_closure_molecule_unchanged():
         rng.shuffle(atoms)
         rng.shuffle(bonds)
         assert make_graph(atoms, bonds) == g
+
+
+def test_expansion_keys_each_seed_and_product_once(monkeypatch):
+    # criterion 8's closure: the network keys each seed and each product of
+    # an admitted application as it adds it, and nothing else keys a graph
+    returned = []
+    apply = rewrite.apply_rule
+
+    def counting(*args, **kwargs):
+        products = apply(*args, **kwargs)
+        returned.append(len(products))
+        return products
+
+    monkeypatch.setattr(rewrite, "apply_rule", counting)
+    before = keyed()
+    result = criterion_8_closure.__wrapped__()  # a fresh run, not the cached one
+    assert result.history[-1] == (41, 116)
+    assert keyed() - before == 2 + sum(returned) == 494  # 2 seeds
+
+
+def test_records_carry_their_edges_vertex_keys():
+    # every record of an edge names the edge's reactants and products by
+    # their vertices' keys, each vertex as often as its multiplicity
+    result = criterion_8_closure()
+    net = result.network
+
+    def keys(side: dict) -> tuple:
+        return tuple(sorted(net.vertices[v].key for v, m in side.items() for _ in range(m)))
+
+    assert set(result.derivations) == {e.id for e in net.edges}
+    for edge in net.edges:
+        for record in result.derivations[edge.id]:
+            assert record.reactant_keys == keys(edge.reactants), edge.id
+            assert record.product_keys == keys(edge.products), edge.id
 
 
 def test_cumulated_double_predicate():

@@ -793,7 +793,7 @@ def test_reduced_cost_bound_holds_on_random_boxes():
             # a cutoff short of the bound, at it, or past it
             cutoff = sign * root.objective + rng.choice([0.5, 1.0, 1.5]) * max(0.0, bound - sign * root.objective)
             if solve._priced_out(model, root, lo, hi, cutoff):
-                assert solve._dfs(model, root, solve._Search(10**6), (lo, hi), cutoff, True) is None
+                assert solve._dfs(model, root, solve._Search(model, 10**6), (lo, hi), cutoff, True) is None
                 priced_out += 1
     assert bounded >= 150 and priced_out >= 100
 
