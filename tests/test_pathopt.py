@@ -112,8 +112,6 @@ def test_query_json_accepts_pair_ranges():
         ({"targets": {"3": [1, 1]}, "byproducts": {"4": "2"}}, "byproducts 4: expected an integer"),
         ({"targets": {"3": [1, 1]}, "forbidden_edges": [0, 1.0]}, "forbidden_edges: expected an"),
         ({"targets": {"3": [1, 1]}, "total_inflow_max": "3"}, "total_inflow_max: expected an"),
-        # a negative cap would leave every query infeasible
-        ({"targets": {"3": [1, 1]}, "total_inflow_max": -1}, "negative total_inflow_max -1"),
         ({"targets": {"3": [1, 1]}, "maximize_outflow": 3.0}, "maximize_outflow: expected an"),
         ({"sources": [], "targets": {"3": [1, 1]}}, "expected an object"),
         # beyond 2**53 the solver's floats no longer hold an integer exactly
@@ -123,6 +121,8 @@ def test_query_json_accepts_pair_ranges():
         ({"targets": {"3": [1, 1], "03": [2, 2]}}, "targets: bad vertex id '03'"),
         ({"sources": {" 0": [0, 1]}, "targets": {"3": [1, 1]}}, "sources: bad vertex id ' 0'"),
         ({"targets": {"3": [1, 1]}, "byproducts": {"x": 1}}, "byproducts: bad vertex id 'x'"),
+        # a negative cap would leave every query infeasible
+        ({"targets": {"3": [1, 1]}, "total_inflow_max": -1}, "negative total_inflow_max -1"),
     ],
 )
 def test_query_json_malformed_documents(document, fragment):
