@@ -8,12 +8,14 @@ bonds, and keeps everything else.  Matches are injective and
 label-compatible, map each connected pattern component into one host
 molecule, and must touch every molecule of the multiset.  Expansion applies
 all rules breadth-first over growing strata of molecules, recording every
-successful application as a hyperedge.  An application is refused when a
-product would break a valence ceiling or an element cap, both checked on the
-rewritten integer tables before any product graph is built, or when a built
-product fails a product filter (ring size, cumulated doubles).  Rewriting
-computes no canonical key: the network keys each product as it adds it, and
-derivation records read the keys of the network's vertices.
+successful application as a hyperedge.  It matches no multiset that lacks a
+part of a rule's left side, and applies one match per orbit under swaps of
+twin atoms.  An application is refused when a product would break a valence
+ceiling or an element cap, both checked on the rewritten integer tables
+before any product graph is built, or when a built product fails a product
+filter (ring size, cumulated doubles).  Rewriting computes no canonical key:
+the network keys each product as it adds it, and derivation records read the
+keys of the network's vertices.
 """
 from __future__ import annotations
 
@@ -140,6 +142,29 @@ class Rule:
     def component_count(self) -> int:
         """Connected parts of the left side: the most hosts one match joins."""
         return _part_count(self.atoms, self.left)
+
+    def part_needs(self) -> list[list[frozenset]]:
+        """What each connected part of the left side needs of the host it
+        maps into, as ``_host_masks`` reads it: one need per pattern bond,
+        met by a host bond of one of its ``(element, element, order)``
+        kinds, or, for a part without bonds, one need met by an atom of an
+        allowed element.  Each need is the set of host features that meet it."""
+        label = {a.id: a.label for a in self.atoms}
+        needs = []
+        parts = component_specs([(a.id,) for a in self.atoms], [(b.a, b.b, b.order) for b in self.left])
+        for atoms, bonds in parts:
+            if not bonds:
+                needs.append([frozenset(self.allowed_elements(label[atoms[0][0]]))])
+                continue
+            needs.append([
+                frozenset(
+                    (x, y, order)
+                    for x in self.allowed_elements(label[a])
+                    for y in self.allowed_elements(label[b])
+                )
+                for a, b, order in bonds
+            ])
+        return needs
 
     def joins_every_atom(self) -> bool:
         """True when the right side connects all the rule's atoms.
@@ -309,6 +334,22 @@ class _Union:
     @functools.cached_property
     def over_valence(self) -> list[int]:
         return [i for i, element, _ in self.atoms if _over_valence(element, self.valence[i])]
+
+    @functools.cached_property
+    def twin_class(self) -> list[int]:
+        """Each atom's class of twins, numbered from 0 in table order: twins
+        are atoms of one host with the same element, the same charge and the
+        same neighbours by bond order.  No two twins are bonded, so any
+        permutation of a class is an automorphism of the union."""
+        neighbours: list[list[tuple[int, str]]] = [[] for _ in self.atoms]
+        for (i, j), order in self.bonds.items():
+            neighbours[i].append((j, order))
+            neighbours[j].append((i, order))
+        classes: dict[tuple, int] = {}
+        return [
+            classes.setdefault((self.host_of[i], element, charge, frozenset(neighbours[i])), len(classes))
+            for i, element, charge in self.atoms
+        ]
 
 
 def _over_valence(element: str, valence: float) -> bool:
@@ -570,6 +611,22 @@ def _directional_rules(rules: list[Rule]) -> list[Rule]:
     return out
 
 
+def _host_masks(graph: MolecularGraph, needs: list[list[list[frozenset]]]) -> tuple[int, ...]:
+    """For each rule's ``Rule.part_needs``, the bit mask of the left-side
+    parts that ``graph`` can hold: bit c is set when the graph meets every
+    need of part c.  Its features are its elements and its bond kinds
+    ``(element, element, order)``, each bond read both ways."""
+    element = {a.id: a.element for a in graph.atoms}
+    features: set = set(element.values())
+    for b in graph.bonds:
+        features.add((element[b.a], element[b.b], b.order))
+        features.add((element[b.b], element[b.a], b.order))
+    return tuple(
+        sum(1 << c for c, part in enumerate(parts) if all(not need.isdisjoint(features) for need in part))
+        for parts in needs
+    )
+
+
 def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult:
     """Breadth-first closure of the seed molecules under the rules.
 
@@ -583,13 +640,26 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
     must be one connected molecule, as every product is; ValueError names a
     seed that is not.
 
-    A multiset is never matched when every application must break an
-    element cap.  That holds when the rule's right side joins all its atoms
-    (``Rule.joins_every_atom``): each host is connected and receives a
-    pattern atom, so the one product holds all the hosts' atoms, and its
-    element counts are the hosts' summed counts.  When a sum is over its
-    cap, every match would be refused, so the multiset is skipped.  A rule
-    whose right side is not connected is matched as before.
+    Three skips leave the network, its records and its history as they
+    would be without them:
+
+    - A multiset is never matched when it has no match.  A match maps each
+      connected part of the rule's left side into one host and touches
+      every host, so each host must be able to hold some part, and each
+      part must fit some host (``Rule.part_needs``, ``_host_masks``: a
+      bit mask per vertex and rule, made once when the vertex joins).
+    - A multiset is never matched when every application must break an
+      element cap.  That holds when the rule's right side joins all its
+      atoms (``Rule.joins_every_atom``): each host is connected and
+      receives a pattern atom, so the one product holds all the hosts'
+      atoms, and its element counts are the hosts' summed counts.  When a
+      sum is over its cap, every match would be refused.  A rule whose
+      right side is not connected is matched as before.
+    - Of the matches that differ only by swaps of twin atoms
+      (``_Union.twin_class``), only the first is applied.  A swap is an
+      automorphism of the hosts, so each such match makes the same
+      refusals, the same product vertices and the same record as the
+      first.
 
     Within one task (a rule and a multiset), each admitted application adds
     its products to the network.  The first one of each product set (its
@@ -615,8 +685,11 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
     directional = _directional_rules(rules)
     caps = list((config.max_element_counts or {}).items())
     joins = [rule.joins_every_atom() for rule in directional]
+    needs = [rule.part_needs() for rule in directional]
     #: each vertex's counts of the capped elements, by vertex id
     capped_counts: list[tuple[int, ...]] = []
+    #: each vertex's ``_host_masks``, one per directional rule, by vertex id
+    masks: list[tuple[int, ...]] = []
     derivations: dict[int, list[DerivationRecord]] = {}
     history: list[tuple[int, int]] = []
     reached_fixpoint = False
@@ -627,17 +700,29 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
             sum(capped_counts[v.id][k] for v in combo) > cap for k, (_, cap) in enumerate(caps)
         )
 
+    def holds_every_part(ri: int, combo: tuple[Vertex, ...]) -> bool:
+        held = 0
+        for v in combo:
+            held |= masks[v.id][ri]
+        return held == (1 << len(needs[ri])) - 1
+
     for _ in range(config.max_iterations):
         current: list[Vertex] = list(net.vertices)
         for vertex in current[len(capped_counts):]:
             counts = element_counts(vertex.graph)
             capped_counts.append(tuple(counts.get(element, 0) for element, _ in caps))
+            masks.append(_host_masks(vertex.graph, needs))
         tasks: list[tuple[int, tuple[Vertex, ...]]] = []
         for ri, rule in enumerate(directional):
-            for size in range(1, rule.component_count() + 1):
-                for combo in combinations_with_replacement(current, size):
+            hosts = [v for v in current if masks[v.id][ri]]
+            for size in range(1, len(needs[ri]) + 1):
+                for combo in combinations_with_replacement(hosts, size):
                     # the highest id comes last
-                    if combo[-1].id >= tried_below and not (joins[ri] and breaks_a_cap(combo)):
+                    if (
+                        combo[-1].id >= tried_below
+                        and holds_every_part(ri, combo)
+                        and not (joins[ri] and breaks_a_cap(combo))
+                    ):
                         tasks.append((ri, combo))
         tried_below = len(current)
 
@@ -647,7 +732,13 @@ def run_expansion(config: ExpansionConfig, rules: list[Rule]) -> ExpansionResult
             reactant_ids = dict(Counter(v.id for v in combo))
             reactant_keys = tuple(sorted(v.key for v in combo))
             seen: set[tuple[int, ...]] = set()
+            orbits: set[tuple[int, ...]] = set()
             for match in find_matches(rule, tuple(v.graph for v in combo)):
+                twin = match.table.twin_class
+                orbit = tuple(twin[match.assignment[a.id]] for a in rule.atoms)
+                if orbit in orbits:
+                    continue
+                orbits.add(orbit)
                 try:
                     products = apply_rule(rule, match, admit, max_element_counts=config.max_element_counts)
                 except RuleApplicationError:

@@ -213,13 +213,16 @@ class IlpSolution:
 
 
 class _Search:
-    """One rank's nodes, against ``limit``, and the model's cuts as arrays
-    of flow columns (the flow of edge e is column e), built once."""
+    """One rank's nodes, against ``limit``, and what every search of the rank
+    reads of the model, made once: its cuts as arrays of flow columns (the
+    flow of edge e is column e), its pricing slack and its edge count."""
 
     def __init__(self, model: IlpModel, limit: int):
         self.limit = limit
         self.nodes = 0
         self.cuts = [np.array(sorted(cut)) for cut in model.cuts]
+        self.price_tol = _price_tol(model)
+        self.edges = _edge_count(model)
 
     def tick(self):
         self.nodes += 1
@@ -275,7 +278,6 @@ def _dfs(
     per unit of the node's box width.
     """
     sign = 1.0 if model.sense == "min" else -1.0
-    price_tol = _price_tol(model)
     best_signed = math.inf
     best: tuple[float, np.ndarray] | None = None
     # a node is (lo, hi, the basis its LP starts from); the model's own has none
@@ -286,7 +288,7 @@ def _dfs(
         lp = root if parent is None else simplex_solve(model, (lo, hi), start=parent)
         if lp.status == "infeasible":
             continue
-        if sign * lp.objective - price_tol * (hi - lo).sum() > cutoff:
+        if sign * lp.objective - search.price_tol * (hi - lo).sum() > cutoff:
             continue
         prune_tol = 1e-6 + 1e-9 * abs(best_signed if best else 0.0)
         if best is not None and sign * lp.objective >= best_signed - prune_tol:
@@ -445,7 +447,7 @@ def branch_and_bound(
             return False
         return _dfs(model, root, search, (lo, hi), cutoff, True) is not None
 
-    edges = _edge_count(model)
+    edges = search.edges
     chosen: list[int] = []
     final = _dfs(model, root, search, _support_bounds(model, edges, chosen, None), cutoff)
     for eid in range(edges):

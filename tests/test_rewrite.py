@@ -372,6 +372,34 @@ def test_find_matches_independent_classes():
     )
 
 
+def test_twin_classes():
+    # twins are atoms of one host with the same element, charge and
+    # neighbours by bond order: methane's four hydrogens, and each water's
+    # two, but not the two bonded hydrogens of H2
+    methane = rewrite._Union((molecules.methane(),))
+    assert sorted(Counter(methane.twin_class).values()) == [1, 4]
+    assert len({methane.twin_class[i] for i, element, _ in methane.atoms if element == "H"}) == 1
+    h2 = make_graph([(0, "H"), (1, "H")], [(0, 1, 1)])
+    assert rewrite._Union((h2,)).twin_class == [0, 1]
+    water = molecules.water()
+    assert rewrite._Union((water, water)).twin_class == [0, 1, 1, 2, 3, 3]
+
+
+def test_expansion_applies_one_match_per_twin_orbit(monkeypatch):
+    # HCN + water: the nitrile addition matches either hydrogen of water,
+    # twins, so of the 2 matches only the first is applied; no other
+    # multiset holds both parts of the rule's left side, so none is matched
+    [rule] = parse_rules(NITRILE_ADDITION)
+    hcn = parse_molecule(molecules.HYDROGEN_CYANIDE_MGF)
+    tried = record_find_matches(monkeypatch)
+    applied = record_apply_rule(monkeypatch)
+    result = run_expansion(ExpansionConfig((hcn, molecules.water()), max_iterations=1), [rule])
+    assert [hosts for _, hosts in tried] == [(hcn, molecules.water())]
+    assert len(find_matches(rule, (hcn, molecules.water()))) == 2
+    assert len(applied) == 1
+    assert len(result.network.edges) == 1
+
+
 def _pattern_order_by_scan(adj, candidates):
     """The greedy match order by one linear scan per step: the reference for
     ``rewrite._pattern_order``, which takes each step from a heap."""
@@ -551,6 +579,19 @@ def record_find_matches(monkeypatch) -> list:
     return tried
 
 
+def record_apply_rule(monkeypatch) -> list:
+    """The match of every ``apply_rule`` call that ``run_expansion`` makes."""
+    applied = []
+    apply = rewrite.apply_rule
+
+    def recording(rule, match, *args, **kwargs):
+        applied.append(match)
+        return apply(rule, match, *args, **kwargs)
+
+    monkeypatch.setattr(rewrite, "apply_rule", recording)
+    return applied
+
+
 def every_task(result, seeds, rules) -> list:
     """Each (rule, hosts) an expansion would try if it skipped none: per
     iteration, every multiset of the vertices it began with, sized up to the
@@ -594,8 +635,9 @@ def test_apply_rule_refuses_exactly_where_the_build_first_reference_does(monkeyp
     tried_keys = [task_key(t) for t in tried]
     assert [task_key(t) for t in full if task_key(t) in tried_keys] == tried_keys
     skipped = [t for t in full if task_key(t) not in tried_keys]
-    assert (len(full), len(tried), len(skipped)) == (144, 88, 56)
-    # a skipped multiset is one that a cap refuses in every match
+    assert (len(full), len(tried), len(skipped)) == (144, 33, 111)
+    # a skipped multiset is one that a cap refuses in every match, or one
+    # with no match
     skipped_outcomes = compare_with_reference(skipped, caps, filters)
     assert skipped_outcomes == {"element cap": 117}
     outcomes = compare_with_reference(tried, caps, filters) + skipped_outcomes
@@ -737,7 +779,7 @@ def test_expansion_keys_each_seed_and_product_once(monkeypatch):
     before = keyed()
     result = criterion_8_closure.__wrapped__()  # a fresh run, not the cached one
     assert result.history[-1] == (41, 116)
-    assert keyed() - before == 2 + sum(returned) == 494  # 2 seeds
+    assert keyed() - before == 2 + sum(returned) == 302  # 2 seeds
 
 
 def test_records_carry_their_edges_vertex_keys():
@@ -885,6 +927,36 @@ def test_expansion_skipping_cap_refused_multisets_changes_no_output(monkeypatch)
     assert skipping.network.to_json() == full.network.to_json()
     assert skipping.derivations == full.derivations
     assert matched_when_skipping < len(tried)
+
+
+@pytest.mark.parametrize("max_iterations, carbons", [(11, 2), (4, 4), (5, 4)])
+def test_expansion_skipping_matchless_multisets_and_twin_matches_changes_no_output(
+    monkeypatch, max_iterations, carbons
+):
+    # criterion 8's closure and the C <= 4 closure at 4 and 5 iterations,
+    # with both skips and with every twin class distinct and every host mask
+    # full, which matches every multiset the caps leave and applies every match
+    config = ExpansionConfig(
+        (molecules.water(), molecules.glycolonitrile()),
+        max_iterations=max_iterations,
+        max_element_counts={"C": carbons, "N": 4, "O": 4},
+        right_predicates=("no-rings-le=3", "no-cumulated-doubles"),
+    )
+    tried = record_find_matches(monkeypatch)
+    applied = record_apply_rule(monkeypatch)
+    skipping = run_expansion(config, load_default_rules())
+    counts_when_skipping = (len(tried), len(applied))
+    monkeypatch.setattr(rewrite._Union, "twin_class", property(lambda self: list(range(len(self.atoms)))))
+    monkeypatch.setattr(
+        rewrite, "_host_masks", lambda graph, needs: tuple((1 << len(parts)) - 1 for parts in needs)
+    )
+    tried.clear()
+    applied.clear()
+    full = run_expansion(config, load_default_rules())
+    assert skipping.history == full.history
+    assert skipping.network.to_json() == full.network.to_json()
+    assert skipping.derivations == full.derivations
+    assert counts_when_skipping[0] < len(tried) and counts_when_skipping[1] < len(applied)
 
 
 def test_expansion_seeds_are_exempt_from_caps():
