@@ -19,7 +19,6 @@ canonical support).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -193,12 +192,7 @@ def _cmd_expand(args, run: _Run) -> int:
     if result.reached_fixpoint:
         print("reached fixpoint")
     print(f"wrote {args.output}")
-    if args.dot:
-        dot_path = str(Path(args.output).with_suffix("")) + ".dot"
-        run.write(dot_path, result.network.to_dot())
-        print(f"wrote {dot_path}")
     run.extra = {
-        "iterations_run": len(result.history),
         "reached_fixpoint": result.reached_fixpoint,
         "history": [list(h) for h in result.history],
     }
@@ -241,7 +235,6 @@ def _solution_json(rank: int, solution, weights) -> dict:
         "score_j_per_mol": score,
         "score_kj_per_mol": score / 1000.0,
         "support": solution.support,
-        "indicators": {str(e): 1 for e in solution.support},
         **_flow_to_json(solution.flow),
     }
 
@@ -257,8 +250,6 @@ def _load_query_inputs(args, run: _Run):
 
 def _cmd_query(args, run: _Run) -> int:
     graph, table, weights, query = _load_query_inputs(args, run)
-    if args.flow_cap is not None:
-        query = dataclasses.replace(query, flow_cap=args.flow_cap)
     model = build_model(graph, weights, query)
 
     if args.relax:
@@ -289,7 +280,6 @@ def _cmd_query(args, run: _Run) -> int:
         "temperature_k": args.temperature_k,
         "rank_requested": args.rank,
         "solutions": solutions,
-        "cuts": [s.support for s in ranked.solutions if s.support],
     }
     run.write_json(args.output, data)
 
@@ -301,8 +291,8 @@ def _cmd_query(args, run: _Run) -> int:
             f"rank {entry['rank']}: score {entry['score_kj_per_mol']:.6f} kJ/mol, "
             f"support {edges}"
         )
-    stem = str(Path(args.output).with_suffix(""))
     if args.profiles:
+        stem = str(Path(args.output).with_suffix(""))
         for entry, solution in zip(solutions, ranked.solutions):
             lines = ["step,edge_id,flow,barrier_kj_per_mol,cumulative_kj_per_mol"]
             cumulative = 0.0
@@ -313,9 +303,6 @@ def _cmd_query(args, run: _Run) -> int:
                     f"{step},{eid},{flow},{table.barrier_kj(eid):.6f},{cumulative:.6f}"
                 )
             run.write(f"{stem}.profile-{entry['rank']}.csv", "\n".join(lines) + "\n")
-    if args.dot:
-        flow = ranked.solutions[0].flow if ranked.solutions else {}
-        run.write(f"{stem}.dot", graph.to_dot(flow))
 
     run.extra = {"node_limit": args.node_limit, "temperature_k": args.temperature_k}
     return 0
@@ -366,10 +353,6 @@ def _checked(read, ok, rule: str):
 
 _COUNT = _checked(read_integer, lambda v: v >= 1, "an integer of at least 1")
 _ITERATIONS = _checked(read_integer, lambda v: v >= 0, "an integer of at least 0")
-#: a query file's flow cap is a JSON integer, so at most 2**53, as is this flag's
-_FLOW_CAP = _checked(
-    read_integer, lambda v: v >= 1 and is_json_integer(v), "an integer from 1 to 2**53"
-)
 _KELVIN = _checked(
     read_decimal, lambda v: 0 < v * GAS_CONSTANT < math.inf, "a decimal above 0 with R*T finite"
 )
@@ -394,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[],
         help="product filter, repeatable (no-rings-le=3, no-cumulated-doubles)",
     )
-    p.add_argument("--dot", action="store_true", help="also draw the network")
     p.add_argument("--output", required=True, help="network JSON to write")
     p.set_defaults(func=_cmd_expand)
 
@@ -412,13 +394,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query", required=True)
     p.add_argument("-k", "--rank", type=_COUNT, default=1, help="how many pathways to enumerate")
     p.add_argument("--temperature-k", type=_KELVIN, default=DEFAULT_TEMPERATURE)
-    p.add_argument(
-        "--flow-cap", type=_FLOW_CAP, default=None, help="override the query's per-edge cap"
-    )
     p.add_argument("--relax", action="store_true", help="solve the continuous relaxation instead")
     p.add_argument("--node-limit", type=_COUNT, default=DEFAULT_NODE_LIMIT)
     p.add_argument("--profiles", action="store_true", help="write an energy profile CSV per solution")
-    p.add_argument("--dot", action="store_true", help="also draw the network with the best pathway")
     p.add_argument("--output", required=True, help="solutions JSON to write")
     p.set_defaults(func=_cmd_query)
 

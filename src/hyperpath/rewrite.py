@@ -139,10 +139,6 @@ class Rule:
             adj[b.b].append((b.a, b.order))
         return adj
 
-    def component_count(self) -> int:
-        """Connected parts of the left side: the most hosts one match joins."""
-        return _part_count(self.atoms, self.left)
-
     def part_needs(self) -> list[list[frozenset]]:
         """What each connected part of the left side needs of the host it
         maps into, as ``_host_masks`` reads it: one need per pattern bond,
@@ -172,12 +168,8 @@ class Rule:
         Then an application to connected hosts, each given at least one
         pattern atom, makes one product: all the hosts' atoms.
         """
-        return _part_count(self.atoms, self.right) == 1
-
-
-def _part_count(atoms: tuple[PatternAtom, ...], bonds: tuple[PatternBond, ...]) -> int:
-    """Connected parts of the rule's atoms under one side's bonds."""
-    return len(component_specs([(a.id,) for a in atoms], [(b.a, b.b, b.order) for b in bonds]))
+        bonds = [(b.a, b.b, b.order) for b in self.right]
+        return len(component_specs([(a.id,) for a in self.atoms], bonds)) == 1
 
 
 def reverse_rule(rule: Rule) -> Rule:

@@ -23,9 +23,11 @@ from hyperpath.kinetics import (
     objective_coefficients,
     pathway_score,
 )
-from hyperpath.molgraph import PERIODIC_TABLE
+from hyperpath.molgraph import PERIODIC_TABLE, parse_molecules
 from hyperpath.netcore import Hypergraph
-from hyperpath.pathopt import PathwayQuery
+from hyperpath.pathopt import PathwayQuery, build_model
+from hyperpath.rewrite import ExpansionConfig, parse_rules, run_expansion
+from hyperpath.solve import enumerate_pathways
 
 
 def write_network(tmp_path, net, name="network.json"):
@@ -119,7 +121,6 @@ def test_expand_custom_rules_and_dot(tmp_path, capsys):
             "--seeds", str(seeds),
             "--rules", str(rules),
             "--max-iterations", "4",
-            "--dot",
             "--output", str(out),
         ]
     )
@@ -128,12 +129,18 @@ def test_expand_custom_rules_and_dot(tmp_path, capsys):
     assert "reached fixpoint" in stdout
     net = Hypergraph.from_json(json.loads(out.read_text()))
     assert len(net.vertices) == 2 and len(net.edges) == 2
-    dot = (tmp_path / "h2.dot").read_text()
-    assert dot.startswith("digraph")
     manifest = json.loads((tmp_path / "h2.manifest.json").read_text())
     assert set(manifest["inputs"]) == {"seeds", "rules"}
-    assert manifest["outputs"] == sorted([str(out), str(tmp_path / "h2.dot")])
+    assert manifest["outputs"] == [str(out)]
     assert manifest["reached_fixpoint"] is True
+    # export-dot draws the network the expansion made
+    drawn = tmp_path / "drawing.dot"
+    assert main(["export-dot", "--network", str(out), "--output", str(drawn)]) == 0
+    capsys.readouterr()
+    config = ExpansionConfig(tuple(parse_molecules(seeds.read_text())), max_iterations=4)
+    expansion = run_expansion(config, parse_rules(rules.read_text()))
+    assert drawn.read_text() == expansion.network.to_dot()
+    assert drawn.read_text().startswith("digraph")
 
 
 def test_expand_unknown_filter_is_usage_error(tmp_path, capsys):
@@ -347,14 +354,18 @@ def test_query_enumerates_ranked_solutions(tmp_path, capsys):
     assert data["rank_requested"] == 5
     assert data["temperature_k"] == 298.15
     assert [s["support"] for s in data["solutions"]] == [[0], [1], [2]]
-    assert data["cuts"] == [[0], [1], [2]]
+    # each support is written once, in its solution's "support"
+    assert set(data) == {"status", "temperature_k", "rank_requested", "solutions"}
     first = data["solutions"][0]
     assert first["rank"] == 1
     assert first["objective_j_per_mol"] == pytest.approx(1.0)
     assert first["flow"] == {"0": 1}
     assert first["inflow"] == {"0": 2}
     assert first["outflow"] == {"3": 1}
-    assert first["indicators"] == {"0": 1}
+    assert set(first) == {
+        "rank", "status", "objective_j_per_mol", "score_j_per_mol", "score_kj_per_mol",
+        "support", "flow", "inflow", "outflow",
+    }
     assert first["score_kj_per_mol"] == pytest.approx(first["score_j_per_mol"] / 1000.0)
     manifest = json.loads((tmp_path / "solutions.manifest.json").read_text())
     assert manifest["command"] == "query"
@@ -373,21 +384,24 @@ def test_query_writes_profiles_and_dot(tmp_path, capsys):
             "--query", query,
             "-k", "2",
             "--profiles",
-            "--dot",
             "--output", str(out),
         ]
     )
     assert code == 0
-    capsys.readouterr()
     profile = (tmp_path / "solutions.profile-1.csv").read_text().splitlines()
     assert profile[0] == "step,edge_id,flow,barrier_kj_per_mol,cumulative_kj_per_mol"
     assert profile[1] == "1,0,1,20.000000,20.000000"
     assert (tmp_path / "solutions.profile-2.csv").exists()
-    dot = (tmp_path / "solutions.dot").read_text()
-    assert "penwidth=3" in dot
     manifest = json.loads((tmp_path / "solutions.manifest.json").read_text())
-    assert str(tmp_path / "solutions.profile-1.csv") in manifest["outputs"]
-    assert str(tmp_path / "solutions.dot") in manifest["outputs"]
+    assert manifest["outputs"] == sorted(
+        str(p) for p in (out, *tmp_path.glob("solutions.profile-*.csv"))
+    )
+    # export-dot draws the best pathway
+    dot = tmp_path / "best.dot"
+    assert main(["export-dot", "--network", network, "--solutions", str(out),
+                 "--output", str(dot)]) == 0
+    capsys.readouterr()
+    assert "penwidth=3" in dot.read_text()
 
 
 def test_query_relaxation(tmp_path, capsys):
@@ -438,43 +452,32 @@ def test_query_infeasible_is_exit_zero(tmp_path, capsys):
 
 
 def test_query_flow_cap_override(tmp_path, capsys):
+    # the query file's flow_cap is the one per-edge cap a query runs under
     net, _ = nets.flux_demo()
     network = write_network(tmp_path, net)
     barriers = write_barriers(tmp_path, nets.uniform_barriers(net))
-    query = write_query(
-        tmp_path,
-        PathwayQuery(
-            sources={0: (0, 4), 1: (0, 4), 2: (0, 4)},
-            targets={3: (2, 2)},
-            flow_cap=5,
-        ),
-    )
-    wide = tmp_path / "wide.json"
-    assert main(
-        ["query", "--network", network, "--barriers", barriers, "--query", query,
-         "--output", str(wide)]
-    ) == 0
-    tight = tmp_path / "tight.json"
-    assert main(
-        ["query", "--network", network, "--barriers", barriers, "--query", query,
-         "--flow-cap", "1", "--output", str(tight)]
-    ) == 0
-    capsys.readouterr()
-    wide_best = json.loads(wide.read_text())["solutions"][0]
-    tight_best = json.loads(tight.read_text())["solutions"][0]
+
+    def best(cap):
+        query = PathwayQuery(
+            sources={0: (0, 4), 1: (0, 4), 2: (0, 4)}, targets={3: (2, 2)}, flow_cap=cap
+        )
+        out = tmp_path / f"cap-{cap}.json"
+        files = ["--network", network, "--barriers", barriers,
+                 "--query", write_query(tmp_path, query, name=f"query-{cap}.json")]
+        assert main(["query", *files, "--output", str(out)]) == 0
+        capsys.readouterr()
+        return json.loads(out.read_text())["solutions"][0]
+
+    wide_best = best(5)
     assert wide_best["support"] == [0]
     assert wide_best["flow"] == {"0": 2}
+    tight_best = best(1)
     assert len(tight_best["support"]) == 2
     assert all(v <= 1 for v in tight_best["flow"].values())
     # the cost objective equals the reported score in minimization mode
     assert tight_best["objective_j_per_mol"] == pytest.approx(tight_best["score_j_per_mol"])
-    # the largest cap a query file may give is the largest the flag takes
-    widest = tmp_path / "widest.json"
-    assert main(
-        ["query", "--network", network, "--barriers", barriers, "--query", query,
-         "--flow-cap", str(2**53), "--output", str(widest)]
-    ) == 0
-    assert json.loads(widest.read_text())["solutions"][0]["support"] == [0]
+    # the largest cap a query file may give
+    assert best(2**53)["support"] == [0]
 
 
 def test_query_node_limit_flag(tmp_path, capsys):
@@ -549,10 +552,6 @@ def test_query_iteration_limit_exit_4(tmp_path, capsys, monkeypatch, relax):
     [
         ("query", "-k", "0"),
         ("query", "--node-limit", "0"),
-        ("query", "--flow-cap", "0"),
-        # a query file's flow cap is at most 2**53, and so is the flag's
-        ("query", "--flow-cap", str(2**53 + 1)),
-        pytest.param("query", "--flow-cap", "9" * 400, id="query---flow-cap-400-digits"),
         ("query", "--temperature-k", "0"),
         ("query", "--temperature-k", "nan"),
         ("query", "--temperature-k", "inf"),
@@ -566,7 +565,6 @@ def test_query_iteration_limit_exit_4(tmp_path, capsys, monkeypatch, relax):
         ("query", "-k", "\u0663"),
         ("query", "-k", "0_2"),
         ("query", "-k", " 4"),
-        ("query", "--flow-cap", "+02"),
         ("query", "--node-limit", "010"),
         ("expand", "--max-iterations", "\u0663"),
         ("expand", "--max-iterations", "0_2"),
@@ -679,6 +677,48 @@ def test_export_dot_plain_and_with_solutions(tmp_path, capsys):
     text = drawn.read_text()
     marked = [line for line in text.splitlines() if "e1 [" in line]
     assert marked and "penwidth=3" in marked[0]
+
+
+def test_export_dot_draws_every_rank_of_a_query(tmp_path, capsys):
+    # export-dot is the one drawing command: each rank is drawn as the
+    # network draws that rank's flow
+    net, query_obj = nets.cascade_network()
+    network = write_network(tmp_path, net)
+    barriers = write_barriers(tmp_path, nets.uniform_barriers(net))
+    query = write_query(tmp_path, query_obj)
+    solutions = tmp_path / "solutions.json"
+    assert main(["query", "--network", network, "--barriers", barriers, "--query", query,
+                 "-k", "3", "--output", str(solutions)]) == 0
+    weights = objective_coefficients(load_barriers(Path(barriers).read_text(), net), Thermo(), net)
+    ranked = enumerate_pathways(build_model(net, weights, query_obj), 3).solutions
+    assert len(ranked) == 3
+    for rank, solution in enumerate(ranked, start=1):
+        drawn = tmp_path / f"rank{rank}.dot"
+        assert main(["export-dot", "--network", network, "--solutions", str(solutions),
+                     "--rank", str(rank), "--output", str(drawn)]) == 0
+        assert drawn.read_text() == net.to_dot(solution.flow)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("expand", ["--dot"]), ("query", ["--dot"]), ("query", ["--flow-cap", "1"])],
+    ids=["expand---dot", "query---dot", "query---flow-cap"],
+)
+def test_removed_flags_are_usage_errors(tmp_path, capsys, command, flags):
+    # export-dot is the one drawing command, and the query file's flow_cap
+    # the one flow cap
+    net, network, barriers, query = flux_setup(tmp_path)
+    seeds = tmp_path / "seeds.mgf"
+    seeds.write_text(molecules.WATER_MGF)
+    inputs = {
+        "query": ["--network", network, "--barriers", barriers, "--query", query],
+        "expand": ["--seeds", str(seeds)],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    assert main([command, *inputs, *flags, "--output", str(tmp_path / "out.json")]) == 1
+    assert flags[0] in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_export_dot_missing_rank_exit_2(tmp_path, capsys):
@@ -953,14 +993,13 @@ MANIFEST_KEYS = {"command", "argv", "version", "inputs", "outputs", "duration_se
 @pytest.mark.parametrize(
     "argv, stem, extra_keys, input_names",
     [
-        (["expand", "--seeds", "seeds.mgf", "--max-iterations", "1", "--dot",
-          "--output", "net.json"],
-         "net", {"iterations_run", "reached_fixpoint", "history"}, {"seeds"}),
+        (["expand", "--seeds", "seeds.mgf", "--max-iterations", "1", "--output", "net.json"],
+         "net", {"reached_fixpoint", "history"}, {"seeds"}),
         (["annotate-check", "--network", "network.json", "--flow", "flow.json",
           "--barriers", "barriers.csv", "--output", "report.json"],
          "report", set(), {"network", "flow", "barriers"}),
         (["query", "--network", "network.json", "--barriers", "barriers.csv",
-          "--query", "query.json", "-k", "3", "--profiles", "--dot", "--output", "solutions.json"],
+          "--query", "query.json", "-k", "3", "--profiles", "--output", "solutions.json"],
          "solutions", {"node_limit", "temperature_k"}, {"network", "barriers", "query"}),
         (["query", "--network", "network.json", "--barriers", "barriers.csv",
           "--query", "query.json", "--relax", "--output", "relaxed.json"],

@@ -287,16 +287,16 @@ def test_pattern_component_count():
     chain = left_side(atoms, (0, 1, "1"), (1, 2, "1"), (2, 3, "2"))
     two_parts = left_side(atoms, (0, 3, "1"), (1, 2, "1"))
     one_isolated = left_side(atoms, (0, 1, "1"), (1, 2, "1"))
-    assert chain.component_count() == 1
-    assert two_parts.component_count() == 2
-    assert one_isolated.component_count() == 2
-    assert left_side(atoms[:1]).component_count() == 1
+    assert len(chain.part_needs()) == 1
+    assert len(two_parts.part_needs()) == 2
+    assert len(one_isolated.part_needs()) == 2
+    assert len(left_side(atoms[:1]).part_needs()) == 1
 
 
 def test_default_rules_left_side_component_counts():
     # how many host molecules each directional default rule may join
     directional = rewrite._directional_rules(load_default_rules())
-    assert [rule.component_count() for rule in directional] == [2, 1, 2, 1, 1, 1]
+    assert [len(rule.part_needs()) for rule in directional] == [2, 1, 2, 1, 1, 1]
 
 
 def test_default_rules_right_sides_joining_every_atom():
@@ -605,7 +605,7 @@ def every_task(result, seeds, rules) -> list:
     tasks = []
     for old, start in zip([0] + starts, starts):
         for rule in directional:
-            for size in range(1, rule.component_count() + 1):
+            for size in range(1, len(rule.part_needs()) + 1):
                 for combo in combinations_with_replacement(vertices[:start], size):
                     if combo[-1].id >= old:
                         tasks.append((rule, tuple(v.graph for v in combo)))
