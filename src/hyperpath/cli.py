@@ -5,9 +5,11 @@ verifies a hyperflow against a network, ``query`` ranks pathways for a
 query, ``export-lp`` writes the optimization model as LP text, and
 ``export-dot`` draws the network.  A command reads and writes its files
 through a ``_Run``, which records their paths and input hashes.  When the
-command succeeds and wrote at least one file, ``main`` writes that record as
-``<stem>.manifest.json`` beside the first file written; a failed command,
-or ``annotate-check`` without ``--output``, writes no manifest.
+command succeeds and wrote at least one file, ``main`` writes that record
+beside the first file written, named after it in full (``network.json``
+gets ``network.json.manifest.json``); a failed command, ``annotate-check``
+without ``--output``, or a first output that is not a regular file, such as
+``/dev/null``, writes no manifest.
 
 Exit codes: 0 success (an infeasible query is still a success, the answer
 is in the output), 1 usage errors, 2 unreadable or invalid inputs (also an
@@ -118,8 +120,7 @@ class _Run:
             "duration_seconds": round(time.time() - started, 6),
             **self.extra,
         }
-        path = str(Path(self.outputs[0]).with_suffix("")) + ".manifest.json"
-        _write_text(path, _json_text(manifest))
+        _write_text(self.outputs[0] + ".manifest.json", _json_text(manifest))
 
 
 def _parse_max_elements(spec: str | None) -> dict[str, int] | None:
@@ -430,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.time()
     try:
         code = args.func(args, run)
-        if code == 0 and run.outputs:
+        if code == 0 and run.outputs and Path(run.outputs[0]).is_file():
             run.write_manifest(args.command, argv, started)
         return code
     except (InputError, ValueError) as exc:

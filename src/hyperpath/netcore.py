@@ -3,7 +3,8 @@
 Vertices are isomorphism classes of molecular graphs (deduplicated by their
 canonical key); hyperedges are reactions holding stoichiometric multiplicities
 on both sides.  The module also provides exact integer conservation checks
-for hyperflows, JSON round-tripping, and DOT export.
+for hyperflows, JSON round-tripping, and DOT export.  A network file holds
+only the molecules and the reactions' bags; canonical keys stay in memory.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ def is_json_id(key) -> bool:
 
 
 def _same(raw, derived) -> bool:
-    """Whether a value read from JSON is ``derived``, of its type too (a
+    """Whether an id read from JSON is ``derived``, of its type too (a
     bool or a float is no id)."""
     return type(raw) is type(derived) and raw == derived
 
@@ -65,7 +66,6 @@ class Hyperedge:
     id: int
     reactants: dict[int, int]
     products: dict[int, int]
-    reverse_of: int | None = None
 
 
 def _freeze(side: dict[int, int]) -> tuple[tuple[int, int], ...]:
@@ -97,8 +97,7 @@ class Hypergraph:
     def add_reaction(self, reactants: dict[int, int], products: dict[int, int]) -> int:
         """Insert a reaction edge, deduplicating by its two multiplicity bags.
 
-        Returns the edge id.  When the opposite reaction is already present
-        the two edges are linked through ``reverse_of`` in both directions.
+        Returns the edge id; an edge's reverse is the edge with swapped bags.
         """
         reactants = {int(v): int(m) for v, m in reactants.items() if m}
         products = {int(v): int(m) for v, m in products.items() if m}
@@ -115,15 +114,6 @@ class Hypergraph:
         edge = Hyperedge(len(self.edges), dict(reactants), dict(products))
         self.edges.append(edge)
         self._by_bags[bags] = edge.id
-        # bags are unique, so the edge with the swapped bags (this edge itself
-        # when the two bags are equal) has no partner yet
-        partner_id = self._by_bags.get((bags[1], bags[0]))
-        if partner_id is not None:
-            partner = self.edges[partner_id]
-            self.edges[partner_id] = Hyperedge(
-                partner.id, partner.reactants, partner.products, edge.id
-            )
-            self.edges[edge.id] = Hyperedge(edge.id, edge.reactants, edge.products, partner_id)
         return edge.id
 
     # -- hyperflow checks ----------------------------------------------------
@@ -175,7 +165,7 @@ class Hypergraph:
     def to_json(self) -> dict:
         return {
             "vertices": [
-                {"id": v.id, "key": v.key.hex(), "mgf": serialize_molecule(v.graph)}
+                {"id": v.id, "mgf": serialize_molecule(v.graph)}
                 for v in self.vertices
             ],
             "edges": [
@@ -183,7 +173,6 @@ class Hypergraph:
                     "id": e.id,
                     "reactants": {str(v): m for v, m in sorted(e.reactants.items())},
                     "products": {str(v): m for v, m in sorted(e.products.items())},
-                    "reverse_of": e.reverse_of,
                 }
                 for e in self.edges
             ],
@@ -191,31 +180,26 @@ class Hypergraph:
 
     @classmethod
     def from_json(cls, data: dict) -> "Hypergraph":
-        """Inverse of to_json.  Molecules and reactions go in through
+        """Inverse of to_json; other fields, like an older file's ``key`` and
+        ``reverse_of``, are ignored.  Molecules and reactions go in through
         ``add_molecule`` and ``add_reaction``, so a file gets the checks an
-        expansion gets: ids out of order, a repeated molecule or reaction, or
-        a ``reverse_of`` other than the derived one raises ValueError.  Ids
-        must be JSON integers, vertex ids in a reaction decimal numerals
-        without leading zeros, and multiplicities JSON integers from 1 to
-        ``MAX_MULTIPLICITY``; anything else raises ValueError too."""
+        expansion gets: ids out of order or a repeated molecule or reaction
+        raises ValueError.  Ids must be JSON integers, vertex ids in a reaction
+        decimal numerals without leading zeros, and multiplicities JSON
+        integers from 1 to ``MAX_MULTIPLICITY``; anything else raises
+        ValueError too."""
         graph = cls()
         for row in data["vertices"]:
             vid = graph.add_molecule(parse_molecule(row["mgf"]))
-            if graph.vertices[vid].key.hex() != row["key"]:
-                raise ValueError(f"vertex {row['id']} key does not match its molecule")
             if not _same(row["id"], vid):
                 raise ValueError(f"vertex {row['id']} is vertex {vid}: out of order or repeated")
-        rows = data["edges"]
-        for row in rows:
+        for row in data["edges"]:
             try:
                 eid = graph.add_reaction(_side(row["reactants"]), _side(row["products"]))
             except ValueError as exc:
                 raise ValueError(f"edge {row['id']}: {exc}") from None
             if not _same(row["id"], eid):
                 raise ValueError(f"edge {row['id']} is edge {eid}: out of order or repeated")
-        for row, edge in zip(rows, graph.edges):
-            if not _same(row.get("reverse_of"), edge.reverse_of):
-                raise ValueError(f"edge {edge.id}: reverse_of is not the derived {edge.reverse_of}")
         return graph
 
     # -- visualization -------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, run in process."""
 import json
+import os
 import random
 import subprocess
 import sys
@@ -87,7 +88,7 @@ def test_expand_round_trip(tmp_path, capsys):
     assert f"wrote {out}" in stdout
     net = Hypergraph.from_json(json.loads(out.read_text()))
     assert len(net.vertices) == 4 and len(net.edges) == 2
-    manifest = json.loads((tmp_path / "net.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "net.json.manifest.json").read_text())
     assert manifest["command"] == "expand"
     assert manifest["history"] == [[4, 2]]
     assert manifest["version"] == __version__
@@ -129,7 +130,7 @@ def test_expand_custom_rules_and_dot(tmp_path, capsys):
     assert "reached fixpoint" in stdout
     net = Hypergraph.from_json(json.loads(out.read_text()))
     assert len(net.vertices) == 2 and len(net.edges) == 2
-    manifest = json.loads((tmp_path / "h2.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "h2.json.manifest.json").read_text())
     assert set(manifest["inputs"]) == {"seeds", "rules"}
     assert manifest["outputs"] == [str(out)]
     assert manifest["reached_fixpoint"] is True
@@ -253,7 +254,7 @@ def test_annotate_check_conserved(tmp_path, capsys):
     assert data["violations"] == {}
     assert data["support"] == [0]
     assert "score_j_per_mol" not in data
-    manifest = json.loads((tmp_path / "report.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
     assert manifest["command"] == "annotate-check"
 
 
@@ -367,7 +368,7 @@ def test_query_enumerates_ranked_solutions(tmp_path, capsys):
         "support", "flow", "inflow", "outflow",
     }
     assert first["score_kj_per_mol"] == pytest.approx(first["score_j_per_mol"] / 1000.0)
-    manifest = json.loads((tmp_path / "solutions.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "solutions.json.manifest.json").read_text())
     assert manifest["command"] == "query"
     assert set(manifest["inputs"]) == {"network", "barriers", "query"}
     assert manifest["node_limit"] == 10_000_000
@@ -392,7 +393,7 @@ def test_query_writes_profiles_and_dot(tmp_path, capsys):
     assert profile[0] == "step,edge_id,flow,barrier_kj_per_mol,cumulative_kj_per_mol"
     assert profile[1] == "1,0,1,20.000000,20.000000"
     assert (tmp_path / "solutions.profile-2.csv").exists()
-    manifest = json.loads((tmp_path / "solutions.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "solutions.json.manifest.json").read_text())
     assert manifest["outputs"] == sorted(
         str(p) for p in (out, *tmp_path.glob("solutions.profile-*.csv"))
     )
@@ -428,7 +429,7 @@ def test_query_relaxation(tmp_path, capsys):
     assert data["inflow"] == {"2": 3.0}
     assert data["outflow"] == {"3": 1.5}
     assert data["flow"] == {"2": 1.5}
-    manifest = json.loads((tmp_path / "relaxed.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "relaxed.json.manifest.json").read_text())
     assert manifest["relax"] is True
 
 
@@ -492,7 +493,7 @@ def test_query_node_limit_flag(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(base + ["--node-limit", "100000"]) == 0
     capsys.readouterr()
-    manifest = json.loads((tmp_path / "solutions.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "solutions.json.manifest.json").read_text())
     assert manifest["node_limit"] == 100000
 
 
@@ -607,7 +608,7 @@ def test_query_temperature_recorded(tmp_path, capsys):
     capsys.readouterr()
     data = json.loads(out.read_text())
     assert data["temperature_k"] == 400.0
-    manifest = json.loads((tmp_path / "solutions.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "solutions.json.manifest.json").read_text())
     assert manifest["temperature_k"] == 400.0
 
 
@@ -643,8 +644,8 @@ def test_export_lp_integer_and_relaxed(tmp_path, capsys):
     helpers.check_lp_grammar(relaxed_text)
     assert "Binaries" not in relaxed_text
     assert "z_0" not in relaxed_text
-    assert json.loads((tmp_path / "model.manifest.json").read_text())["relax"] is False
-    assert json.loads((tmp_path / "relaxed.manifest.json").read_text())["relax"] is True
+    assert json.loads((tmp_path / "model.lp.manifest.json").read_text())["relax"] is False
+    assert json.loads((tmp_path / "relaxed.lp.manifest.json").read_text())["relax"] is True
 
 
 def test_export_lp_deterministic(tmp_path, capsys):
@@ -746,7 +747,7 @@ def test_manifest_records_input_hashes(tmp_path, capsys):
          "--output", str(out)]
     ) == 0
     capsys.readouterr()
-    manifest = json.loads((tmp_path / "solutions.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "solutions.json.manifest.json").read_text())
     expected = hashlib.sha256(Path(barriers).read_text().encode()).hexdigest()
     assert manifest["inputs"]["barriers"]["sha256"] == expected
     assert manifest["inputs"]["barriers"]["path"] == barriers
@@ -772,7 +773,7 @@ def test_corrupt_network_json_exit_2(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("reactants", {"0": -2}), ("reverse_of", 999)])
+@pytest.mark.parametrize("field, value", [("reactants", {"0": -2}), ("products", {"9": 1})])
 def test_query_malformed_edge_exit_2(tmp_path, capsys, field, value):
     net, query = nets.flux_demo()
     data = net.to_json()
@@ -788,6 +789,49 @@ def test_query_malformed_edge_exit_2(tmp_path, capsys, field, value):
     assert "not a valid network document: edge 0" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def older_network_file(net, stale_key=False, reverse_of=None):
+    """``net`` as files were written before they held only molecules and
+    bags: each vertex with its canonical key, each edge with ``reverse_of``,
+    the id of the edge with swapped bags (or ``reverse_of`` given here)."""
+    data = net.to_json()
+    for row, vertex in zip(data["vertices"], net.vertices):
+        row["key"] = "00000000" if stale_key else vertex.key.hex()
+    edge_ids = {(str(e["reactants"]), str(e["products"])): e["id"] for e in data["edges"]}
+    for row in data["edges"]:
+        derived = edge_ids.get((str(row["products"]), str(row["reactants"])))
+        row["reverse_of"] = derived if reverse_of is None else reverse_of
+    return data
+
+
+@pytest.mark.parametrize(
+    "older",
+    [{}, {"stale_key": True}, {"reverse_of": 999}],
+    ids=["true-keys", "stale-key", "unknown-reverse"],
+)
+def test_network_file_in_the_older_format_loads_the_same(tmp_path, capsys, older):
+    # the key and reverse_of of an older file are ignored, not checked
+    net, query_obj = nets.cascade_network()
+    data = older_network_file(net, **older)
+    assert any(row["reverse_of"] is not None for row in data["edges"])
+    network = write_network(tmp_path, net)
+    old_network = tmp_path / "old-network.json"
+    old_network.write_text(json.dumps(data))
+    new, old = (Hypergraph.from_json(json.loads(Path(p).read_text()))
+                for p in (network, old_network))
+    assert [(v.id, v.key) for v in old.vertices] == [(v.id, v.key) for v in new.vertices]
+    assert [(e.id, e.reactants, e.products) for e in old.edges] == [
+        (e.id, e.reactants, e.products) for e in new.edges]
+    files = ["--barriers", write_barriers(tmp_path, nets.uniform_barriers(net)),
+             "--query", write_query(tmp_path, query_obj), "-k", "3"]
+    solutions = []
+    for name, path in (("new", network), ("old", str(old_network))):
+        out = tmp_path / f"{name}-solutions.json"
+        assert main(["query", "--network", path, *files, "--output", str(out)]) == 0
+        solutions.append(out.read_bytes())
+    capsys.readouterr()
+    assert solutions[0] == solutions[1]
 
 
 def test_wrong_shape_documents_exit_2(tmp_path, capsys):
@@ -991,34 +1035,34 @@ MANIFEST_KEYS = {"command", "argv", "version", "inputs", "outputs", "duration_se
 
 
 @pytest.mark.parametrize(
-    "argv, stem, extra_keys, input_names",
+    "argv, extra_keys, input_names",
     [
         (["expand", "--seeds", "seeds.mgf", "--max-iterations", "1", "--output", "net.json"],
-         "net", {"reached_fixpoint", "history"}, {"seeds"}),
+         {"reached_fixpoint", "history"}, {"seeds"}),
         (["annotate-check", "--network", "network.json", "--flow", "flow.json",
           "--barriers", "barriers.csv", "--output", "report.json"],
-         "report", set(), {"network", "flow", "barriers"}),
+         set(), {"network", "flow", "barriers"}),
         (["query", "--network", "network.json", "--barriers", "barriers.csv",
           "--query", "query.json", "-k", "3", "--profiles", "--output", "solutions.json"],
-         "solutions", {"node_limit", "temperature_k"}, {"network", "barriers", "query"}),
+         {"node_limit", "temperature_k"}, {"network", "barriers", "query"}),
         (["query", "--network", "network.json", "--barriers", "barriers.csv",
           "--query", "query.json", "--relax", "--output", "relaxed.json"],
-         "relaxed", {"relax"}, {"network", "barriers", "query"}),
+         {"relax"}, {"network", "barriers", "query"}),
         (["export-lp", "--network", "network.json", "--barriers", "barriers.csv",
           "--query", "query.json", "--output", "model.lp"],
-         "model", {"relax"}, {"network", "barriers", "query"}),
+         {"relax"}, {"network", "barriers", "query"}),
         (["export-lp", "--network", "network.json", "--barriers", "barriers.csv",
           "--query", "query.json", "--relax", "--output", "model.lp"],
-         "model", {"relax"}, {"network", "barriers", "query"}),
+         {"relax"}, {"network", "barriers", "query"}),
         (["export-dot", "--network", "network.json", "--solutions", "given.json",
           "--output", "drawn.dot"],
-         "drawn", set(), {"network", "solutions"}),
+         set(), {"network", "solutions"}),
     ],
     ids=["expand", "annotate-check", "query", "query-relax", "export-lp", "export-lp-relax",
          "export-dot"],
 )
 def test_manifest_keys_and_outputs(
-    tmp_path, capsys, monkeypatch, argv, stem, extra_keys, input_names
+    tmp_path, capsys, monkeypatch, argv, extra_keys, input_names
 ):
     monkeypatch.chdir(tmp_path)
     flux_setup(tmp_path)
@@ -1031,7 +1075,8 @@ def test_manifest_keys_and_outputs(
     assert main(argv) == 0
     capsys.readouterr()
     written = {p.name for p in tmp_path.iterdir()} - before
-    manifest_name = f"{stem}.manifest.json"
+    # the manifest is named after the first output in full
+    manifest_name = f"{argv[-1]}.manifest.json"
     assert manifest_name in written
     manifest = json.loads((tmp_path / manifest_name).read_text())
     assert set(manifest) == MANIFEST_KEYS | extra_keys
@@ -1039,6 +1084,33 @@ def test_manifest_keys_and_outputs(
     assert manifest["argv"] == argv
     assert set(manifest["inputs"]) == input_names
     assert manifest["outputs"] == sorted(written - {manifest_name})
+
+
+def test_each_command_keeps_its_own_manifest(tmp_path, capsys):
+    # a drawing of network.json beside it leaves the expansion's manifest
+    seeds = tmp_path / "seeds.mgf"
+    seeds.write_text(molecules.WATER_MGF + "---\n" + molecules.GLYCOLONITRILE_MGF)
+    network = tmp_path / "network.json"
+    drawing = tmp_path / "network.dot"
+    assert main(["expand", "--seeds", str(seeds), "--max-iterations", "1",
+                 "--output", str(network)]) == 0
+    assert main(["export-dot", "--network", str(network), "--output", str(drawing)]) == 0
+    capsys.readouterr()
+    for path, command in ((network, "expand"), (drawing, "export-dot")):
+        manifest = json.loads(Path(f"{path}.manifest.json").read_text())
+        assert (manifest["command"], manifest["outputs"]) == (command, [str(path)])
+
+
+def test_no_manifest_beside_an_output_that_is_not_a_regular_file(tmp_path, capsys):
+    # a manifest beside /dev/null would be /dev/null.manifest.json
+    net, network, barriers, query = flux_setup(tmp_path)
+    sink = tmp_path / "sink"
+    sink.symlink_to(os.devnull)
+    before = sorted(tmp_path.iterdir())
+    assert main(["query", "--network", network, "--barriers", barriers, "--query", query,
+                 "--output", str(sink)]) == 0
+    capsys.readouterr()
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("document", ["network", "query", "flow", "solutions"])

@@ -349,8 +349,9 @@ def symmetric_corpus():
 
 
 def test_symmetric_corpus_keys_are_pinned():
-    # canonical keys are output, and this corpus holds what closure
-    # molecules do not: rings, charges, twin cliques and large twin cells
+    # canonical keys name the molecules of derivation records, though no
+    # written file holds them; this corpus holds what closure molecules do
+    # not: rings, charges, twin cliques and large twin cells
     keys = b"".join(canonical_form(g) + b"\n" for g in symmetric_corpus())
     assert hashlib.sha256(keys).hexdigest() == (
         "694a791519c5df3c49eb7a9b29ed146a21e10d3a8444e65d4614b6b4ee081185"

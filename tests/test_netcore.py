@@ -51,12 +51,13 @@ def test_add_reaction_and_dedup():
 
 
 def test_add_reaction_links_reverse():
+    # an edge's reverse is the edge whose bags are swapped
     net = nets.placeholder_net(2, [])
     fwd = net.add_reaction({0: 1}, {1: 1})
-    assert net.edges[fwd].reverse_of is None
     rev = net.add_reaction({1: 1}, {0: 1})
-    assert net.edges[fwd].reverse_of == rev
-    assert net.edges[rev].reverse_of == fwd
+    assert rev != fwd
+    assert (net.edges[rev].reactants, net.edges[rev].products) == (
+        net.edges[fwd].products, net.edges[fwd].reactants)
 
 
 def test_add_reaction_drops_zero_multiplicities():
@@ -144,7 +145,10 @@ def test_json_round_trip():
     back = Hypergraph.from_json(data)
     assert back.to_json() == data
     assert len(back.vertices) == len(net.vertices)
-    assert [e.reverse_of for e in back.edges] == [e.reverse_of for e in net.edges]
+    # each of the cascade's 9 reversible steps comes back as two edges with
+    # swapped bags
+    bags = [(e.reactants, e.products) for e in back.edges]
+    assert sum((products, reactants) in bags for reactants, products in bags) == 18
 
 
 def test_json_round_trip_preserves_molecules():
@@ -156,15 +160,6 @@ def test_json_round_trip_preserves_molecules():
     ids = {v.key: v.id for v in back.vertices}
     assert ids[canonical_form(molecules.glycolonitrile())] == 0
     assert ids[canonical_form(molecules.water())] == 1
-
-
-def test_json_rejects_tampered_key():
-    net = Hypergraph()
-    net.add_molecule(molecules.water())
-    data = net.to_json()
-    data["vertices"][0]["key"] = "00" * 4
-    with pytest.raises(ValueError):
-        Hypergraph.from_json(data)
 
 
 def test_json_rejects_gapped_ids():
@@ -198,10 +193,8 @@ def test_json_rejects_a_repeated_molecule():
     [
         (lambda edges: edges[2]["reactants"].update({"1": -2}), "edge 2: .* must be positive"),
         (lambda edges: edges.append({**edges[2], "id": 3}), "edge 3 is edge 2"),
-        (lambda edges: edges[2].update(reverse_of=999), "is not the derived None"),
-        (lambda edges: edges[1].update(reverse_of=None), "is not the derived 0"),
     ],
-    ids=["negative-multiplicity", "repeated-reaction", "unknown-reverse", "missing-reverse"],
+    ids=["negative-multiplicity", "repeated-reaction"],
 )
 def test_json_rejects_malformed_edges(tamper, message):
     net = nets.placeholder_net(3, [({0: 1}, {1: 1}), ({1: 1}, {0: 1}), ({1: 1}, {2: 1})])
@@ -233,10 +226,9 @@ def edge_side(value, key="1"):
         # ids that equal the derived one only as Python numbers
         (lambda data: data["vertices"][1].update(id=True), "vertex True is vertex 1"),
         (lambda data: data["edges"][2].update(id=2.0), "edge 2.0 is edge 2"),
-        (lambda data: data["edges"][1].update(reverse_of=False), "is not the derived 0"),
     ],
     ids=["string", "fraction", "bool", "zero", "above-cap", "huge", "leading-zero",
-         "space", "bool-vertex-id", "float-edge-id", "bool-reverse-of"],
+         "space", "bool-vertex-id", "float-edge-id"],
 )
 def test_json_takes_only_integer_multiplicities_and_plain_ids(tamper, message):
     net = nets.placeholder_net(3, [({0: 1}, {1: 1}), ({1: 1}, {0: 1}), ({1: 1}, {2: 1})])
