@@ -370,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="grow a network from seed molecules")
     p.add_argument("--seeds", required=True, help="molecule file ('---' separates molecules)")
     p.add_argument("--rules", help="rule file (default: the built-in rule set)")
-    p.add_argument("--max-iterations", type=_ITERATIONS, default=4)
+    p.add_argument("--max-iterations", type=_ITERATIONS, default=ExpansionConfig.max_iterations)
     p.add_argument("--max-elements", help="per-product element ceilings, e.g. C=2,N=4,O=4")
     p.add_argument(
         "--filter",

@@ -20,7 +20,9 @@ answers optimal or infeasible, or raises ``SolverError`` when its answer
 fails the check against the model's rows and bounds; the search raises it
 too when the canonical support admits no optimum, rather than report a
 support it could not confirm.  The search refuses a model that is not
-integral.
+integral.  Every search of one rank reads one search state, made once per
+rank: the model, its root LP solution, the objective's sign, the cuts, the
+pricing slack and the rank's node count.
 ``enumerate_pathways`` solves the root LP cold once, passes it to
 ``branch_and_bound`` as the root of every rank, and peels off structurally
 distinct optima, each rank appending its support to the model's cuts.  It
@@ -213,31 +215,24 @@ class IlpSolution:
 
 
 class _Search:
-    """One rank's nodes, against ``limit``, and what every search of the rank
-    reads of the model, made once: its cuts as arrays of flow columns (the
-    flow of edge e is column e), its pricing slack and its edge count."""
+    """One rank's search state, which every search of the rank reads: the
+    model, its LP solution ``root`` at its own bounds, and what they give,
+    made once: the objective's sign, the cuts as arrays of flow columns (the
+    flow of edge e is column e), the pricing slack per unit of a box's width
+    and the edge count; and the rank's nodes, against ``limit``."""
 
-    def __init__(self, model: IlpModel, limit: int):
-        self.limit = limit
+    def __init__(self, model: IlpModel, root: LpSolution, limit: int):
+        self.model, self.root, self.limit = model, root, limit
         self.nodes = 0
+        self.sign = 1.0 if model.sense == "min" else -1.0
         self.cuts = [np.array(sorted(cut)) for cut in model.cuts]
-        self.price_tol = _price_tol(model)
-        self.edges = _edge_count(model)
+        self.price_tol = 1e-9 * max(1.0, float(np.abs(model.cost).max(initial=0.0)))
+        self.edges = sum(isinstance(key, int) for key in model.keys)
 
     def tick(self):
         self.nodes += 1
         if self.nodes > self.limit:
             raise NodeLimitExceeded(self.nodes)
-
-
-def _edge_count(model: IlpModel) -> int:
-    """How many columns are flows; the flow of edge e is column e."""
-    return sum(isinstance(key, int) for key in model.keys)
-
-
-def _price_tol(model: IlpModel) -> float:
-    """A search's pricing slack per unit of a box's width."""
-    return 1e-9 * max(1.0, float(np.abs(model.cost).max(initial=0.0)))
 
 
 def _cut_children(lo: np.ndarray, hi: np.ndarray, cut: np.ndarray) -> list[tuple]:
@@ -256,17 +251,10 @@ def _cut_children(lo: np.ndarray, hi: np.ndarray, cut: np.ndarray) -> list[tuple
     return children
 
 
-def _dfs(
-    model: IlpModel,
-    root: LpSolution,
-    search: _Search,
-    bounds: tuple | None = None,
-    cutoff=math.inf,
-    first_feasible=False,
-):
-    """Depth-first search from the model's bounds, whose LP solution is
-    ``root``, or from the tighter ``bounds = (lo, hi)``; returns (objective,
-    values as an array in column order) or None.
+def _dfs(search: _Search, bounds: tuple | None = None, cutoff=math.inf, first_feasible=False):
+    """Depth-first search of the search's model from its own bounds, whose LP
+    solution is the search's root, or from the tighter ``bounds = (lo, hi)``;
+    returns (objective, values as an array in column order) or None.
 
     Every node but the model's own solves its LP warm from its parent's
     basis (the root's, for the node at ``bounds``).  Branches on the most
@@ -277,7 +265,7 @@ def _dfs(
     pruned once its LP bound exceeds it by more than 1e-9·max(1, |cost|)
     per unit of the node's box width.
     """
-    sign = 1.0 if model.sense == "min" else -1.0
+    model, root, sign = search.model, search.root, search.sign
     best_signed = math.inf
     best: tuple[float, np.ndarray] | None = None
     # a node is (lo, hi, the basis its LP starts from); the model's own has none
@@ -331,7 +319,7 @@ def _support_bounds(model: IlpModel, edges: int, chosen: list[int], free_above: 
     return lo, hi
 
 
-def _reduced_cost_bound(model: IlpModel, root: LpSolution, lo: np.ndarray, hi: np.ndarray) -> float:
+def _reduced_cost_bound(search: _Search, lo: np.ndarray, hi: np.ndarray) -> float:
     """A lower bound on the signed LP optimum within the box ``(lo, hi)``,
     from the root's optimal basis: the signed root objective plus, for each
     structural column j, the least of ``d_j·(x_j − x*_j)`` over
@@ -339,23 +327,23 @@ def _reduced_cost_bound(model: IlpModel, root: LpSolution, lo: np.ndarray, hi: n
 
     The root basis is dual feasible, so each logical's term is non-negative
     for any x that meets the rows, and a box moves no row bound."""
-    m, n = model.A.shape
+    root = search.root
+    m, n = search.model.A.shape
     reduced, x = root.basis.T[m, :n], root.values
-    sign = 1.0 if model.sense == "min" else -1.0
-    return sign * root.objective + float(np.minimum(reduced * (lo - x), reduced * (hi - x)).sum())
+    return search.sign * root.objective + float(np.minimum(reduced * (lo - x), reduced * (hi - x)).sum())
 
 
-def _priced_out(model: IlpModel, root: LpSolution, lo: np.ndarray, hi: np.ndarray, cutoff: float) -> bool:
+def _priced_out(search: _Search, lo: np.ndarray, hi: np.ndarray, cutoff: float) -> bool:
     """Whether the reduced-cost bound of ``(lo, hi)`` passes ``cutoff`` by
     more than the box's pricing slack, by which ``_dfs`` would prune the
     box's first node, plus a float margin of 1e-9·max(1, |cutoff|)."""
-    slack = _price_tol(model) * float((hi - lo).sum()) + 1e-9 * max(1.0, abs(cutoff))
-    return _reduced_cost_bound(model, root, lo, hi) > cutoff + slack
+    slack = search.price_tol * float((hi - lo).sum()) + 1e-9 * max(1.0, abs(cutoff))
+    return _reduced_cost_bound(search, lo, hi) > cutoff + slack
 
 
-def _rank_optimum(model: IlpModel, root: LpSolution, search: _Search, regions: list):
-    """The best optimum of the model over Lawler's regions, as (objective,
-    values) or None.
+def _rank_optimum(search: _Search, regions: list):
+    """The best optimum of the search's model over Lawler's regions, as
+    (objective, values) or None.
 
     ``regions`` holds one ``(lo, hi, optimum)`` per region with an optimum
     under the cuts it has seen; it is empty before the first search, which
@@ -367,9 +355,9 @@ def _rank_optimum(model: IlpModel, root: LpSolution, search: _Search, regions: l
     still that region's optimum.  Ties go to the earliest region.
     """
     if not regions:
-        best = _dfs(model, root, search)
+        best = _dfs(search)
         if best is not None:
-            regions.append((model.lo, model.hi, best))
+            regions.append((search.model.lo, search.model.hi, best))
         return best
     cut = search.cuts[-1]
     kept = []
@@ -378,12 +366,11 @@ def _rank_optimum(model: IlpModel, root: LpSolution, search: _Search, regions: l
             kept.append((lo, hi, best))
             continue
         for child in _cut_children(lo, hi, cut):
-            found = _dfs(model, root, search, child)
+            found = _dfs(search, child)
             if found is not None:
                 kept.append((*child, found))
     regions[:] = kept
-    sign = 1.0 if model.sense == "min" else -1.0
-    return min((best for _, _, best in kept), key=lambda best: sign * best[0], default=None)
+    return min((best for _, _, best in kept), key=lambda best: search.sign * best[0], default=None)
 
 
 def _finish(model: IlpModel, exact: float, values: list, nodes: int) -> IlpSolution:
@@ -433,29 +420,28 @@ def branch_and_bound(
         raise ValueError("branch and bound needs an integral model; simplex_solve solves its relaxation")
     if root is None:
         root = simplex_solve(model)
-    search = _Search(model, node_limit)
-    raw = _rank_optimum(model, root, search, [] if regions is None else regions)
+    search = _Search(model, root, node_limit)
+    raw = _rank_optimum(search, [] if regions is None else regions)
     if raw is None:
         return IlpSolution("infeasible", nodes=search.nodes)
-    sign = 1.0 if model.sense == "min" else -1.0
-    cutoff = sign * raw[0] + 1e-6 + 1e-9 * abs(raw[0])
+    cutoff = search.sign * raw[0] + 1e-6 + 1e-9 * abs(raw[0])
 
     def needed(lo: np.ndarray, hi: np.ndarray) -> bool:
         if ((lo <= raw[1]) & (raw[1] <= hi)).all():
             return True
-        if _priced_out(model, root, lo, hi, cutoff):
+        if _priced_out(search, lo, hi, cutoff):
             return False
-        return _dfs(model, root, search, (lo, hi), cutoff, True) is not None
+        return _dfs(search, (lo, hi), cutoff, True) is not None
 
     edges = search.edges
     chosen: list[int] = []
-    final = _dfs(model, root, search, _support_bounds(model, edges, chosen, None), cutoff)
+    final = _dfs(search, _support_bounds(model, edges, chosen, None), cutoff)
     for eid in range(edges):
         if final is not None:
             break
         if needed(*_support_bounds(model, edges, chosen + [eid], eid)):
             chosen.append(eid)
-            final = _dfs(model, root, search, _support_bounds(model, edges, chosen, None), cutoff)
+            final = _dfs(search, _support_bounds(model, edges, chosen, None), cutoff)
     if final is None:
         raise SolverError("no optimum has the canonical support that was found")
     return _finish(model, final[0], final[1].tolist(), search.nodes)

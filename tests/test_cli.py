@@ -15,7 +15,7 @@ import helpers
 import molecules
 import nets
 import hyperpath
-from hyperpath import __version__, solve
+from hyperpath import __version__, cli, solve
 from hyperpath.cli import main
 from hyperpath.kinetics import (
     BarrierTable,
@@ -106,6 +106,11 @@ def test_expand_zero_iterations_writes_seed_network(tmp_path, capsys):
     assert not any(line.startswith("iteration") for line in stdout.splitlines())
     net = Hypergraph.from_json(json.loads(out.read_text()))
     assert len(net.vertices) == 1 and net.edges == []
+
+
+def test_expand_iterations_default_to_the_expansion_configs():
+    args = cli._build_parser().parse_args(["expand", "--seeds", "seeds.mgf", "--output", "net.json"])
+    assert args.max_iterations == ExpansionConfig().max_iterations
 
 
 def test_expand_custom_rules_and_dot(tmp_path, capsys):

@@ -781,19 +781,20 @@ def test_reduced_cost_bound_holds_on_random_boxes():
         if root.status != "optimal":
             continue
         sign = 1.0 if model.sense == "min" else -1.0
+        search = solve._Search(model, root, 10**6)
         for _ in range(6):
             lo, hi = model.lo, model.hi
             for _ in range(rng.randint(1, 4)):
                 lo, hi = tightened_box(model, rng, lo, hi)
-            bound = solve._reduced_cost_bound(model, root, lo, hi)
+            bound = solve._reduced_cost_bound(search, lo, hi)
             box = simplex_solve(model, (lo, hi))
             if box.status == "optimal":
                 assert bound <= sign * box.objective + 1e-9 * max(1.0, abs(box.objective))
                 bounded += 1
             # a cutoff short of the bound, at it, or past it
             cutoff = sign * root.objective + rng.choice([0.5, 1.0, 1.5]) * max(0.0, bound - sign * root.objective)
-            if solve._priced_out(model, root, lo, hi, cutoff):
-                assert solve._dfs(model, root, solve._Search(model, 10**6), (lo, hi), cutoff, True) is None
+            if solve._priced_out(search, lo, hi, cutoff):
+                assert solve._dfs(search, (lo, hi), cutoff, True) is None
                 priced_out += 1
     assert bounded >= 150 and priced_out >= 100
 
@@ -938,7 +939,8 @@ def test_paper_scale_glycolic_acid_at_cap_10_fits_its_node_budget():
 def test_paper_scale_glycolic_acid_at_cap_1_ranks_are_pinned():
     # every rank of a deep enumeration, as the search without Lawler's
     # regions across ranks, or the reduced-cost and incumbent answers of
-    # canonicalization, ranked it
+    # canonicalization, ranked it; and the path the search took to each,
+    # as its node count
     _, model = glycolic_acid_query(11, PAPER_SCALE_CAPS, 1)
     ranked = enumerate_pathways(model, 20)
     assert len(ranked.solutions) == 20
@@ -946,6 +948,10 @@ def test_paper_scale_glycolic_acid_at_cap_1_ranks_are_pinned():
     assert hashlib.sha256(answers.encode()).hexdigest() == (
         "342026db9205fb1c24bba43657bb921efd675df4aed51e8e79ba6edf547928b7"
     )
+    # 1 428 nodes in all
+    assert [s.nodes for s in ranked.solutions] == [
+        6, 10, 22, 16, 30, 72, 61, 43, 56, 67, 58, 52, 107, 152, 135, 140, 72, 138, 81, 110
+    ]
 
 
 def test_carbon_four_closure_glycolic_acid_at_cap_1_matches_highs():
