@@ -4,12 +4,13 @@ Commands: ``expand`` grows a network from seed molecules, ``annotate-check``
 verifies a hyperflow against a network, ``query`` ranks pathways for a
 query, ``export-lp`` writes the optimization model as LP text, and
 ``export-dot`` draws the network.  A command reads and writes its files
-through a ``_Run``, which records their paths and input hashes.  When the
-command succeeds and wrote at least one file, ``main`` writes that record
-beside the first file written, named after it in full (``network.json``
-gets ``network.json.manifest.json``); a failed command, ``annotate-check``
-without ``--output``, or a first output that is not a regular file, such as
-``/dev/null``, writes no manifest.
+through a ``_Run``, which records their paths and the hashes of the input
+files' bytes.  When the command succeeds and wrote at least one file,
+``main`` writes that record beside the first file written, named after it
+in full (``network.json`` gets ``network.json.manifest.json``); a failed
+command, ``annotate-check`` without ``--output``, or a first output that is
+not a regular file, such as ``/dev/null``, writes no manifest, and ``query
+--profiles`` refuses such an output.
 
 Exit codes: 0 success (an infeasible query is still a success, the answer
 is in the output), 1 usage errors, 2 unreadable or invalid inputs (also an
@@ -85,10 +86,13 @@ class _Run:
 
     def read(self, name: str, path: str) -> str:
         try:
-            text = Path(path).read_text()
+            data = Path(path).read_bytes()
+            text = data.decode()
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
-        self.inputs[name] = {"path": path, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        self.inputs[name] = {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
         return text
 
     def read_document(self, name: str, path: str, decode):
@@ -250,6 +254,9 @@ def _load_query_inputs(args, run: _Run):
 
 
 def _cmd_query(args, run: _Run) -> int:
+    if args.profiles and Path(args.output).exists() and not Path(args.output).is_file():
+        print(f"usage: --profiles needs a regular --output file, not {args.output}", file=sys.stderr)
+        return 1
     graph, table, weights, query = _load_query_inputs(args, run)
     model = build_model(graph, weights, query)
 

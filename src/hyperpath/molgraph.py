@@ -2,7 +2,9 @@
 
 Molecules are undirected simple graphs whose vertices carry an element symbol
 and an integer charge and whose edges carry a bond order (single, double,
-triple, or aromatic).  A molecule's isomorphism class is named by its
+triple, or aromatic).  Molecules, hand-built graphs and rule sides share
+``Bond``, the one bond checker ``check_bonds`` (with ``check_atom``) and
+``adjacency``.  A molecule's isomorphism class is named by its
 canonical key, a ``bytes`` value computed by iterative color refinement with
 tie-breaking by cell branching (the individualization-refinement scheme of
 McKay & Piperno, *Practical graph isomorphism, II*, 2014), so two graphs are
@@ -19,6 +21,7 @@ of atom ids share one search.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import re
 from collections import Counter
@@ -78,7 +81,7 @@ def read_bond(fields: list[str], line: int, error: type[TextError]) -> tuple[int
     if a is None or b is None:
         raise error("bond endpoints must be atom ids", line)
     if fields[3] not in BOND_ORDERS:
-        raise error(f"bond order must be one of 1,2,3,a not {fields[3]!r}", line)
+        raise error(f"bad bond order {fields[3]!r}", line)
     return a, b, fields[3]
 
 
@@ -96,6 +99,47 @@ class Bond:
     order: str
 
 
+def check_atom(aid: int, element: str, ids, error: type[TextError], line: int | None = None) -> None:
+    """Refuse atom ``aid`` when ``ids`` already holds it or its element is
+    unknown, raising ``error``, the caller's subclass of ``TextError``."""
+    if aid in ids:
+        raise error(f"duplicate atom id {aid}", line)
+    if element not in PERIODIC_TABLE:
+        raise error(f"unknown element symbol {element!r}", line)
+
+
+def check_bonds(bonds, ids, error: type[TextError], lines=None) -> list[tuple[int, int, str]]:
+    """``(a, b, order)`` bonds between atoms of ``ids`` as ``(lo, hi, order)``
+    with lo < hi, in input order.  A bond of an unknown order, a self bond, a
+    bond to an atom not in ``ids`` or a second bond on a pair raises ``error``,
+    the caller's ``TextError`` subclass, with the bond's entry of ``lines``."""
+    triples = []
+    pairs: set[tuple[int, int]] = set()
+    for (a, b, order), line in zip(bonds, lines or itertools.repeat(None)):
+        lo, hi = (a, b) if a < b else (b, a)
+        if order not in BOND_ORDERS:
+            raise error(f"bad bond order {order!r}", line)
+        if lo == hi:
+            raise error(f"self bond on atom {lo}", line)
+        if lo not in ids or hi not in ids:
+            raise error(f"bond {lo}-{hi} references missing atom {hi if lo in ids else lo}", line)
+        if (lo, hi) in pairs:
+            raise error(f"parallel bond {lo}-{hi}", line)
+        pairs.add((lo, hi))
+        triples.append((lo, hi, order))
+    return triples
+
+
+def adjacency(atoms, bonds) -> dict[int, list[tuple[int, str]]]:
+    """Each atom's neighbours with the bond orders, keyed by atom id:
+    ``atoms`` have ids and ``bonds`` are ``Bond``s between them."""
+    adj: dict[int, list[tuple[int, str]]] = {a.id: [] for a in atoms}
+    for b in bonds:
+        adj[b.a].append((b.b, b.order))
+        adj[b.b].append((b.a, b.order))
+    return adj
+
+
 @dataclass(frozen=True)
 class MolecularGraph:
     """Immutable labeled graph; atoms keyed by integer ids.
@@ -108,11 +152,7 @@ class MolecularGraph:
     bonds: tuple[Bond, ...]
 
     def adjacency(self) -> dict[int, list[tuple[int, str]]]:
-        adj: dict[int, list[tuple[int, str]]] = {a.id: [] for a in self.atoms}
-        for b in self.bonds:
-            adj[b.a].append((b.b, b.order))
-            adj[b.b].append((b.a, b.order))
-        return adj
+        return adjacency(self.atoms, self.bonds)
 
 
 def make_graph(atoms, bonds=()) -> MolecularGraph:
@@ -120,36 +160,17 @@ def make_graph(atoms, bonds=()) -> MolecularGraph:
 
     ``atoms`` holds ``(id, element)`` or ``(id, element, charge)`` tuples and
     ``bonds`` holds ``(a, b, order)`` with the order given as 1, 2, 3 or "a".
-    ValueError names a duplicate atom id, an unknown element, a bad bond
-    order, a self bond, a bond to a missing atom or a parallel bond.
+    A ``TextError`` without a line names a duplicate atom id or an unknown
+    element (``check_atom``), or a bond fault (``check_bonds``).
     """
-    specs = []
-    ids: set[int] = set()
+    specs: dict[int, tuple[int, str, int]] = {}
     for spec in atoms:
         aid, element, charge = spec if len(spec) == 3 else (*spec, 0)
         aid = int(aid)
-        if aid in ids:
-            raise ValueError(f"duplicate atom id {aid}")
-        if element not in PERIODIC_TABLE:
-            raise ValueError(f"unknown element symbol {element!r}")
-        ids.add(aid)
-        specs.append((aid, element, int(charge)))
-    pairs: set[tuple[int, int]] = set()
-    triples = []
-    for a, b, order in bonds:
-        a, b, token = int(a), int(b), str(order)
-        lo, hi = (a, b) if a < b else (b, a)
-        if token not in BOND_ORDERS:
-            raise ValueError(f"bad bond order {token!r}")
-        if lo == hi:
-            raise ValueError(f"self bond on atom {lo}")
-        if lo not in ids or hi not in ids:
-            raise ValueError(f"bond {lo}-{hi} references a missing atom")
-        if (lo, hi) in pairs:
-            raise ValueError(f"parallel bond {lo}-{hi}")
-        pairs.add((lo, hi))
-        triples.append((lo, hi, token))
-    return _from_tables(specs, triples)
+        check_atom(aid, element, specs, TextError)
+        specs[aid] = (aid, element, int(charge))
+    bonds = [(int(a), int(b), str(order)) for a, b, order in bonds]
+    return _from_tables(specs.values(), check_bonds(bonds, specs, TextError))
 
 
 def _from_tables(atoms, bonds) -> MolecularGraph:
@@ -207,7 +228,8 @@ def element_counts(g: MolecularGraph) -> dict[str, int]:
 def _parse_block(lines: list[tuple[int, str]]) -> MolecularGraph | None:
     """A block's molecule, or None for comments only; bonds are checked last."""
     atoms: dict[int, tuple[int, str, int]] = {}
-    bonds: list[tuple[int, tuple[int, int, str]]] = []
+    bonds: list[tuple[int, int, str]] = []
+    bond_lines: list[int] = []
     for ln, content in lines:
         if content.startswith("#"):
             continue
@@ -219,34 +241,21 @@ def _parse_block(lines: list[tuple[int, str]]) -> MolecularGraph | None:
             aid = read_integer(fields[1])
             if aid is None:
                 raise MgfError(f"bad atom id {fields[1]!r}", ln)
-            element = fields[2]
-            if element not in PERIODIC_TABLE:
-                raise MgfError(f"unknown element symbol {element!r}", ln)
+            check_atom(aid, fields[2], atoms, MgfError, ln)
             charge = read_integer(fields[3], signed=True) if len(fields) == 4 else 0
             if charge is None:
                 raise MgfError(f"bad charge {fields[3]!r}", ln)
-            if aid in atoms:
-                raise MgfError(f"duplicate atom id {aid}", ln)
-            atoms[aid] = (aid, element, charge)
+            atoms[aid] = (aid, fields[2], charge)
         elif kind == "bond":
-            bonds.append((ln, read_bond(fields, ln, MgfError)))
+            bonds.append(read_bond(fields, ln, MgfError))
+            bond_lines.append(ln)
         else:
             raise MgfError(f"unknown directive {kind!r}", ln)
     if not atoms:
         if not bonds:
             return None
         raise MgfError("molecule block has no atoms", lines[0][0])
-    pairs: dict[tuple[int, int], str] = {}
-    for ln, (a, b, order) in bonds:
-        if a not in atoms or b not in atoms:
-            raise MgfError(f"bond references missing atom {a if a not in atoms else b}", ln)
-        if a == b:
-            raise MgfError(f"self bond on atom {a}", ln)
-        pair = (a, b) if a < b else (b, a)
-        if pair in pairs:
-            raise MgfError(f"parallel bond {pair[0]}-{pair[1]}", ln)
-        pairs[pair] = order
-    return _from_tables(atoms.values(), [(a, b, order) for (a, b), order in pairs.items()])
+    return _from_tables(atoms.values(), check_bonds(bonds, atoms, MgfError, bond_lines))
 
 
 def parse_molecules(text: str) -> list[MolecularGraph]:

@@ -98,16 +98,19 @@ class Hypergraph:
         """Insert a reaction edge, deduplicating by its two multiplicity bags.
 
         Returns the edge id; an edge's reverse is the edge with swapped bags.
+        Ids and multiplicities must be ints; zero multiplicities are dropped.
         """
-        reactants = {int(v): int(m) for v, m in reactants.items() if m}
-        products = {int(v): int(m) for v, m in products.items() if m}
-        if not reactants and not products:
-            raise ValueError("a reaction needs at least one reactant or product")
-        for vid, mult in list(reactants.items()) + list(products.items()):
+        for vid, mult in (*reactants.items(), *products.items()):
+            if type(vid) is not int or type(mult) is not int:
+                raise ValueError(f"vertex id and multiplicity must be ints, not {vid!r}: {mult!r}")
             if not (0 <= vid < len(self.vertices)):
                 raise ValueError(f"unknown vertex id {vid}")
-            if mult <= 0:
-                raise ValueError(f"multiplicity for vertex {vid} must be positive")
+            if mult < 0:
+                raise ValueError(f"multiplicity for vertex {vid} must not be negative")
+        reactants = {v: m for v, m in reactants.items() if m}
+        products = {v: m for v, m in products.items() if m}
+        if not reactants and not products:
+            raise ValueError("a reaction needs at least one reactant or product")
         bags = (_freeze(reactants), _freeze(products))
         if bags in self._by_bags:
             return self._by_bags[bags]
@@ -123,14 +126,16 @@ class Hypergraph:
 
         ``flow`` maps edge ids to integer flow values and may also carry
         ``("in", v)`` / ``("out", v)`` half-edge entries for exchange with the
-        environment.  All arithmetic is exact integer arithmetic.
+        environment.  Ids and values must be ints: the arithmetic is exact.
         """
         net: Counter[int] = Counter()
-        for key in flow:
-            if isinstance(key, int) and not (0 <= key < len(self.edges)):
-                raise ValueError(f"flow references unknown edge {key}")
+        for key, value in flow.items():
+            if type(value) is not int:
+                raise ValueError(f"flow value {value!r} on {key!r} is not an int")
+            if not (isinstance(key, tuple) or (type(key) is int and 0 <= key < len(self.edges))):
+                raise ValueError(f"flow references unknown edge {key!r}")
         for edge in self.edges:
-            f = int(flow.get(edge.id, 0))
+            f = flow.get(edge.id, 0)
             if f < 0:
                 raise ValueError(f"negative flow {f} on edge {edge.id}")
             if f == 0:
@@ -142,15 +147,14 @@ class Hypergraph:
         for key, value in flow.items():
             if isinstance(key, tuple):
                 kind, vid = key
-                if not (0 <= vid < len(self.vertices)):
-                    raise ValueError(f"flow references unknown vertex {vid}")
-                amount = int(value)
-                if amount < 0:
+                if not (type(vid) is int and 0 <= vid < len(self.vertices)):
+                    raise ValueError(f"flow references unknown vertex {vid!r}")
+                if value < 0:
                     raise ValueError(f"negative half-edge value on {key}")
                 if kind == "in":
-                    net[vid] += amount
+                    net[vid] += value
                 elif kind == "out":
-                    net[vid] -= amount
+                    net[vid] -= value
                 else:
                     raise ValueError(f"bad half-edge kind {kind!r}")
         return {vid: imbalance for vid, imbalance in sorted(net.items()) if imbalance != 0}

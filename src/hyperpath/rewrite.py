@@ -29,12 +29,14 @@ from importlib import resources
 from itertools import combinations_with_replacement
 
 from .molgraph import (
-    BOND_ORDERS,
     ORDER_VALUE,
     PERIODIC_TABLE,
+    Bond,
     MolecularGraph,
     TextError,
     _from_tables,
+    adjacency,
+    check_bonds,
     component_specs,
     element_counts,
     read_bond,
@@ -60,24 +62,12 @@ class PatternAtom:
     label: str
 
 
-@dataclass(frozen=True, order=True)
-class PatternBond:
-    a: int
-    b: int
-    order: str
-
-
-def _bond_key(b: PatternBond) -> tuple[int, int, str]:
-    lo, hi = (b.a, b.b) if b.a < b.b else (b.b, b.a)
-    return (lo, hi, b.order)
-
-
 @dataclass(frozen=True)
 class Rule:
     """A span L <- K -> R over one atom set, plus element-class bindings.
 
     ``atoms`` serve all three sides; ``left``, ``context`` and ``right`` are
-    each side's bonds, sorted.  Left bonds are matched and deleted, right
+    each side's ``Bond``s, sorted.  Left bonds are matched and deleted, right
     bonds added, and context bonds, kept, are on both sides.  A class binds
     one of its elements per match.  It may not take the name of an element
     of ``PERIODIC_TABLE``, which it would re-label in the rule.
@@ -85,9 +75,9 @@ class Rule:
 
     name: str
     atoms: tuple[PatternAtom, ...]
-    left: tuple[PatternBond, ...]
-    context: tuple[PatternBond, ...]
-    right: tuple[PatternBond, ...]
+    left: tuple[Bond, ...]
+    context: tuple[Bond, ...]
+    right: tuple[Bond, ...]
     label_classes: dict[str, tuple[str, ...]] = field(default_factory=dict)
     reversible: bool = False
 
@@ -95,22 +85,15 @@ class Rule:
         ids = {a.id for a in self.atoms}
         if len(ids) != len(self.atoms):
             raise ValueError("duplicate pattern atom id")
-        for bonds in (self.left, self.context, self.right):
-            pairs = set()
-            for b in bonds:
-                if b.order not in BOND_ORDERS:
-                    raise ValueError(f"bad bond order {b.order!r}")
-                if b.a == b.b or b.a not in ids or b.b not in ids:
-                    raise ValueError(f"bad bond endpoints {b.a}-{b.b}")
-                pair = _bond_key(b)[:2]
-                if pair in pairs:
-                    raise ValueError(f"parallel pattern bond {pair[0]}-{pair[1]}")
-                pairs.add(pair)
-        kept = {_bond_key(b) for b in self.left} & {_bond_key(b) for b in self.right}
-        for b in self.context:
-            if _bond_key(b) not in kept:
+        left, context, right = (
+            check_bonds([(b.a, b.b, b.order) for b in side], ids, RuleError)
+            for side in (self.left, self.context, self.right)
+        )
+        kept = set(left) & set(right)
+        for lo, hi, order in context:
+            if (lo, hi, order) not in kept:
                 raise ValueError(
-                    f"context bond {b.a}-{b.b} of rule {self.name!r} must appear on both sides"
+                    f"context bond {lo}-{hi} of rule {self.name!r} must appear on both sides"
                 )
         for cls, elements in self.label_classes.items():
             if cls in PERIODIC_TABLE:
@@ -130,14 +113,6 @@ class Rule:
         if label in self.label_classes:
             return self.label_classes[label]
         return (label,)
-
-    def adjacency(self) -> dict[int, list[tuple[int, str]]]:
-        """Each atom's neighbours on the left side, with the bond orders."""
-        adj: dict[int, list[tuple[int, str]]] = {a.id: [] for a in self.atoms}
-        for b in self.left:
-            adj[b.a].append((b.b, b.order))
-            adj[b.b].append((b.a, b.order))
-        return adj
 
     def part_needs(self) -> list[list[frozenset]]:
         """What each connected part of the left side needs of the host it
@@ -240,7 +215,7 @@ def _parse_rule_block(start: int, name: str, lines: list[tuple[int, str]]) -> Ru
     its ``rule`` statement, which errors of the rule as a whole carry."""
     classes: dict[str, tuple[str, ...]] = {}
     atoms: list[PatternAtom] = []
-    bonds: dict[str, list[PatternBond]] = {"left": [], "context": [], "right": []}
+    bonds: dict[str, list[Bond]] = {"left": [], "context": [], "right": []}
     section: str | None = None
     reversible = False
     for ln, line in lines:
@@ -266,7 +241,7 @@ def _parse_rule_block(start: int, name: str, lines: list[tuple[int, str]]) -> Ru
         elif fields[0] == "bond":
             if section is None:
                 raise RuleError("bond line outside left:/context:/right:", ln)
-            bonds[section].append(PatternBond(*read_bond(fields, ln, RuleError)))
+            bonds[section].append(Bond(*read_bond(fields, ln, RuleError)))
         else:
             raise RuleError(f"unrecognized statement {line!r}", ln)
     if not atoms:
@@ -397,7 +372,7 @@ def find_matches(rule: Rule, hosts: tuple[MolecularGraph, ...]) -> list[Match]:
     for atom in rule.atoms:
         allowed = rule.allowed_elements(atom.label)
         candidates[atom.id] = [(i, el) for i, el, _ in union.atoms if el in allowed]
-    adj = rule.adjacency()
+    adj = adjacency(rule.atoms, rule.left)
     order = _pattern_order(adj, candidates)
     atom_label = {a.id: a.label for a in rule.atoms}
     matches: list[Match] = []
@@ -527,13 +502,16 @@ def right_predicate_no_small_rings(g: MolecularGraph, max_forbidden_ring: int) -
 
     A bond lies on a cycle of length d + 1 when its far end is d bonds from
     its near end without it, so one breadth-first search per bond, cut off
-    at depth ``max_forbidden_ring - 1``, finds every forbidden cycle.
+    at depth ``max_forbidden_ring - 1`` or when it runs out of atoms, finds
+    every forbidden cycle; no limit costs more than one search per bond.
     """
     adj = g.adjacency()
     for bond in g.bonds:
         seen = {bond.a}
         frontier = [bond.a]
         for _ in range(max_forbidden_ring - 1):
+            if not frontier:
+                break
             nxt = []
             for v in frontier:
                 for u, _ in adj[v]:

@@ -1,4 +1,5 @@
 """End-to-end command line behavior, run in process."""
+import hashlib
 import json
 import os
 import random
@@ -1116,6 +1117,45 @@ def test_no_manifest_beside_an_output_that_is_not_a_regular_file(tmp_path, capsy
                  "--output", str(sink)]) == 0
     capsys.readouterr()
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_query_profiles_beside_an_output_that_is_not_a_regular_file_exit_1(tmp_path, capsys):
+    # the profiles are named after the output, so /dev/null would give
+    # /dev/null.profile-1.csv; the command refuses before it writes a file
+    net, network, barriers, query = flux_setup(tmp_path)
+    sink = tmp_path / "sink"
+    sink.symlink_to(os.devnull)
+    before = sorted(tmp_path.iterdir())
+    assert main(["query", "--network", network, "--barriers", barriers, "--query", query,
+                 "--profiles", "--output", str(sink)]) == 1
+    assert "usage: --profiles needs a regular --output file" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_manifest_hashes_the_input_file_bytes(tmp_path, capsys):
+    # a CRLF seeds file is hashed as sha256sum hashes it and reads as its LF twin
+    text = molecules.WATER_MGF + "---\n" + molecules.GLYCOLONITRILE_MGF
+    networks = {}
+    for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+        seeds = tmp_path / f"{name}.mgf"
+        seeds.write_bytes(text.replace("\n", newline).encode())
+        network = tmp_path / f"{name}.json"
+        assert main(["expand", "--seeds", str(seeds), "--max-iterations", "2",
+                     "--output", str(network)]) == 0
+        manifest = json.loads(Path(f"{network}.manifest.json").read_text())
+        assert manifest["inputs"]["seeds"]["sha256"] == hashlib.sha256(seeds.read_bytes()).hexdigest()
+        networks[name] = network.read_bytes()
+    capsys.readouterr()
+    assert networks["crlf"] == networks["lf"]
+
+
+def test_input_that_is_not_utf8_exit_2(tmp_path, capsys):
+    seeds = tmp_path / "seeds.mgf"
+    seeds.write_bytes(b"atom 0 O\natom 1 H \xff\n")
+    network = tmp_path / "network.json"
+    assert main(["expand", "--seeds", str(seeds), "--output", str(network)]) == 2
+    assert f"error: {seeds} is not UTF-8 text" in capsys.readouterr().err
+    assert not network.exists()
 
 
 @pytest.mark.parametrize("document", ["network", "query", "flow", "solutions"])

@@ -169,7 +169,7 @@ def test_graph_validation():
         ([(0, "Zz")], [], "unknown element symbol 'Zz'"),
         ([(0, "C"), (1, "C")], [(0, 1, 4)], "bad bond order '4'"),
         ([(0, "C")], [(0, 0, 1)], "self bond on atom 0"),
-        ([(0, "C")], [(1, 0, 1)], "bond 0-1 references a missing atom"),
+        ([(0, "C")], [(1, 0, 1)], "bond 0-1 references missing atom 1"),
         ([(0, "C"), (1, "C")], [(0, 1, 1), (1, 0, 2)], "parallel bond 0-1"),
     ]
     for atoms, bonds, message in cases:

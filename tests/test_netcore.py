@@ -74,6 +74,19 @@ def test_add_reaction_validation():
         net.add_reaction({5: 1}, {0: 1})
     with pytest.raises(ValueError):
         net.add_reaction({0: -2}, {1: 1})
+    # a value that is not an int is refused, not truncated
+    for reactants, products in [
+        ({0: 1.7}, {1: 1}),
+        ({0: 1}, {1: True}),
+        ({0: 0.0}, {1: 1}),
+        ({0: "1"}, {1: 1}),
+        ({0.0: 1}, {1: 1}),
+        ({0: 1}, {True: 1}),
+        ({"0": 1}, {1: 1}),
+    ]:
+        with pytest.raises(ValueError, match="must be ints"):
+            net.add_reaction(reactants, products)
+    assert not net.edges
 
 
 def test_self_loop_reaction_is_allowed():
@@ -124,6 +137,13 @@ def test_conservation_rejects_bad_references():
         net.conservation_violations({("sideways", 0): 1})
     with pytest.raises(ValueError):
         net.conservation_violations({("in", 0): -1})
+    # a value that is not an int is refused, not truncated
+    for flow in [{0: 1.9}, {0: True}, {0: "1"}, {("in", 0): 2.5}, {0: 1, ("out", 3): False}]:
+        with pytest.raises(ValueError, match="is not an int"):
+            net.conservation_violations(flow)
+    for flow in [{True: 1}, {0.0: 1}, {"0": 1}, {("in", 0.0): 1}, {("out", True): 1}]:
+        with pytest.raises(ValueError, match="unknown"):
+            net.conservation_violations(flow)
 
 
 def test_support_sorts_and_filters():

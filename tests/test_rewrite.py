@@ -18,6 +18,8 @@ from hyperpath import molgraph, rewrite
 from hyperpath.molgraph import (
     BOND_ORDERS,
     ORDER_VALUE,
+    Bond,
+    MgfError,
     MolecularGraph,
     canonical_form,
     connected_components,
@@ -29,7 +31,6 @@ from hyperpath.rewrite import (
     VALENCE_CAP,
     ExpansionConfig,
     PatternAtom,
-    PatternBond,
     Rule,
     RuleApplicationError,
     RuleError,
@@ -182,11 +183,11 @@ def test_parse_rules_comments_and_blank_lines():
         ("rule x\nleft:\n  atom 0 C\n  bond 0 1 7\n", "bond order"),
         ("rule x\nleft:\n  atom 0 C\n  atom 0 O\n", "duplicate pattern atom id"),
         # each side's bonds are checked, not only the left side's
-        ("rule x\nleft:\n  atom 0 C\ncontext:\n  bond 0 0 1\n", "bad bond endpoints 0-0"),
-        ("rule x\nleft:\n  atom 0 C\nright:\n  bond 0 1 1\n", "bad bond endpoints 0-1"),
+        ("rule x\nleft:\n  atom 0 C\ncontext:\n  bond 0 0 1\n", "self bond on atom 0"),
+        ("rule x\nleft:\n  atom 0 C\nright:\n  bond 0 1 1\n", "bond 0-1 references missing atom 1"),
         (
             "rule x\nleft:\n  atom 0 C\n  atom 1 O\nright:\n  bond 0 1 1\n  bond 1 0 2\n",
-            "parallel pattern bond 0-1",
+            "parallel bond 0-1",
         ),
         (
             "rule x\nleft:\n  atom 0 C\n  atom 1 C\ncontext:\n  bond 0 1 1\n",
@@ -216,6 +217,31 @@ def test_parse_rule_errors(text, fragment):
     with pytest.raises(RuleError) as err:
         parse_rules(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "bonds, message",
+    [
+        ([(0, 1, "4")], "bad bond order '4'"),
+        ([(1, 1, "1")], "self bond on atom 1"),
+        ([(2, 0, "1")], "bond 0-2 references missing atom 2"),
+        ([(0, 1, "1"), (1, 0, "2")], "parallel bond 0-1"),
+    ],
+)
+def test_bond_faults_read_alike_in_every_reader(bonds, message):
+    # molgraph.check_bonds words each fault once for make_graph, molecule
+    # text and each side of a rule; the text readers prefix a line
+    statements = "".join(f"bond {a} {b} {order}\n" for a, b, order in bonds)
+    with pytest.raises(ValueError) as made:
+        make_graph([(0, "C"), (1, "C")], bonds)
+    with pytest.raises(MgfError) as parsed:
+        parse_molecule("atom 0 C\natom 1 C\n" + statements)
+    with pytest.raises(RuleError) as ruled:
+        parse_rules("rule x\nleft:\n  atom 0 C\n  atom 1 C\nright:\n" + statements)
+    assert str(made.value) == message
+    # a molecule's bond error names the faulty bond's own line, the last one
+    assert str(parsed.value) == f"line {2 + len(bonds)}: {message}"
+    assert str(ruled.value).split(": ", 1)[1] == message
 
 
 @pytest.mark.parametrize(
@@ -282,7 +308,7 @@ def test_pattern_component_count():
     atoms = tuple(PatternAtom(i, "C") for i in range(4))
 
     def left_side(atoms, *bonds):
-        return Rule("r", atoms, tuple(PatternBond(*b) for b in bonds), (), ())
+        return Rule("r", atoms, tuple(Bond(*b) for b in bonds), (), ())
 
     chain = left_side(atoms, (0, 1, "1"), (1, 2, "1"), (2, 3, "2"))
     two_parts = left_side(atoms, (0, 3, "1"), (1, 2, "1"))
@@ -426,14 +452,14 @@ def test_pattern_order_agrees_with_a_linear_scan():
             "random",
             tuple(PatternAtom(i, rng.choice("CNOH")) for i in ids),
             tuple(
-                PatternBond(a, b, rng.choice(BOND_ORDERS))
+                Bond(a, b, rng.choice(BOND_ORDERS))
                 for a, b in combinations(ids, 2)
                 if rng.random() < density
             ),
             (),
             (),
         )
-        adj = rule.adjacency()
+        adj = molgraph.adjacency(rule.atoms, rule.left)
         candidates = {pid: [None] * rng.randint(0, 4) for pid in adj}
         assert rewrite._pattern_order(adj, candidates) == _pattern_order_by_scan(adj, candidates)
 
@@ -735,20 +761,34 @@ def criterion_8_closure():
     return run_expansion(config, load_default_rules())
 
 
-def test_ring_predicate_agrees_with_networkx_girth():
+def ring_corpus() -> list[MolecularGraph]:
+    """The closure's molecules and 300 random carbon graphs of 1-9 atoms."""
     graphs = [v.graph for v in criterion_8_closure().network.vertices]
     rng = random.Random(5)
     for _ in range(300):
         n = rng.randint(1, 9)
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3]
         graphs.append(make_graph([(i, "C") for i in range(n)], [(a, b, 1) for a, b in pairs]))
-    for g in graphs:
+    return graphs
+
+
+def test_ring_predicate_agrees_with_networkx_girth():
+    for g in ring_corpus():
         nx_graph = nx.Graph()
         nx_graph.add_nodes_from(a.id for a in g.atoms)
         nx_graph.add_edges_from((b.a, b.b) for b in g.bonds)
         girth = nx.girth(nx_graph)
         for limit in range(8):
             assert right_predicate_no_small_rings(g, limit) == (girth > limit), (g, limit)
+
+
+def test_ring_predicate_search_stops_when_it_runs_out_of_atoms():
+    # no cycle is longer than the atom count, so any larger limit reads the
+    # same; a search that ran its full depth would not finish at 10**12
+    for g in ring_corpus():
+        expected = right_predicate_no_small_rings(g, len(g.atoms))
+        assert right_predicate_no_small_rings(g, 10**12) == expected, g
+        assert right_predicate("no-rings-le=1000000000000")(g) == expected, g
 
 
 def test_make_graph_rebuilds_every_closure_molecule_unchanged():
