@@ -87,7 +87,7 @@ class _Run:
     def read(self, name: str, path: str) -> str:
         try:
             data = Path(path).read_bytes()
-            text = data.decode()
+            text = data.decode().removeprefix("\ufeff")
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
         except UnicodeDecodeError as exc:
@@ -214,9 +214,9 @@ def _cmd_annotate_check(args, run: _Run) -> int:
         "support": graph.support(flow),
     }
     if args.barriers:
-        table = load_barriers(run.read("barriers", args.barriers), graph)
-        weights = objective_coefficients(table, Thermo(args.temperature_k), graph)
-        report["score_j_per_mol"] = pathway_score(flow, weights)
+        barriers = load_barriers(run.read("barriers", args.barriers), graph)
+        costs = objective_coefficients(barriers, Thermo(args.temperature_k), graph)
+        report["score_j_per_mol"] = pathway_score(flow, costs)
         report["score_kj_per_mol"] = report["score_j_per_mol"] / 1000.0
     if violations:
         print("flow is NOT conserved:")
@@ -231,8 +231,8 @@ def _cmd_annotate_check(args, run: _Run) -> int:
     return 0
 
 
-def _solution_json(rank: int, solution, weights) -> dict:
-    score = pathway_score(solution.flow, weights)
+def _solution_json(rank: int, solution, costs) -> dict:
+    score = pathway_score(solution.flow, costs)
     return {
         "rank": rank,
         "status": solution.status,
@@ -245,20 +245,20 @@ def _solution_json(rank: int, solution, weights) -> dict:
 
 
 def _load_query_inputs(args, run: _Run):
-    """Network, barrier table, edge weights and query of a model command."""
+    """Network, barriers, edge costs and query of a model command."""
     graph = run.read_document("network", args.network, Hypergraph.from_json)
-    table = load_barriers(run.read("barriers", args.barriers), graph)
-    weights = objective_coefficients(table, Thermo(args.temperature_k), graph)
+    barriers = load_barriers(run.read("barriers", args.barriers), graph)
+    costs = objective_coefficients(barriers, Thermo(args.temperature_k), graph)
     query = run.read_document("query", args.query, PathwayQuery.from_json)
-    return graph, table, weights, query
+    return graph, barriers, costs, query
 
 
 def _cmd_query(args, run: _Run) -> int:
     if args.profiles and Path(args.output).exists() and not Path(args.output).is_file():
         print(f"usage: --profiles needs a regular --output file, not {args.output}", file=sys.stderr)
         return 1
-    graph, table, weights, query = _load_query_inputs(args, run)
-    model = build_model(graph, weights, query)
+    graph, barriers, costs, query = _load_query_inputs(args, run)
+    model = build_model(graph, costs, query)
 
     if args.relax:
         lp = simplex_solve(model)
@@ -282,7 +282,7 @@ def _cmd_query(args, run: _Run) -> int:
 
     ranked = enumerate_pathways(model, args.rank, args.node_limit)
 
-    solutions = [_solution_json(i + 1, s, weights) for i, s in enumerate(ranked.solutions)]
+    solutions = [_solution_json(i + 1, s, costs) for i, s in enumerate(ranked.solutions)]
     data = {
         "status": "ok" if solutions else "infeasible",
         "temperature_k": args.temperature_k,
@@ -306,10 +306,8 @@ def _cmd_query(args, run: _Run) -> int:
             cumulative = 0.0
             for step, eid in enumerate(solution.support, start=1):
                 flow = solution.flow.get(eid, 0)
-                cumulative += table.barrier_kj(eid) * flow
-                lines.append(
-                    f"{step},{eid},{flow},{table.barrier_kj(eid):.6f},{cumulative:.6f}"
-                )
+                cumulative += barriers[eid] * flow
+                lines.append(f"{step},{eid},{flow},{barriers[eid]:.6f},{cumulative:.6f}")
             run.write(f"{stem}.profile-{entry['rank']}.csv", "\n".join(lines) + "\n")
 
     run.extra = {"node_limit": args.node_limit, "temperature_k": args.temperature_k}
@@ -317,8 +315,8 @@ def _cmd_query(args, run: _Run) -> int:
 
 
 def _cmd_export_lp(args, run: _Run) -> int:
-    graph, _, weights, query = _load_query_inputs(args, run)
-    model = build_model(graph, weights, query)
+    graph, _, costs, query = _load_query_inputs(args, run)
+    model = build_model(graph, costs, query)
     run.write(args.output, export_lp_text(relax(model) if args.relax else model))
     print(f"wrote {args.output}")
     run.extra = {"relax": bool(args.relax)}

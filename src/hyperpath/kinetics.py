@@ -1,16 +1,17 @@
 """Transition-state kinetics on top of a reaction hypergraph.
 
-Every hyperedge carries an activation barrier (kJ/mol at the interfaces,
-J/mol internally).  Barriers turn into normalized selection probabilities
-across the whole network and into the non-negative additive edge costs used
-by the pathway optimizer.
+Every hyperedge carries an activation barrier, in kJ/mol as the barrier
+file states it.  Barriers and edge costs are plain dicts keyed by edge id,
+as flows are.  Barriers turn into normalized selection probabilities across
+the whole network and into the non-negative additive edge costs, in J/mol,
+used by the pathway optimizer.
 """
 from __future__ import annotations
 
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .molgraph import TextError, read_integer
 from .netcore import Hypergraph
@@ -49,35 +50,19 @@ class Thermo:
         return GAS_CONSTANT * self.T
 
 
-@dataclass(frozen=True)
-class BarrierTable:
-    """Activation barriers per edge id, stored in J/mol."""
-
-    barriers_j: dict[int, float]
-
-    @classmethod
-    def from_kj(cls, barriers_kj: dict[int, float]) -> "BarrierTable":
-        return cls({int(e): float(g) * 1000.0 for e, g in barriers_kj.items()})
-
-    def barrier_j(self, edge_id: int) -> float:
-        return self.barriers_j[edge_id]
-
-    def barrier_kj(self, edge_id: int) -> float:
-        return self.barriers_j[edge_id] / 1000.0
-
-
-def load_barriers(text: str, h: Hypergraph) -> BarrierTable:
-    """Parse a two-column CSV of activation barriers.
+def load_barriers(text: str, h: Hypergraph) -> dict[int, float]:
+    """Parse a two-column CSV of activation barriers into ``{edge_id: kJ/mol}``.
 
     The header must be exactly ``edge_id,barrier_kj_per_mol`` and every edge
     of ``h`` must be covered exactly once.  Barriers must lie within
     ``MAX_BARRIER_KJ`` (1e4 kJ/mol) in magnitude; negative ones are accepted
     with a warning.  Edge ids are read as MGF reads atom ids, barriers as
-    decimal or exponent literals, and a bad row's error names its line.
+    decimal or exponent literals, and an error in the header or a row names
+    its line.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
-        raise ValueError(f"barrier table must start with header {CSV_HEADER!r}")
+        raise TextError(f"barrier table must start with header {CSV_HEADER!r}", 1)
     barriers: dict[int, float] = {}
     known = {e.id for e in h.edges}
     for ln, raw in enumerate(lines[1:], start=2):
@@ -99,11 +84,11 @@ def load_barriers(text: str, h: Hypergraph) -> BarrierTable:
             raise TextError(f"duplicate entry for edge {eid}", ln)
         if kj < 0:
             warnings.warn(f"negative activation barrier {kj} kJ/mol on edge {eid}")
-        barriers[eid] = kj * 1000.0
+        barriers[eid] = kj
     missing = sorted(known - set(barriers))
     if missing:
         raise ValueError(f"missing barrier entries for edges {missing}")
-    return BarrierTable(barriers)
+    return barriers
 
 
 def _log_sum_exp(values: list[float]) -> float:
@@ -111,48 +96,39 @@ def _log_sum_exp(values: list[float]) -> float:
     return shift + math.log(sum(math.exp(v - shift) for v in values))
 
 
-def reaction_probability(e: int, table: BarrierTable, thermo: Thermo = Thermo()) -> float:
-    """Probability of selecting edge ``e`` under Boltzmann weighting of barriers."""
+def reaction_probability(e: int, barriers: dict[int, float], thermo: Thermo = Thermo()) -> float:
+    """Probability of selecting edge ``e`` under Boltzmann weighting of the
+    ``{edge_id: kJ/mol}`` barriers."""
     rt = thermo.rt
-    xs = [-g / rt for g in table.barriers_j.values()]
-    return math.exp(-table.barrier_j(e) / rt - _log_sum_exp(xs))
+    xs = [-(kj * 1000.0) / rt for kj in barriers.values()]
+    return math.exp(-(barriers[e] * 1000.0) / rt - _log_sum_exp(xs))
 
 
-@dataclass(frozen=True)
-class WeightModel:
-    """Additive edge costs c_e = G_e + RT*logD, with D the Boltzmann sum.
+def objective_coefficients(barriers: dict[int, float], thermo: Thermo, h: Hypergraph) -> dict[int, float]:
+    """Each edge's cost in J/mol, ``{edge_id: c_e}``, from the ``{edge_id:
+    kJ/mol}`` barriers.
 
-    Equivalently c_e = -RT*ln p_e, so minimizing a flow-weighted sum of costs
-    maximizes the product of selection probabilities.  Costs are J/mol and
-    never negative.
-    """
-
-    logD: float
-    coeff: dict[int, float] = field(default_factory=dict)
-
-
-def objective_coefficients(table: BarrierTable, thermo: Thermo, h: Hypergraph) -> WeightModel:
-    """Build the cost model for every edge of ``h``.
-
-    The normalizing sum runs over all edges of the hypergraph, so costs are
-    relative to the network the table was loaded for.
+    c_e = G_e + RT*ln D, with G_e in J/mol and D the Boltzmann sum over all
+    edges of ``h``; equivalently c_e = -RT*ln p_e, so minimizing a
+    flow-weighted sum of costs maximizes the product of selection
+    probabilities.  Costs are relative to the network the barriers were
+    loaded for, and never negative.
     """
     if not h.edges:
         raise ValueError("cannot weight a network with no reactions")
-    missing = sorted(e.id for e in h.edges if e.id not in table.barriers_j)
+    missing = sorted(e.id for e in h.edges if e.id not in barriers)
     if missing:
         raise ValueError(f"barrier table missing edges {missing}")
     rt = thermo.rt
     ids = sorted(e.id for e in h.edges)
-    log_d = _log_sum_exp([-table.barrier_j(eid) / rt for eid in ids])
-    coeffs = {eid: max(0.0, table.barrier_j(eid) + rt * log_d) for eid in ids}
-    return WeightModel(log_d, coeffs)
+    log_d = _log_sum_exp([-(barriers[eid] * 1000.0) / rt for eid in ids])
+    return {eid: max(0.0, barriers[eid] * 1000.0 + rt * log_d) for eid in ids}
 
 
-def pathway_score(f: dict, model: WeightModel) -> float:
+def pathway_score(f: dict, costs: dict[int, float]) -> float:
     """Flow-weighted total cost in J/mol over the real (non half-edge) flow."""
     total = 0.0
     for key, value in f.items():
         if isinstance(key, int) and value:
-            total += model.coeff[key] * value
+            total += costs[key] * value
     return total

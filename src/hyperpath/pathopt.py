@@ -6,7 +6,7 @@ it, edge by edge, into one model held as arrays: one integer flow column per
 edge, exchange columns for the vertices the query mentions, a dense matrix
 of rows bounded as the columns are, and a cost vector.  The
 search, the exhaustive oracle and the LP export all read these arrays.
-Costs come from the barrier-derived edge weights, so the optimum is the
+Costs are the barrier-derived edge costs, so the optimum is the
 kinetically favored pathway.  Cuts, which enumerate alternatives, are
 edge-id sets that no solution may use all of.  The LP export alone writes
 the indicator form of an integer model: one binary use indicator per edge,
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from .kinetics import WeightModel
 from .netcore import Hypergraph, is_json_id, is_json_integer
 
 if TYPE_CHECKING:
@@ -186,8 +185,9 @@ class IlpModel:
     cuts: tuple[frozenset[int], ...] = ()
 
 
-def build_model(h: Hypergraph, model: WeightModel, q: PathwayQuery) -> IlpModel:
-    """Compile a query against a weighted hypergraph, with no cuts.
+def build_model(h: Hypergraph, costs: dict[int, float], q: PathwayQuery) -> IlpModel:
+    """Compile a query against a hypergraph with ``{edge_id: cost}`` edge
+    costs, with no cuts.
 
     Columns are the flows by edge id, then the exchange variables.  Rows
     are conservation for every vertex by id, bounded 0 and 0, then the
@@ -203,7 +203,7 @@ def build_model(h: Hypergraph, model: WeightModel, q: PathwayQuery) -> IlpModel:
     for eid in q.forbidden_edges:
         if not (0 <= eid < len(h.edges)):
             raise ValueError(f"query forbids unknown edge {eid}")
-    missing = [e.id for e in h.edges if e.id not in model.coeff]
+    missing = [e.id for e in h.edges if e.id not in costs]
     if missing:
         raise ValueError(f"weights missing for edges {missing}")
 
@@ -235,7 +235,7 @@ def build_model(h: Hypergraph, model: WeightModel, q: PathwayQuery) -> IlpModel:
     if q.maximize_outflow is not None:
         cost[keys.index(("out", q.maximize_outflow))] = 1.0
     else:
-        cost[:len(h.edges)] = [model.coeff[e.id] for e in h.edges]
+        cost[:len(h.edges)] = [costs[e.id] for e in h.edges]
 
     return IlpModel(
         variables=tuple(name for name, *_ in columns),

@@ -1,10 +1,10 @@
 """Graph-rewriting rules and breadth-first network expansion.
 
 A rule is a span L <- K -> R over one atom set: one tuple of pattern atoms
-and three bond lists, the left, context (kept) and right bonds, parsed from
-the rule DSL one ``rule`` block at a time.  Applying it to a multiset of
-host molecules deletes the matched left-side bonds, adds the right-side
-bonds, and keeps everything else.  Matches are injective and
+and two bond lists, the left and right bonds, parsed from the rule DSL one
+``rule`` block at a time.  Applying it to a multiset of host molecules
+deletes the matched left-side bonds, adds the right-side bonds, and keeps
+everything else, the bonds on both sides too.  Matches are injective and
 label-compatible, map each connected pattern component into one host
 molecule, and must touch every molecule of the multiset.  Expansion applies
 all rules breadth-first over growing strata of molecules, recording every
@@ -66,48 +66,18 @@ class PatternAtom:
 class Rule:
     """A span L <- K -> R over one atom set, plus element-class bindings.
 
-    ``atoms`` serve all three sides; ``left``, ``context`` and ``right`` are
-    each side's ``Bond``s, sorted.  Left bonds are matched and deleted, right
-    bonds added, and context bonds, kept, are on both sides.  A class binds
-    one of its elements per match.  It may not take the name of an element
-    of ``PERIODIC_TABLE``, which it would re-label in the rule.
+    ``atoms`` serve both sides; ``left`` and ``right`` are each side's
+    ``Bond``s, sorted.  Left bonds are matched and deleted, right bonds
+    added, and bonds on both sides are kept.  A class binds one of its
+    elements per match.  ``parse_rules`` checks a rule as it reads it.
     """
 
     name: str
     atoms: tuple[PatternAtom, ...]
     left: tuple[Bond, ...]
-    context: tuple[Bond, ...]
     right: tuple[Bond, ...]
     label_classes: dict[str, tuple[str, ...]] = field(default_factory=dict)
     reversible: bool = False
-
-    def __post_init__(self):
-        ids = {a.id for a in self.atoms}
-        if len(ids) != len(self.atoms):
-            raise ValueError("duplicate pattern atom id")
-        left, context, right = (
-            check_bonds([(b.a, b.b, b.order) for b in side], ids, RuleError)
-            for side in (self.left, self.context, self.right)
-        )
-        kept = set(left) & set(right)
-        for lo, hi, order in context:
-            if (lo, hi, order) not in kept:
-                raise ValueError(
-                    f"context bond {lo}-{hi} of rule {self.name!r} must appear on both sides"
-                )
-        for cls, elements in self.label_classes.items():
-            if cls in PERIODIC_TABLE:
-                raise ValueError(f"class {cls!r} of rule {self.name!r} is named like an element")
-            if not elements:
-                raise ValueError(f"class {cls!r} of rule {self.name!r} is empty")
-            for el in elements:
-                if el not in PERIODIC_TABLE:
-                    raise ValueError(f"class {cls!r} lists unknown element {el!r}")
-        for atom in self.atoms:
-            if atom.label not in self.label_classes and atom.label not in PERIODIC_TABLE:
-                raise ValueError(
-                    f"label {atom.label!r} in rule {self.name!r} is neither an element nor a class"
-                )
 
     def allowed_elements(self, label: str) -> tuple[str, ...]:
         if label in self.label_classes:
@@ -148,7 +118,7 @@ class Rule:
 
 
 def reverse_rule(rule: Rule) -> Rule:
-    """Swap the two sides; the atoms, context and classes are unchanged."""
+    """Swap the two sides; the atoms and classes are unchanged."""
     return replace(rule, name=f"{rule.name}-rev", left=rule.right, right=rule.left)
 
 
@@ -211,20 +181,34 @@ def _rule_blocks(text: str) -> list[tuple[int, str, list[tuple[int, str]]]]:
 
 
 def _parse_rule_block(start: int, name: str, lines: list[tuple[int, str]]) -> Rule:
-    """One rule from the statements of its block; ``start`` is the line of
-    its ``rule`` statement, which errors of the rule as a whole carry."""
+    """One rule from the statements of its block.  A fault names its
+    statement's line; a rule without atoms names ``start``, the line of its
+    ``rule`` statement.  A class may not take the name of an element of
+    ``PERIODIC_TABLE``, which it would re-label in the rule, and each
+    context bond must be on both sides."""
     classes: dict[str, tuple[str, ...]] = {}
-    atoms: list[PatternAtom] = []
-    bonds: dict[str, list[Bond]] = {"left": [], "context": [], "right": []}
+    #: each pattern atom by id, with its line
+    atoms: dict[int, tuple[PatternAtom, int]] = {}
+    bonds: dict[str, list[tuple[int, int, str]]] = {"left": [], "context": [], "right": []}
+    bond_lines: dict[str, list[int]] = {"left": [], "context": [], "right": []}
     section: str | None = None
     reversible = False
     for ln, line in lines:
         m = _CLASS_RE.match(line)
         fields = line.split()
         if m:
-            if m.group(1) in classes:
-                raise RuleError(f"class {m.group(1)!r} declared twice", ln)
-            classes[m.group(1)] = tuple(e.strip() for e in m.group(2).split(",") if e.strip())
+            cls = m.group(1)
+            elements = tuple(e.strip() for e in m.group(2).split(",") if e.strip())
+            if cls in classes:
+                raise RuleError(f"class {cls!r} declared twice", ln)
+            if cls in PERIODIC_TABLE:
+                raise RuleError(f"class {cls!r} of rule {name!r} is named like an element", ln)
+            if not elements:
+                raise RuleError(f"class {cls!r} of rule {name!r} is empty", ln)
+            for el in elements:
+                if el not in PERIODIC_TABLE:
+                    raise RuleError(f"class {cls!r} lists unknown element {el!r}", ln)
+            classes[cls] = elements
         elif line in ("left:", "context:", "right:"):
             section = line[:-1]
         elif line == "reversible":
@@ -237,20 +221,31 @@ def _parse_rule_block(start: int, name: str, lines: list[tuple[int, str]]) -> Ru
             aid = read_integer(fields[1])
             if aid is None:
                 raise RuleError(f"bad atom id {fields[1]!r}", ln)
-            atoms.append(PatternAtom(aid, fields[2]))
+            if aid in atoms:
+                raise RuleError("duplicate pattern atom id", ln)
+            atoms[aid] = (PatternAtom(aid, fields[2]), ln)
         elif fields[0] == "bond":
             if section is None:
                 raise RuleError("bond line outside left:/context:/right:", ln)
-            bonds[section].append(Bond(*read_bond(fields, ln, RuleError)))
+            bonds[section].append(read_bond(fields, ln, RuleError))
+            bond_lines[section].append(ln)
         else:
             raise RuleError(f"unrecognized statement {line!r}", ln)
     if not atoms:
         raise RuleError(f"rule {name!r} declares no atoms", start)
-    sides = (tuple(sorted(bonds[side])) for side in ("left", "context", "right"))
-    try:
-        return Rule(name, tuple(sorted(atoms)), *sides, classes, reversible)
-    except ValueError as exc:
-        raise RuleError(str(exc), start) from None
+    for atom, ln in atoms.values():
+        if atom.label not in classes and atom.label not in PERIODIC_TABLE:
+            raise RuleError(f"label {atom.label!r} in rule {name!r} is neither an element nor a class", ln)
+    left, context, right = (
+        check_bonds(bonds[side], atoms, RuleError, bond_lines[side])
+        for side in ("left", "context", "right")
+    )
+    kept = set(left) & set(right)
+    for (lo, hi, order), ln in zip(context, bond_lines["context"]):
+        if (lo, hi, order) not in kept:
+            raise RuleError(f"context bond {lo}-{hi} of rule {name!r} must appear on both sides", ln)
+    left, right = (tuple(sorted(Bond(*b) for b in bonds[side])) for side in ("left", "right"))
+    return Rule(name, tuple(sorted(atom for atom, _ in atoms.values())), left, right, classes, reversible)
 
 
 def default_rules_text() -> str:

@@ -12,7 +12,6 @@ import time
 import molecules
 import nets
 from hyperpath.kinetics import (
-    BarrierTable,
     Thermo,
     load_barriers,
     objective_coefficients,
@@ -57,8 +56,7 @@ def criterion(num, label, budget_s=None):
 
 
 def uniform_weights(net, kj=20.0):
-    table = BarrierTable.from_kj(nets.uniform_barriers(net, kj))
-    return objective_coefficients(table, Thermo(), net)
+    return objective_coefficients(nets.uniform_barriers(net, kj), Thermo(), net)
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,8 +117,7 @@ def test_criterion_02_expansion_growth():
 @criterion(3, "ranked-score gap between reference pathways", budget_s=1.0)
 def test_criterion_03_score_gap():
     net = nets.amino_network()
-    table = BarrierTable.from_kj(nets.AMINO_BARRIERS_KJ)
-    weights = objective_coefficients(table, Thermo(), net)
+    weights = objective_coefficients(nets.AMINO_BARRIERS_KJ, Thermo(), net)
     p1 = pathway_score(nets.amino_flow("P1"), weights) / 1000.0
     p2 = pathway_score(nets.amino_flow("P2"), weights) / 1000.0
     gap = p2 - p1
@@ -148,8 +145,7 @@ def test_criterion_05_oracle_equivalence():
     feasible = 0
     for _ in range(200):
         net, barriers_kj, query = nets.random_instance(rng)
-        table = BarrierTable.from_kj(barriers_kj)
-        weights = objective_coefficients(table, Thermo(), net)
+        weights = objective_coefficients(barriers_kj, Thermo(), net)
         model = build_model(net, weights, query)
         fast = branch_and_bound(model)
         slow = brute_force(model)
@@ -189,14 +185,17 @@ def test_criterion_07_probability_normalization():
     ids = sorted(e.id for e in net.edges)
     rng = random.Random(7)
     for _ in range(100):
-        table = BarrierTable.from_kj({eid: rng.uniform(0.0, 100.0) for eid in ids})
-        total = sum(reaction_probability(eid, table) for eid in ids)
+        barriers = {eid: rng.uniform(0.0, 100.0) for eid in ids}
+        total = sum(reaction_probability(eid, barriers) for eid in ids)
         assert abs(total - 1.0) <= PROB_TOL, f"sum of probabilities {total!r}"
-    tall = BarrierTable.from_kj({eid: 500.0 for eid in ids})
-    weights = objective_coefficients(tall, Thermo(), net)
-    assert math.isfinite(weights.logD), "log partition overflowed"
-    assert all(math.isfinite(c) for c in weights.coeff.values())
-    return "100 random tables sum to 1, 500 kJ/mol barriers stay finite "
+    tall = {eid: 500.0 for eid in ids}
+    costs = objective_coefficients(tall, Thermo(), net)
+    # equal barriers cost RT*ln E each; a NaN log partition would read 0.0
+    # here, since max(0.0, nan) is 0.0, so finiteness alone would not see it
+    expected = Thermo().rt * math.log(len(ids))
+    bad = [c for c in costs.values() if not abs(c - expected) <= 1e-9 * expected]
+    assert not bad, f"costs {bad[:3]} are not RT ln E = {expected}"
+    return f"100 random tables sum to 1, 500 kJ/mol barriers cost RT ln E = {expected:.2f} J/mol "
 
 
 #: (molecules, reactions) after each of the 11 iterations of criterion 8
@@ -256,10 +255,9 @@ def test_criterion_08_stretch_full_scale():
 @criterion(9, "reference barrier values are inputs, never recomputed")
 def test_criterion_09_barriers_are_input_fixtures():
     net = nets.amino_network()
-    table = load_barriers(nets.barrier_csv(nets.AMINO_BARRIERS_KJ), net)
-    for eid, kj in nets.AMINO_BARRIERS_KJ.items():
-        assert table.barrier_j(eid) == kj * 1000.0, f"edge {eid} transformed"
-    weights = objective_coefficients(table, Thermo(), net)
+    barriers = load_barriers(nets.barrier_csv(nets.AMINO_BARRIERS_KJ), net)
+    assert barriers == nets.AMINO_BARRIERS_KJ, "barriers transformed on loading"
+    weights = objective_coefficients(barriers, Thermo(), net)
     total = pathway_score(nets.amino_flow("P1"), weights)
     assert math.isfinite(total) and total > 0.0
     return "barrier tables pass through loading verbatim and score cleanly "

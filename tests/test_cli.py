@@ -19,7 +19,6 @@ import hyperpath
 from hyperpath import __version__, cli, solve
 from hyperpath.cli import main
 from hyperpath.kinetics import (
-    BarrierTable,
     Thermo,
     load_barriers,
     objective_coefficients,
@@ -28,7 +27,7 @@ from hyperpath.kinetics import (
 from hyperpath.molgraph import PERIODIC_TABLE, parse_molecules
 from hyperpath.netcore import Hypergraph
 from hyperpath.pathopt import PathwayQuery, build_model
-from hyperpath.rewrite import ExpansionConfig, parse_rules, run_expansion
+from hyperpath.rewrite import ExpansionConfig, default_rules_text, parse_rules, run_expansion
 from hyperpath.solve import enumerate_pathways
 
 
@@ -299,8 +298,7 @@ def test_annotate_check_scores_with_barriers(tmp_path, capsys):
     assert code == 0
     assert "score:" in capsys.readouterr().out
     data = json.loads(report.read_text())
-    table = BarrierTable.from_kj(nets.uniform_barriers(net))
-    weights = objective_coefficients(table, Thermo(), net)
+    weights = objective_coefficients(nets.uniform_barriers(net), Thermo(), net)
     assert data["score_j_per_mol"] == pytest.approx(pathway_score(flow_dict, weights))
     assert data["score_kj_per_mol"] == pytest.approx(data["score_j_per_mol"] / 1000.0)
 
@@ -324,8 +322,7 @@ def test_annotate_check_temperature_changes_score(tmp_path):
         ) == 0
         scores[temp] = json.loads(report.read_text())["score_j_per_mol"]
     assert scores["298.15"] != scores["500"]
-    table = BarrierTable.from_kj(nets.uniform_barriers(net))
-    hot = objective_coefficients(table, Thermo(500.0), net)
+    hot = objective_coefficients(nets.uniform_barriers(net), Thermo(500.0), net)
     assert scores["500"] == pytest.approx(
         pathway_score({0: 1, ("in", 0): 2, ("out", 3): 1}, hot)
     )
@@ -1149,6 +1146,38 @@ def test_manifest_hashes_the_input_file_bytes(tmp_path, capsys):
     assert networks["crlf"] == networks["lf"]
 
 
+@pytest.mark.parametrize("name", ["seeds", "rules", "barriers", "query", "network", "flow"])
+def test_input_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, name):
+    # some editors start a UTF-8 file with EF BB BF; every text input skips
+    # the mark, and the manifest still hashes the file's own bytes
+    _, network, barriers, query = flux_setup(tmp_path)
+    (tmp_path / "seeds.mgf").write_text(molecules.WATER_MGF + "---\n" + molecules.GLYCOLONITRILE_MGF)
+    (tmp_path / "rules.dsl").write_text(default_rules_text())
+    (tmp_path / "flow.json").write_text(json.dumps({"flow": {"0": 1}, "inflow": {"0": 2}, "outflow": {"3": 1}}))
+    plain = {"seeds": str(tmp_path / "seeds.mgf"), "rules": str(tmp_path / "rules.dsl"),
+             "barriers": barriers, "query": query, "network": network, "flow": str(tmp_path / "flow.json")}
+    marked = tmp_path / f"marked-{Path(plain[name]).name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(plain[name]).read_bytes())
+    written = []
+    for files in (plain, {**plain, name: str(marked)}):
+        out = str(tmp_path / f"out-{len(written)}.json")
+        argv = {
+            "expand": ["expand", "--seeds", files["seeds"], "--rules", files["rules"],
+                       "--max-iterations", "2"],
+            "query": ["query", "--network", files["network"], "--barriers", files["barriers"],
+                      "--query", files["query"]],
+            "annotate-check": ["annotate-check", "--network", files["network"], "--flow", files["flow"],
+                               "--barriers", files["barriers"]],
+        }[{"seeds": "expand", "rules": "expand", "flow": "annotate-check"}.get(name, "query")]
+        assert main(argv + ["--output", out]) == 0
+        written.append(Path(out).read_bytes())
+    capsys.readouterr()
+    assert written[0] == written[1]
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["inputs"][name] == {"path": str(marked),
+                                        "sha256": hashlib.sha256(marked.read_bytes()).hexdigest()}
+
+
 def test_input_that_is_not_utf8_exit_2(tmp_path, capsys):
     seeds = tmp_path / "seeds.mgf"
     seeds.write_bytes(b"atom 0 O\natom 1 H \xff\n")
@@ -1312,12 +1341,11 @@ def test_benchmark_tracer_sees_the_model_and_the_solves():
         "tracer = tracing.Tracer()",
         "tracer.install()",
         "import nets",
-        "from hyperpath.kinetics import BarrierTable, Thermo, objective_coefficients",
+        "from hyperpath.kinetics import Thermo, objective_coefficients",
         "from hyperpath.pathopt import build_model",
         "from hyperpath.solve import enumerate_pathways",
         "net, query = nets.flux_demo()",
-        "table = BarrierTable.from_kj(nets.uniform_barriers(net))",
-        "model = build_model(net, objective_coefficients(table, Thermo(), net), query)",
+        "model = build_model(net, objective_coefficients(nets.uniform_barriers(net), Thermo(), net), query)",
         "ranked = enumerate_pathways(model, 3)",
         "print(len(ranked.solutions), __import__('json').dumps(tracer.metrics()))",
     ])

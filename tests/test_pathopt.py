@@ -7,7 +7,7 @@ import pytest
 import helpers
 import nets
 from hyperpath import solve
-from hyperpath.kinetics import BarrierTable, Thermo, WeightModel, objective_coefficients
+from hyperpath.kinetics import Thermo, objective_coefficients
 from hyperpath.pathopt import (
     PathwayQuery,
     add_cut,
@@ -18,8 +18,7 @@ from hyperpath.pathopt import (
 
 
 def weighted(net, kj=20.0):
-    table = BarrierTable.from_kj(nets.uniform_barriers(net, kj))
-    return objective_coefficients(table, Thermo(), net)
+    return objective_coefficients(nets.uniform_barriers(net, kj), Thermo(), net)
 
 
 def test_query_defaults():
@@ -202,7 +201,7 @@ def test_build_model_objective_modes():
     cost_query = PathwayQuery(sources=query.sources, targets=query.targets, flow_cap=3)
     cost_model = build_model(net, w, cost_query)
     assert cost_model.sense == "min"
-    assert cost_model.cost.tolist() == [w.coeff[0], w.coeff[1], w.coeff[2], 0.0, 0.0, 0.0, 0.0]
+    assert cost_model.cost.tolist() == [w[0], w[1], w[2], 0.0, 0.0, 0.0, 0.0]
 
 
 def test_build_model_byproduct_bounds():
@@ -255,7 +254,7 @@ def test_build_model_validation():
         add_cut(build_model(net, w, query), frozenset())
     with pytest.raises(ValueError):
         add_cut(build_model(net, w, query), frozenset({55}))
-    partial = WeightModel(0.0, {0: 1.0})
+    partial = {0: 1.0}
     with pytest.raises(ValueError):
         build_model(net, partial, query)
 

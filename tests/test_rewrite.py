@@ -151,7 +151,6 @@ def test_parse_rule_fields():
     assert len(rule.atoms) == 4
     assert {(b.a, b.b, b.order) for b in rule.left} == {(0, 1, "3"), (2, 3, "1")}
     assert len(rule.right) == 3
-    assert rule.context == ()
 
 
 def test_parse_rule_classes_and_reversible():
@@ -173,50 +172,49 @@ def test_parse_rules_comments_and_blank_lines():
     assert rule.name == "hh-break"
 
 
-@pytest.mark.parametrize(
-    "text, fragment",
-    [
-        ("left:\n  atom 0 C\n", "outside any rule"),
-        ("rule x\nleft:\n", "no atoms"),
-        ("rule x\nright:\n  atom 0 C\n", "left: section"),
-        ("rule x\nleft:\n  atom 0 Qq\n", "neither an element nor a class"),
-        ("rule x\nleft:\n  atom 0 C\n  bond 0 1 7\n", "bond order"),
-        ("rule x\nleft:\n  atom 0 C\n  atom 0 O\n", "duplicate pattern atom id"),
-        # each side's bonds are checked, not only the left side's
-        ("rule x\nleft:\n  atom 0 C\ncontext:\n  bond 0 0 1\n", "self bond on atom 0"),
-        ("rule x\nleft:\n  atom 0 C\nright:\n  bond 0 1 1\n", "bond 0-1 references missing atom 1"),
-        (
-            "rule x\nleft:\n  atom 0 C\n  atom 1 O\nright:\n  bond 0 1 1\n  bond 1 0 2\n",
-            "parallel bond 0-1",
-        ),
-        (
-            "rule x\nleft:\n  atom 0 C\n  atom 1 C\ncontext:\n  bond 0 1 1\n",
-            "both sides",
-        ),
-        ("rule x\nclasses: X = {C}\nclasses: X = {N}\nleft:\n  atom 0 X\n", "twice"),
-        ("rule x\nclasses: X = {}\nleft:\n  atom 0 X\n", "empty"),
-        ("rule x\nclasses: X = {C, Qq}\nleft:\n  atom 0 X\n", "unknown element"),
-        # a class named like an element would re-label that element
-        ("rule x\nclasses: C = {O}\nleft:\n  atom 0 C\n", "named like an element"),
-        # so would any element's symbol, not only those of the valence table
-        ("rule x\nclasses: B = {N}\nleft:\n  atom 0 B\n", "named like an element"),
-        ("rule x\nleft:\n  widget 0\n", "unrecognized"),
-        ("# nothing\n", "no rules"),
-        # ids are read as MGF reads them: ASCII digits, no leading zero, no sign
-        ("rule x\nleft:\n  atom 1_0 C\n", "line 3: bad atom id '1_0'"),
-        ("rule x\nleft:\n  atom \u0663 C\n", "line 3: bad atom id"),
-        ("rule x\nleft:\n  atom 03 C\n", "line 3: bad atom id '03'"),
-        ("rule x\nleft:\n  atom +0 C\n", "line 3: bad atom id '+0'"),
-        ("rule x\nleft:\n  atom 0 C\n  atom 1 C\n  bond 0 01 1\n",
-         "line 5: bond endpoints must be atom ids"),
-        ("rule x\nleft:\n  atom 0 C\n  atom 1 C\nright:\n  bond -0 1 1\n",
-         "line 6: bond endpoints must be atom ids"),
-    ],
-)
+#: rule texts with a fault: a fragment of its message and the line it names
+RULE_FAULTS = [
+    ("left:\n  atom 0 C\n", "outside any rule", 1),
+    ("rule x\nleft:\n", "no atoms", 1),
+    ("rule x\nright:\n  atom 0 C\n", "left: section", 3),
+    ("rule x\nleft:\n  atom 0 Qq\n", "neither an element nor a class", 3),
+    ("rule x\nleft:\n  atom 0 C\n  bond 0 1 7\n", "bond order", 4),
+    ("rule x\nleft:\n  atom 0 C\n  atom 0 O\n", "duplicate pattern atom id", 4),
+    # each side's bonds are checked, not only the left side's
+    ("rule x\nleft:\n  atom 0 C\ncontext:\n  bond 0 0 1\n", "self bond on atom 0", 5),
+    ("rule x\nleft:\n  atom 0 C\nright:\n  bond 0 1 1\n", "bond 0-1 references missing atom 1", 5),
+    ("rule x\nleft:\n  atom 0 C\n  atom 1 O\nright:\n  bond 0 1 1\n  bond 1 0 2\n",
+     "parallel bond 0-1", 7),
+    ("rule x\nleft:\n  atom 0 C\n  atom 1 C\ncontext:\n  bond 0 1 1\n", "both sides", 6),
+    ("rule x\nclasses: X = {C}\nclasses: X = {N}\nleft:\n  atom 0 X\n", "twice", 3),
+    ("rule x\nclasses: X = {}\nleft:\n  atom 0 X\n", "empty", 2),
+    ("rule x\nclasses: X = {C, Qq}\nleft:\n  atom 0 X\n", "unknown element", 2),
+    # a class named like an element would re-label that element
+    ("rule x\nclasses: C = {O}\nleft:\n  atom 0 C\n", "named like an element", 2),
+    # so would any element's symbol, not only those of the valence table
+    ("rule x\nclasses: B = {N}\nleft:\n  atom 0 B\n", "named like an element", 2),
+    ("rule x\nleft:\n  widget 0\n", "unrecognized", 3),
+    ("# nothing\n", "no rules", None),
+    # ids are read as MGF reads them: ASCII digits, no leading zero, no sign
+    ("rule x\nleft:\n  atom 1_0 C\n", "line 3: bad atom id '1_0'", 3),
+    ("rule x\nleft:\n  atom \u0663 C\n", "line 3: bad atom id", 3),
+    ("rule x\nleft:\n  atom 03 C\n", "line 3: bad atom id '03'", 3),
+    ("rule x\nleft:\n  atom +0 C\n", "line 3: bad atom id '+0'", 3),
+    ("rule x\nleft:\n  atom 0 C\n  atom 1 C\n  bond 0 01 1\n",
+     "line 5: bond endpoints must be atom ids", 5),
+    ("rule x\nleft:\n  atom 0 C\n  atom 1 C\nright:\n  bond -0 1 1\n",
+     "line 6: bond endpoints must be atom ids", 6),
+]
+
+
+@pytest.mark.parametrize("text, fragment", [fault[:2] for fault in RULE_FAULTS])
 def test_parse_rule_errors(text, fragment):
     with pytest.raises(RuleError) as err:
         parse_rules(text)
     assert fragment in str(err.value)
+    # each fault names its own statement's line, as molecule text does;
+    # only a fault of the rule as a whole names its ``rule`` line
+    assert err.value.line == {t: line for t, _, line in RULE_FAULTS}[text]
 
 
 @pytest.mark.parametrize(
@@ -239,9 +237,9 @@ def test_bond_faults_read_alike_in_every_reader(bonds, message):
     with pytest.raises(RuleError) as ruled:
         parse_rules("rule x\nleft:\n  atom 0 C\n  atom 1 C\nright:\n" + statements)
     assert str(made.value) == message
-    # a molecule's bond error names the faulty bond's own line, the last one
+    # a text reader's bond error names the faulty bond's own line, the last one
     assert str(parsed.value) == f"line {2 + len(bonds)}: {message}"
-    assert str(ruled.value).split(": ", 1)[1] == message
+    assert str(ruled.value) == f"line {5 + len(bonds)}: {message}"
 
 
 @pytest.mark.parametrize(
@@ -299,7 +297,7 @@ def test_reverse_rule_swaps_sides():
     assert rev.name == "nitrile-addition-rev"
     assert rev.left == rule.right
     assert rev.right == rule.left
-    assert rev.context == rule.context
+    assert (rev.atoms, rev.label_classes) == (rule.atoms, rule.label_classes)
     back = reverse_rule(rev)
     assert back.left == rule.left and back.right == rule.right
 
@@ -308,7 +306,7 @@ def test_pattern_component_count():
     atoms = tuple(PatternAtom(i, "C") for i in range(4))
 
     def left_side(atoms, *bonds):
-        return Rule("r", atoms, tuple(Bond(*b) for b in bonds), (), ())
+        return Rule("r", atoms, tuple(Bond(*b) for b in bonds), ())
 
     chain = left_side(atoms, (0, 1, "1"), (1, 2, "1"), (2, 3, "2"))
     two_parts = left_side(atoms, (0, 3, "1"), (1, 2, "1"))
@@ -456,7 +454,6 @@ def test_pattern_order_agrees_with_a_linear_scan():
                 for a, b in combinations(ids, 2)
                 if rng.random() < density
             ),
-            (),
             (),
         )
         adj = molgraph.adjacency(rule.atoms, rule.left)

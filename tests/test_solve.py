@@ -12,7 +12,7 @@ import pytest
 import helpers
 import molecules
 import nets
-from hyperpath.kinetics import MAX_BARRIER_KJ, BarrierTable, Thermo, objective_coefficients
+from hyperpath.kinetics import MAX_BARRIER_KJ, Thermo, objective_coefficients
 from hyperpath.molgraph import canonical_form, parse_molecules
 from hyperpath.pathopt import (
     IlpModel,
@@ -36,8 +36,7 @@ from hyperpath.solve import (
 
 
 def weighted(net, kj=20.0):
-    table = BarrierTable.from_kj(nets.uniform_barriers(net, kj))
-    return objective_coefficients(table, Thermo(), net)
+    return objective_coefficients(nets.uniform_barriers(net, kj), Thermo(), net)
 
 
 def lp(bounds, rows, cost, sense):
@@ -322,7 +321,7 @@ def test_bnb_answers_the_same_from_a_given_root():
     rng = random.Random(202)
     for _ in range(20):
         net, barriers, query = nets.random_instance(rng)
-        weights = objective_coefficients(BarrierTable.from_kj(barriers), Thermo(), net)
+        weights = objective_coefficients(barriers, Thermo(), net)
         model = build_model(net, weights, query)
         assert branch_and_bound(model) == branch_and_bound(model, root=simplex_solve(model))
     net, query = nets.cascade_network()
@@ -464,8 +463,7 @@ def test_brute_force_agrees_with_independent_enumeration():
         net, barriers, query = nets.random_instance(rng)
         if len(net.edges) > 3 or len(query.sources) > 2:
             continue
-        table = BarrierTable.from_kj(barriers)
-        model = build_model(net, objective_coefficients(table, Thermo(), net), query)
+        model = build_model(net, objective_coefficients(barriers, Thermo(), net), query)
         if len(model.variables) > 10:
             continue
         out = brute_force(model)
@@ -484,8 +482,7 @@ def test_bnb_matches_brute_force_on_random_instances():
     agreements = 0
     for _ in range(40):
         net, barriers, query = nets.random_instance(rng)
-        table = BarrierTable.from_kj(barriers)
-        model = build_model(net, objective_coefficients(table, Thermo(), net), query)
+        model = build_model(net, objective_coefficients(barriers, Thermo(), net), query)
         fast = branch_and_bound(model)
         slow = brute_force(model)
         assert fast.status == slow.status
@@ -564,8 +561,7 @@ def test_flow_space_search_matches_the_oracle_with_cuts_on_random_instances():
     with_cuts = 0
     for _ in range(40):
         net, barriers, query = nets.random_instance(rng)
-        table = BarrierTable.from_kj(barriers)
-        model = build_model(net, objective_coefficients(table, Thermo(), net), query)
+        model = build_model(net, objective_coefficients(barriers, Thermo(), net), query)
         found = check_canonical_optimum(model)
         while found and found.support and len(model.cuts) < 3:
             # the found support, or a part of it, so that the cut binds and the
@@ -604,7 +600,7 @@ def draws(stream, wanted):
     for draw in range(max(wanted) + 1):
         net, barriers, query = nets.random_instance(rng)
         if draw in wanted:
-            weights = objective_coefficients(BarrierTable.from_kj(barriers), Thermo(), net)
+            weights = objective_coefficients(barriers, Thermo(), net)
             models[draw] = build_model(net, weights, query)
     return [models[draw] for draw in wanted]
 
@@ -687,8 +683,7 @@ def test_warm_solves_agree_with_cold_solves_of_the_same_box():
     models = []
     for _ in range(150):
         net, barriers, query = nets.random_instance(rng)
-        table = BarrierTable.from_kj(barriers)
-        models.append(build_model(net, objective_coefficients(table, Thermo(), net), query))
+        models.append(build_model(net, objective_coefficients(barriers, Thermo(), net), query))
     net, query = nets.cascade_network()
     models += [build_model(net, weighted(net), replace(query, flow_cap=cap)) for cap in (1, 3, 10)]
     warm_optimal = 0
@@ -776,7 +771,7 @@ def test_reduced_cost_bound_holds_on_random_boxes():
     bounded = priced_out = 0
     for _ in range(400):
         net, barriers, query = nets.random_instance(rng)
-        model = build_model(net, objective_coefficients(BarrierTable.from_kj(barriers), Thermo(), net), query)
+        model = build_model(net, objective_coefficients(barriers, Thermo(), net), query)
         root = simplex_solve(model)
         if root.status != "optimal":
             continue
@@ -845,8 +840,7 @@ def test_flow_space_search_at_the_largest_barrier_load_barriers_accepts(kj):
     # tolerances must still tell the cascade's routes apart (at 1e10 kJ/mol
     # on edge 0 they no longer do)
     net, query = nets.cascade_network()
-    table = BarrierTable.from_kj({**nets.uniform_barriers(net), 0: kj})
-    costs = objective_coefficients(table, Thermo(), net)
+    costs = objective_coefficients({**nets.uniform_barriers(net), 0: kj}, Thermo(), net)
     capped = replace(query, forbidden_edges=(9, 10, 11, 12, 14, 15, 16, 17, 18, 19), flow_cap=1)
     model = build_model(net, costs, capped)
     supports = [check_canonical_optimum(model).support]
@@ -902,7 +896,7 @@ def glycolic_acid_query(iterations, max_element_counts, flow_cap):
     result = run_expansion(config, load_default_rules())
     net = result.network
     rng = random.Random(1)
-    table = BarrierTable.from_kj({e.id: rng.uniform(0.0, 100.0) for e in net.edges})
+    barriers = {e.id: rng.uniform(0.0, 100.0) for e in net.edges}
     ids = {v.key: v.id for v in net.vertices}
     vid = {name: ids[canonical_form(g)] for name, g in
            [("water", water), ("glyco", glyco), ("ammonia", ammonia), ("glycolic", glycolic)]}
@@ -912,7 +906,7 @@ def glycolic_acid_query(iterations, max_element_counts, flow_cap):
         allowed_byproducts={vid["ammonia"]: 10},
         flow_cap=flow_cap,
     )
-    return result, build_model(net, objective_coefficients(table, Thermo(), net), query)
+    return result, build_model(net, objective_coefficients(barriers, Thermo(), net), query)
 
 
 PAPER_SCALE_CAPS = {"C": 2, "N": 4, "O": 4}
